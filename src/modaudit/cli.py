@@ -34,6 +34,7 @@ from .verify import (
     DIFF_FIELDS,
     UNDIFFED_FIELDS,
     KeywordClassifier,
+    LinkageError,
     LinkConfig,
     link,
     reconstruct,
@@ -172,7 +173,11 @@ class AuditRunRecord:
 
 
 class RunDir:
-    """Audit-run persistence: fixed file names, run.json written once, last."""
+    """Audit-run persistence: fixed file names, run.json written once, last.
+
+    Use it as a context manager: leaving the block closes quarantine.log on
+    every path, including an error that leaves no run.json.
+    """
 
     def __init__(self, out_base: str | Path, command: Sequence[str]) -> None:
         stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S")
@@ -184,6 +189,17 @@ class RunDir:
         self._output_paths: dict[str, Path] = {}
         self._quarantine_fh = None
         self.quarantine_count = 0
+
+    def __enter__(self) -> "RunDir":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self._quarantine_fh is not None:
+            self._quarantine_fh.close()
+            self._quarantine_fh = None
 
     def track_inputs(self, *paths: Path) -> None:
         self.inputs.extend(paths)
@@ -206,9 +222,7 @@ class RunDir:
         return target
 
     def finish(self, config: AppConfig, manifest: dict | None, finding_counts: dict[str, int]) -> None:
-        if self._quarantine_fh is not None:
-            self._quarantine_fh.close()
-            self._quarantine_fh = None
+        self.close()
         outputs = {
             name: {"path": str(path), "sha256": _sha256(path)}
             for name, path in sorted(self._output_paths.items())
@@ -251,33 +265,33 @@ def _corpus_inputs(reader) -> list[Path]:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    run = RunDir(args.out, ["validate", str(args.corpus)])
-    reader = open_corpus(args.corpus, config.taxonomy, run.quarantine_sink())
-    for _ in reader:
-        pass
-    manifest = reader.manifest.to_dict()
-    run.write("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    run.track_inputs(*_corpus_inputs(reader), *config.extra_inputs)
-    run.finish(config, manifest, {"critical": 0, "warn": 0, "info": 0})
-    print(
-        f"validated {manifest['record_count']} record(s), "
-        f"quarantined {manifest['quarantine_count']} row(s) -> {run.path}"
-    )
-    return 0
+    with RunDir(args.out, ["validate", str(args.corpus)]) as run:
+        reader = open_corpus(args.corpus, config.taxonomy, run.quarantine_sink())
+        for _ in reader:
+            pass
+        manifest = reader.manifest.to_dict()
+        run.write("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        run.track_inputs(*_corpus_inputs(reader), *config.extra_inputs)
+        run.finish(config, manifest, {"critical": 0, "warn": 0, "info": 0})
+        print(
+            f"validated {manifest['record_count']} record(s), "
+            f"quarantined {manifest['quarantine_count']} row(s) -> {run.path}"
+        )
+        return 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    run = RunDir(args.out, ["profile", str(args.corpus)])
-    reader = open_corpus(args.corpus, config.taxonomy, run.quarantine_sink())
-    profile = informativeness_profile(reader)
-    manifest = reader.manifest.to_dict()
-    run.write("profile.json", json.dumps(profile.to_dict(), indent=2, sort_keys=True) + "\n")
-    run.write("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    run.track_inputs(*_corpus_inputs(reader), *config.extra_inputs)
-    run.finish(config, manifest, {"critical": 0, "warn": 0, "info": 0})
-    print(f"profiled {manifest['record_count']} record(s) -> {run.path}")
-    return 0
+    with RunDir(args.out, ["profile", str(args.corpus)]) as run:
+        reader = open_corpus(args.corpus, config.taxonomy, run.quarantine_sink())
+        profile = informativeness_profile(reader)
+        manifest = reader.manifest.to_dict()
+        run.write("profile.json", json.dumps(profile.to_dict(), indent=2, sort_keys=True) + "\n")
+        run.write("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        run.track_inputs(*_corpus_inputs(reader), *config.extra_inputs)
+        run.finish(config, manifest, {"critical": 0, "warn": 0, "info": 0})
+        print(f"profiled {manifest['record_count']} record(s) -> {run.path}")
+        return 0
 
 
 def _load_claimset(path: str) -> object:
@@ -314,19 +328,19 @@ def _replicate(config: AppConfig, claimset, reader, quarantine_sink: Callable):
 def _cmd_replicate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     claimset = _load_claimset(args.claims)
-    run = RunDir(args.out, ["replicate", str(args.corpus), str(args.claims)])
-    sink = run.quarantine_sink()
-    reader = open_corpus(args.corpus, config.taxonomy, sink)
-    _resolved, results, _tally, manifest = _replicate(config, claimset, reader, sink)
-    run.write(
-        "results.json",
-        json.dumps([r.to_dict() for r in results], indent=2, sort_keys=True) + "\n",
-    )
-    run.write("manifest.json", json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
-    run.track_inputs(*_corpus_inputs(reader), Path(args.claims), *config.extra_inputs)
-    run.finish(config, manifest.to_dict(), {"critical": 0, "warn": 0, "info": 0})
-    print(f"replicated {len(results)} claim(s) -> {run.path}")
-    return 0
+    with RunDir(args.out, ["replicate", str(args.corpus), str(args.claims)]) as run:
+        sink = run.quarantine_sink()
+        reader = open_corpus(args.corpus, config.taxonomy, sink)
+        _resolved, results, _tally, manifest = _replicate(config, claimset, reader, sink)
+        run.write(
+            "results.json",
+            json.dumps([r.to_dict() for r in results], indent=2, sort_keys=True) + "\n",
+        )
+        run.write("manifest.json", json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
+        run.track_inputs(*_corpus_inputs(reader), Path(args.claims), *config.extra_inputs)
+        run.finish(config, manifest.to_dict(), {"critical": 0, "warn": 0, "info": 0})
+        print(f"replicated {len(results)} claim(s) -> {run.path}")
+        return 0
 
 
 def _write_findings(run: RunDir, findings, fmt: str) -> None:
@@ -339,21 +353,21 @@ def _write_findings(run: RunDir, findings, fmt: str) -> None:
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     claimset = _load_claimset(args.claims)
-    run = RunDir(args.out, ["crosscheck", str(args.corpus), str(args.claims)])
-    sink = run.quarantine_sink()
-    reader = open_corpus(args.corpus, config.taxonomy, sink)
-    resolved, results, tally, manifest = _replicate(config, claimset, reader, sink)
-    findings = cross_check(resolved, results, config.tolerance, cell_tally=tally)
-    _write_findings(run, findings, args.format)
-    run.write("manifest.json", json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
-    run.track_inputs(*_corpus_inputs(reader), Path(args.claims), *config.extra_inputs)
-    counts = _finding_counts(findings)
-    run.finish(config, manifest.to_dict(), counts)
-    print(
-        f"cross-check: {counts['critical']} critical, {counts['warn']} warn, "
-        f"{counts['info']} info -> {run.path}"
-    )
-    return _exit_for(findings, config.severity_threshold)
+    with RunDir(args.out, ["crosscheck", str(args.corpus), str(args.claims)]) as run:
+        sink = run.quarantine_sink()
+        reader = open_corpus(args.corpus, config.taxonomy, sink)
+        resolved, results, tally, manifest = _replicate(config, claimset, reader, sink)
+        findings = cross_check(resolved, results, config.tolerance, cell_tally=tally)
+        _write_findings(run, findings, args.format)
+        run.write("manifest.json", json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
+        run.track_inputs(*_corpus_inputs(reader), Path(args.claims), *config.extra_inputs)
+        counts = _finding_counts(findings)
+        run.finish(config, manifest.to_dict(), counts)
+        print(
+            f"cross-check: {counts['critical']} critical, {counts['warn']} warn, "
+            f"{counts['info']} info -> {run.path}"
+        )
+        return _exit_for(findings, config.severity_threshold)
 
 
 def _parse_window(args: argparse.Namespace, events) -> Period:
@@ -373,48 +387,54 @@ def _parse_window(args: argparse.Namespace, events) -> Period:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    run = RunDir(args.out, ["verify", str(args.export), str(args.corpus)])
-    sink = run.quarantine_sink()
+    with RunDir(args.out, ["verify", str(args.export), str(args.corpus)]) as run:
+        sink = run.quarantine_sink()
 
-    export_reader = open_platform_export(args.export, sink)
-    events = list(export_reader)
-    window = _parse_window(args, events)
+        export_reader = open_platform_export(args.export, sink)
+        events = list(export_reader)
+        window = _parse_window(args, events)
 
-    classifier = KeywordClassifier.from_taxonomy(config.taxonomy)
-    reconstructed = reconstruct(events, classifier, window)
+        classifier = KeywordClassifier.from_taxonomy(config.taxonomy)
+        reconstructed = reconstruct(events, classifier, window)
 
-    corpus_reader = open_corpus(args.corpus, config.taxonomy, sink)
-    filed = [
-        r
-        for r in corpus_reader
-        if window.contains_date(r.application_date)
-        and (not args.platform or r.platform_name == args.platform)
-    ]
+        corpus_reader = open_corpus(args.corpus, config.taxonomy, sink)
+        filed = [
+            r
+            for r in corpus_reader
+            if window.contains_date(r.application_date)
+            and (not args.platform or r.platform_name == args.platform)
+        ]
 
-    linkage = link(reconstructed, filed, config.link)
-    findings = verify_diff(linkage, config.deadline_days)
-    _write_findings(run, findings, args.format)
-    manifest = {
-        "export": {
-            "events": export_reader.event_count,
-            "quarantined": export_reader.quarantine_count,
-        },
-        "corpus": corpus_reader.manifest.to_dict(),
-        "window": window.to_json(),
-        "reconstructed": len(reconstructed),
-        "filed_in_window": len(filed),
-        "diffed_fields": list(DIFF_FIELDS),
-        "undiffed_fields": list(UNDIFFED_FIELDS),
-    }
-    run.write("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    run.track_inputs(Path(args.export), *_corpus_inputs(corpus_reader), *config.extra_inputs)
-    counts = _finding_counts(findings)
-    run.finish(config, manifest, counts)
-    print(
-        f"verify: {counts['critical']} critical, {counts['warn']} warn, "
-        f"{counts['info']} info -> {run.path}"
-    )
-    return _exit_for(findings, config.severity_threshold)
+        linkage = link(reconstructed, filed, config.link)
+        # Fuzzy linkage never pairs two items that both carry a puid.
+        puid_pairs = sum(1 for rec, sor in linkage.pairs if rec.puid and sor.puid)
+        findings = verify_diff(linkage, config.deadline_days)
+        _write_findings(run, findings, args.format)
+        manifest = {
+            "export": {
+                "events": export_reader.event_count,
+                "quarantined": export_reader.quarantine_count,
+            },
+            "corpus": corpus_reader.manifest.to_dict(),
+            "window": window.to_json(),
+            "reconstructed": len(reconstructed),
+            "filed_in_window": len(filed),
+            "diffed_fields": list(DIFF_FIELDS),
+            "undiffed_fields": list(UNDIFFED_FIELDS),
+            "linkage": {
+                "puid_pairs": puid_pairs,
+                "fuzzy_pairs": len(linkage.pairs) - puid_pairs,
+            },
+        }
+        run.write("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        run.track_inputs(Path(args.export), *_corpus_inputs(corpus_reader), *config.extra_inputs)
+        counts = _finding_counts(findings)
+        run.finish(config, manifest, counts)
+        print(
+            f"verify: {counts['critical']} critical, {counts['warn']} warn, "
+            f"{counts['info']} info -> {run.path}"
+        )
+        return _exit_for(findings, config.severity_threshold)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -531,7 +551,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InputError, IngestError) as exc:
+    except (InputError, IngestError, LinkageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

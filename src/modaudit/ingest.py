@@ -54,6 +54,25 @@ def _check_header(header: list[str] | None, expected: tuple[str, ...], path: Pat
         raise IngestError(f"{path}: header row does not match the expected column order")
 
 
+def _first_non_utf8_line(path: Path) -> int:
+    # A newline byte never occurs inside a UTF-8 sequence, so lines decode alone.
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return number
+    return 0
+
+
+def _undecodable(path: Path, exc: UnicodeDecodeError) -> IngestError:
+    return IngestError(f"{path}: line {_first_non_utf8_line(path)}: not valid UTF-8 ({exc.reason})")
+
+
+def _unparsable(path: Path, line: int, exc: csv.Error) -> IngestError:
+    return IngestError(f"{path}: line {line}: malformed CSV ({exc})")
+
+
 def stream_dump_file(
     path: Path,
     taxonomy: CategoryTaxonomy,
@@ -86,6 +105,10 @@ def stream_dump_file(
                 yield result
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
+    except csv.Error as exc:
+        raise _unparsable(path, reader.line_num, exc) from None
 
 
 class CorpusReader:
@@ -223,6 +246,10 @@ class ExportReader:
                     yield result
         except OSError as exc:
             raise IngestError(f"cannot read {self.path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise _undecodable(self.path, exc) from None
+        except csv.Error as exc:
+            raise _unparsable(self.path, reader.line_num, exc) from None
         self.moderated_range = None if lo is None else (lo, hi)  # type: ignore[assignment]
         self._complete = True
 

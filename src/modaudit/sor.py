@@ -287,6 +287,9 @@ def default_taxonomy() -> CategoryTaxonomy:
 
 def parse_date(text: str) -> date:
     """Strict YYYY-MM-DD."""
+    # date.fromisoformat alone also takes 20240115 and 2024-W03-1.
+    if len(text) != 10 or text[4] != "-" or text[7] != "-":
+        raise ValueError(f"bad date {text!r}")
     return date.fromisoformat(text)
 
 
@@ -297,7 +300,7 @@ def _parse_date_memo(text: str) -> date:
     # Dump dates repeat heavily; memoise with a size guard against garbage input.
     d = _DATE_MEMO.get(text)
     if d is None:
-        d = date.fromisoformat(text)
+        d = parse_date(text)
         if len(_DATE_MEMO) > 4096:
             _DATE_MEMO.clear()
         _DATE_MEMO[text] = d
@@ -306,8 +309,17 @@ def _parse_date_memo(text: str) -> date:
 
 def parse_timestamp(text: str) -> datetime:
     """Strict YYYY-MM-DDThh:mm:ssZ, second precision, UTC."""
-    if len(text) != 20 or text[10] != "T" or text[19] != "Z":
+    if (
+        len(text) != 20
+        or text[4] != "-"
+        or text[7] != "-"
+        or text[10] != "T"
+        or text[13] != ":"
+        or text[16] != ":"
+        or text[19] != "Z"
+    ):
         raise ValueError(f"bad timestamp {text!r}")
+    # With every separator in place no UTC offset fits before the Z.
     return datetime.fromisoformat(text[:19]).replace(tzinfo=timezone.utc)
 
 

@@ -10,6 +10,7 @@ never fuzzy-paired: their identities are known to differ.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
@@ -372,24 +373,24 @@ class LinkConfig:
             max_day_distance=int(data.get("max_day_distance", 3)),  # type: ignore[arg-type]
         )
 
+    def score(self, category_equal: bool, decision_equal: bool, day_distance: int) -> Fraction:
+        """Score of a rebuilt/filed pair from its feature comparison; the day
+        distance is clamped at max_day_distance."""
+        score = Fraction(0)
+        if category_equal:
+            score += self.category_weight
+        if decision_equal:
+            score += self.decision_weight
+        clamped = min(day_distance, self.max_day_distance)
+        score += self.time_weight * (1 - Fraction(clamped, self.max_day_distance))
+        return score
+
 
 @dataclass
 class Linkage:
     pairs: list[tuple[ReconstructedSor, SorRecord]]
     unmatched_reconstructed: list[ReconstructedSor]
     unmatched_filed: list[SorRecord]
-
-
-def _pair_score(rec: ReconstructedSor, filed: SorRecord, config: LinkConfig) -> Fraction:
-    score = Fraction(0)
-    if rec.category == filed.category:
-        score += config.category_weight
-    if rec.decision_type is filed.decision_type:
-        score += config.decision_weight
-    distance = abs((filed.created_at.date() - rec.moderated_at.date()).days)
-    clamped = min(distance, config.max_day_distance)
-    score += config.time_weight * (1 - Fraction(clamped, config.max_day_distance))
-    return score
 
 
 def link(
@@ -400,8 +401,8 @@ def link(
     """One-to-one pairing of rebuilt and filed statements.
 
     puid matches first; the remainder is blocked by (content_type,
-    application_date) and greedily matched in descending score with a total
-    tie-break, so the result is independent of input order.
+    application_date) and greedily matched in descending score, then uuid,
+    then content_id, so the result is independent of input order.
     """
     config = config or LinkConfig()
 
@@ -428,39 +429,140 @@ def link(
     rest_rec = [r for r in reconstructed if id(r) not in linked_rec]
     rest_filed = [f for f in filed if id(f) not in linked_filed]
 
-    blocks_rec: dict[tuple[ContentType, date], list[ReconstructedSor]] = {}
-    for rec in rest_rec:
-        blocks_rec.setdefault((rec.content_type, rec.application_date), []).append(rec)
+    taken_rec, taken_filed = _fuzzy_link(rest_rec, rest_filed, config, pairs)
 
-    candidates: list[tuple[Fraction, str, str, ReconstructedSor, SorRecord]] = []
-    for sor in rest_filed:
-        block = blocks_rec.get((sor.content_type, sor.application_date))
-        if not block:
-            continue
-        for rec in block:
-            if rec.puid and sor.puid:
-                continue  # both identities known, and they differ
-            score = _pair_score(rec, sor, config)
-            if score >= config.threshold:
-                candidates.append((score, sor.uuid, rec.content_id, rec, sor))
-
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-    taken_rec: set[int] = set()
-    taken_filed: set[int] = set()
-    for _score, _uuid, _cid, rec, sor in candidates:
-        if id(rec) in taken_rec or id(sor) in taken_filed:
-            continue
-        taken_rec.add(id(rec))
-        taken_filed.add(id(sor))
-        pairs.append((rec, sor))
-
-    unmatched_rec = [r for r in rest_rec if id(r) not in taken_rec]
-    unmatched_filed = [f for f in rest_filed if id(f) not in taken_filed]
+    unmatched_rec = [r for i, r in enumerate(rest_rec) if not taken_rec[i]]
+    unmatched_filed = [f for j, f in enumerate(rest_filed) if not taken_filed[j]]
 
     pairs.sort(key=lambda p: p[1].uuid)
     unmatched_rec.sort(key=lambda r: r.content_id)
     unmatched_filed.sort(key=lambda f: f.uuid)
     return Linkage(pairs=pairs, unmatched_reconstructed=unmatched_rec, unmatched_filed=unmatched_filed)
+
+
+# A queue of free rebuilt items, as (content_id, position) in descending
+# order so that its head is the last element.
+_Queue = list[tuple[str, int]]
+
+
+def _fuzzy_link(
+    rest_rec: list[ReconstructedSor],
+    rest_filed: list[SorRecord],
+    config: LinkConfig,
+    pairs: list[tuple[ReconstructedSor, SorRecord]],
+) -> tuple[bytearray, bytearray]:
+    """Greedy fuzzy pairing; appends to `pairs` and returns the taken flags of
+    `rest_rec` and `rest_filed` by position.
+
+    The result is the greedy walk over every above-threshold pair in the order
+    (score desc, uuid, content_id, filed position, rebuilt position), without
+    listing the pairs. For one filed item a pair's score depends only on
+    whether category and decision type are equal and on the clamped distance
+    to the rebuilt item's moderation day, so the rebuilt items of a block sit
+    in queues keyed by those attributes and sorted by (content_id, position).
+    Each filed item gets one tier per distinct score that reaches the
+    threshold, holding the queues at that score; walking the tiers in (score
+    desc, uuid, filed position) order, a filed item takes the smallest free
+    queue head. With the categories, decision types and days of a block held
+    fixed, a block costs O(n log n).
+    """
+    blocks: dict[tuple[ContentType, date], dict[tuple[str, DecisionType, bool, date], _Queue]] = {}
+    for i, rec in enumerate(rest_rec):
+        queues = blocks.setdefault((rec.content_type, rec.application_date), {})
+        key = (rec.category, rec.decision_type, bool(rec.puid), rec.moderated_at.date())
+        queues.setdefault(key, []).append((rec.content_id, i))
+    for queues in blocks.values():
+        for queue in queues.values():
+            queue.sort(reverse=True)
+
+    # Scores are cached lazily by feature key, never tabulated over the day
+    # distance, whose clamp comes from the config. Equal weights can give
+    # different keys one score, so an id stands for a score value.
+    score_ids: dict[tuple[bool, bool, int], int | None] = {}
+    value_ids: dict[Fraction, int] = {}
+
+    def score_id(category_equal: bool, decision_equal: bool, days: int) -> int | None:
+        key = (category_equal, decision_equal, min(days, config.max_day_distance))
+        if key not in score_ids:
+            score = config.score(*key)
+            score_ids[key] = None
+            if score >= config.threshold:
+                score_ids[key] = value_ids.setdefault(score, len(value_ids))
+        return score_ids[key]
+
+    # Filed items with the same block, category, decision type, puid presence
+    # and filing day see the same tiers.
+    tier_memo: dict[tuple, list[tuple[int, list[_Queue]]]] = {}
+    tiers: list[tuple[int, str, int, list[_Queue]]] = []
+    for j, sor in enumerate(rest_filed):
+        block_key = (sor.content_type, sor.application_date)
+        queues = blocks.get(block_key)
+        if not queues:
+            continue
+        filed_day = sor.created_at.date()
+        signature = (block_key, sor.category, sor.decision_type, bool(sor.puid), filed_day)
+        own = tier_memo.get(signature)
+        if own is None:
+            by_score: dict[int, list[_Queue]] = {}
+            for (category, decision_type, has_puid, day), queue in queues.items():
+                if has_puid and sor.puid:
+                    continue  # both identities known, and they differ
+                sid = score_id(
+                    category == sor.category,
+                    decision_type is sor.decision_type,
+                    abs((filed_day - day).days),
+                )
+                if sid is not None:
+                    by_score.setdefault(sid, []).append(queue)
+            own = tier_memo[signature] = list(by_score.items())
+        for sid, tier_queues in own:
+            tiers.append((sid, sor.uuid, j, tier_queues))
+
+    rank = [0] * len(value_ids)
+    for r, score in enumerate(sorted(value_ids, reverse=True)):
+        rank[value_ids[score]] = r
+    tiers.sort(key=lambda t: (rank[t[0]], t[1], t[2]))
+
+    taken_rec = bytearray(len(rest_rec))
+    taken_filed = bytearray(len(rest_filed))
+
+    def free_head(tier_queues: list[_Queue]) -> tuple[str, int] | None:
+        best = None
+        for queue in tier_queues:
+            while queue and taken_rec[queue[-1][1]]:
+                queue.pop()
+            if queue and (best is None or queue[-1] < best):
+                best = queue[-1]
+        return best
+
+    # Tiers sharing (score, uuid) come from filed items with a duplicate uuid;
+    # they are walked as one group, by (content_id, filed position, rebuilt
+    # position), through a heap of each filed item's smallest free head.
+    start = 0
+    while start < len(tiers):
+        sid, uuid = tiers[start][0], tiers[start][1]
+        stop = start + 1
+        while stop < len(tiers) and tiers[stop][0] == sid and tiers[stop][1] == uuid:
+            stop += 1
+        heap: list[tuple[str, int, int, list[_Queue]]] = []
+        for _, _, j, tier_queues in tiers[start:stop]:
+            if not taken_filed[j]:
+                head = free_head(tier_queues)
+                if head is not None:
+                    heap.append((head[0], j, head[1], tier_queues))
+        start = stop
+        heapq.heapify(heap)
+        while heap:
+            _, j, i, tier_queues = heapq.heappop(heap)
+            if taken_rec[i]:
+                head = free_head(tier_queues)
+                if head is not None:
+                    heapq.heappush(heap, (head[0], j, head[1], tier_queues))
+                continue
+            taken_rec[i] = 1
+            taken_filed[j] = 1
+            pairs.append((rest_rec[i], rest_filed[j]))
+    return taken_rec, taken_filed
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Independent brute-force oracles and random fixture builders.
 
 The replication oracle deliberately stays a per-claim full scan over a list;
-it never shares the single-pass counter machinery it checks.
+it never shares the single-pass counter machinery it checks. The linkage
+oracle is the quadratic all-pairs candidate list that verify.link's queues
+and tiers replace.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import random
 from datetime import date, datetime, time, timedelta, timezone
 from fractions import Fraction
+from typing import Sequence
 
 from modaudit.aggregate import Period, Predicate
 from modaudit.claims import Claim, Metric, Precision
@@ -20,6 +23,7 @@ from modaudit.sor import (
     SorRecord,
     SourceType,
 )
+from modaudit.verify import LinkageError, LinkConfig, Linkage, ReconstructedSor
 
 CODES = ("hate_speech", "misinformation", "nudity", "other")
 PLATFORMS = ("alpha", "beta")
@@ -122,3 +126,89 @@ def random_count_claim(rng: random.Random, claim_id: str) -> Claim:
         source_locator="oracle:random",
         value_text="0",
     )
+
+
+def _pair_score(rec: ReconstructedSor, filed: SorRecord, config: LinkConfig) -> Fraction:
+    score = Fraction(0)
+    if rec.category == filed.category:
+        score += config.category_weight
+    if rec.decision_type is filed.decision_type:
+        score += config.decision_weight
+    distance = abs((filed.created_at.date() - rec.moderated_at.date()).days)
+    clamped = min(distance, config.max_day_distance)
+    score += config.time_weight * (1 - Fraction(clamped, config.max_day_distance))
+    return score
+
+
+def naive_link(
+    reconstructed: Sequence[ReconstructedSor],
+    filed: Sequence[SorRecord],
+    config: LinkConfig | None = None,
+) -> Linkage:
+    """All-pairs reference for verify.link: scores every rebuilt x filed pair
+    of a block and sorts the candidate list.
+
+    One-to-one pairing of rebuilt and filed statements.
+
+    puid matches first; the remainder is blocked by (content_type,
+    application_date) and greedily matched in descending score with a total
+    tie-break, so the result is independent of input order.
+    """
+    config = config or LinkConfig()
+
+    rec_by_puid: dict[str, ReconstructedSor] = {}
+    for rec in reconstructed:
+        if rec.puid:
+            if rec.puid in rec_by_puid:
+                raise LinkageError(f"duplicate puid {rec.puid!r} among reconstructed items")
+            rec_by_puid[rec.puid] = rec
+    filed_by_puid: dict[str, SorRecord] = {}
+    for sor in filed:
+        if sor.puid:
+            if sor.puid in filed_by_puid:
+                raise LinkageError(f"duplicate puid {sor.puid!r} among filed statements")
+            filed_by_puid[sor.puid] = sor
+
+    shared = sorted(rec_by_puid.keys() & filed_by_puid.keys())
+    pairs: list[tuple[ReconstructedSor, SorRecord]] = [
+        (rec_by_puid[p], filed_by_puid[p]) for p in shared
+    ]
+    linked_rec = {id(r) for r, _ in pairs}
+    linked_filed = {id(f) for _, f in pairs}
+
+    rest_rec = [r for r in reconstructed if id(r) not in linked_rec]
+    rest_filed = [f for f in filed if id(f) not in linked_filed]
+
+    blocks_rec: dict[tuple[ContentType, date], list[ReconstructedSor]] = {}
+    for rec in rest_rec:
+        blocks_rec.setdefault((rec.content_type, rec.application_date), []).append(rec)
+
+    candidates: list[tuple[Fraction, str, str, ReconstructedSor, SorRecord]] = []
+    for sor in rest_filed:
+        block = blocks_rec.get((sor.content_type, sor.application_date))
+        if not block:
+            continue
+        for rec in block:
+            if rec.puid and sor.puid:
+                continue  # both identities known, and they differ
+            score = _pair_score(rec, sor, config)
+            if score >= config.threshold:
+                candidates.append((score, sor.uuid, rec.content_id, rec, sor))
+
+    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+    taken_rec: set[int] = set()
+    taken_filed: set[int] = set()
+    for _score, _uuid, _cid, rec, sor in candidates:
+        if id(rec) in taken_rec or id(sor) in taken_filed:
+            continue
+        taken_rec.add(id(rec))
+        taken_filed.add(id(sor))
+        pairs.append((rec, sor))
+
+    unmatched_rec = [r for r in rest_rec if id(r) not in taken_rec]
+    unmatched_filed = [f for f in rest_filed if id(f) not in taken_filed]
+
+    pairs.sort(key=lambda p: p[1].uuid)
+    unmatched_rec.sort(key=lambda r: r.content_id)
+    unmatched_filed.sort(key=lambda f: f.uuid)
+    return Linkage(pairs=pairs, unmatched_reconstructed=unmatched_rec, unmatched_filed=unmatched_filed)

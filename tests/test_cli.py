@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 from pathlib import Path
 
 import pytest
 
-from modaudit.cli import run
+from modaudit.cli import RunDir, run
+from modaudit.sor import QuarantineEntry, QuarantineReason
 
 SCENARIO = {
     "seed": 13,
@@ -180,6 +183,80 @@ class TestExitCodes:
         assert run(["synth", "--scenario", str(scen), "--out", str(tmp_path / "x")]) == 2
 
 
+def append_copy(source: Path, target: Path, changes: dict[str, str]) -> int:
+    """Append to `target` the first moderated data row of `source` with
+    `changes` applied; returns the line number of the new row."""
+    with open(source, newline="", encoding="utf-8") as fh:
+        row = next(r for r in csv.DictReader(fh) if r.get("visibility_status") != "VISIBLE")
+    row.update(changes)
+    out = io.StringIO()
+    csv.DictWriter(out, fieldnames=list(row), lineterminator="\n").writerow(row)
+    with open(target, "a", encoding="utf-8", newline="") as fh:
+        fh.write(out.getvalue())
+    return len(target.read_bytes().splitlines())
+
+
+def assert_one_line_input_error(capsys, out_dir: Path, *fragments: str) -> None:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error: ")
+    for fragment in fragments:
+        assert fragment in err
+    assert not list(out_dir.glob("*/run.json"))
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "target,column,side",
+        [
+            ("export.csv", "content_id", "among reconstructed items"),
+            ("dump/part-00000.csv", "uuid", "among filed statements"),
+        ],
+    )
+    def test_duplicate_puid_exits_three(self, faithful, tmp_path, capsys, target, column, side):
+        append_copy(faithful / target, faithful / target, {column: "dup-0000001"})
+        out = tmp_path / "runs"
+        assert run(verify_args(faithful, out)) == 3
+        assert_one_line_input_error(capsys, out, "error: duplicate puid 'p-", side)
+
+    @pytest.mark.parametrize("value", ["BAD\xffBYTE", "x" * 131073], ids=["byte_ff", "long_field"])
+    @pytest.mark.parametrize(
+        "command", ["validate", "crosscheck", "crosscheck-parallel", "verify-dump", "verify-export"]
+    )
+    def test_undecodable_or_oversized_row_exits_three(self, faithful, tmp_path, capsys, command, value):
+        first_part = faithful / "dump" / "part-00000.csv"
+        if command == "verify-export":
+            source = target = faithful / "export.csv"
+        else:
+            # a second dump file, so that --parallel reads the damaged row in a worker
+            source, target = first_part, faithful / "dump" / "part-00001.csv"
+            target.write_bytes(first_part.read_bytes().splitlines(keepends=True)[0])
+        line = append_copy(source, target, {"uuid": value, "content_id": value})
+        target.write_bytes(target.read_bytes().replace(b"BAD\xc3\xbfBYTE", b"BAD\xffBYTE"))
+        out = tmp_path / "runs"
+        args = {
+            "validate": ["validate", "--corpus", str(faithful / "dump"), "--out", str(out)],
+            "crosscheck": crosscheck_args(faithful, out),
+            "crosscheck-parallel": crosscheck_args(faithful, out, "--parallel", "2"),
+            "verify-dump": verify_args(faithful, out),
+            "verify-export": verify_args(faithful, out),
+        }[command]
+        assert run(args) == 3
+        assert_one_line_input_error(capsys, out, f"{target}: line {line}: ")
+
+    def test_run_dir_closes_quarantine_log_on_error(self, tmp_path):
+        entry = QuarantineEntry(reason=QuarantineReason.MISSING_FIELD, field="uuid", raw_row={})
+        with pytest.raises(RuntimeError):
+            with RunDir(tmp_path, ["validate"]) as run_dir:
+                run_dir.quarantine_sink()(entry)
+                raise RuntimeError("boom")
+        # a small write reaches the file only once the handle is flushed or closed
+        log = (run_dir.path / "quarantine.log").read_text(encoding="utf-8")
+        assert log == entry.to_json_line() + "\n"
+        assert not (run_dir.path / "run.json").exists()
+
+
 class TestRunPersistence:
     def test_run_directory_layout(self, faithful, tmp_path):
         out = tmp_path / "runs"
@@ -229,6 +306,19 @@ class TestRunPersistence:
         assert (only_run_dir(out_serial) / "findings.json").read_bytes() == (
             only_run_dir(out_parallel) / "findings.json"
         ).read_bytes()
+
+    def test_verify_manifest_records_linkage_provenance(self, tmp_path):
+        doc = {**SCENARIO, "injections": {"strip_puid": True}}
+        scen = tmp_path / "scen-stripped"
+        assert run(["synth", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(scen)]) == 0
+        out = tmp_path / "runs"
+        run(verify_args(scen, out))
+        run_dir = only_run_dir(out)
+        findings = json.loads((run_dir / "findings.json").read_text())
+        pairs = {(f["content_id"], f["sor_uuid"]) for f in findings if f["content_id"] and f["sor_uuid"]}
+        record = json.loads((run_dir / "run.json").read_text())
+        assert record["manifest"]["linkage"] == {"puid_pairs": 0, "fuzzy_pairs": len(pairs)}
+        assert len(pairs) > 0
 
     def test_requested_format_written_alongside_json(self, faithful, tmp_path):
         out = tmp_path / "runs"

@@ -17,8 +17,10 @@ from modaudit.sor import (
     informativeness_profile,
     validate_record,
 )
+from modaudit.verify import parse_event_row
 
 from .conftest import make_record, make_row
+from .test_ingest import make_event_row
 
 
 class TestValidateRecord:
@@ -86,12 +88,28 @@ class TestValidateRecord:
             ("application_date", "12/01/2024"),
             ("created_at", "2024-01-13 09:30:00"),
             ("created_at", "2024-01-13T09:30:00.123Z"),
+            ("content_date", "20240115"),
+            ("application_date", "2024-W03-1"),
+            ("created_at", "2024-01-13T09:30+05Z"),
         ],
     )
     def test_bad_dates(self, taxonomy, field, value):
         result = validate_record(make_row(**{field: value}), taxonomy)
         assert isinstance(result, QuarantineEntry)
         assert result.reason is QuarantineReason.BAD_DATE
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("content_created", "20240115"),
+            ("content_created", "2024-W03-1"),
+            ("moderated_at", "2024-01-13T09:30+05Z"),
+        ],
+    )
+    def test_export_rows_with_loose_dates_are_bad_date(self, field, value):
+        result = parse_event_row(make_event_row(**{field: value}))
+        assert isinstance(result, QuarantineEntry)
+        assert (result.reason, result.field) == (QuarantineReason.BAD_DATE, field)
 
     def test_unknown_category(self, taxonomy):
         result = validate_record(make_row(category="jaywalking"), taxonomy)

@@ -1,22 +1,25 @@
 from __future__ import annotations
 
 import random
-from datetime import date, datetime, timezone
+from datetime import date, datetime, time, timedelta, timezone
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modaudit.aggregate import Period
 from modaudit.report import Severity
 from modaudit.sor import AutomatedDecision, ContentType, DecisionType
 from modaudit.verify import (
+    DEFAULT_RECONSTRUCTED_GROUND,
     KeywordClassifier,
     LinkageError,
     LinkConfig,
     ModerationEvent,
+    ReconstructedSor,
     VerificationKind,
     VisibilityStatus,
-    _pair_score,
     classify,
     link,
     marker_token,
@@ -25,6 +28,7 @@ from modaudit.verify import (
 )
 
 from .conftest import make_record
+from .oracles import _pair_score, naive_link
 
 WINDOW = Period(start=date(2024, 1, 1), end=date(2024, 2, 1))
 UTC = timezone.utc
@@ -165,21 +169,23 @@ class TestLink:
     def test_same_block_same_attributes_same_day_scores_one(self, taxonomy):
         rec = rebuild([make_event(puid=None)], taxonomy)
         filed = [filed_record(puid=None)]
+        assert LinkConfig().score(True, True, 0) == Fraction(1)
         assert _pair_score(rec[0], filed[0], LinkConfig()) == Fraction(1)
         linkage = link(rec, filed)
         assert len(linkage.pairs) == 1
 
     def test_score_formula_components(self, taxonomy):
         config = LinkConfig()
+        two_days_late = config.score(True, True, 2)
+        assert two_days_late == Fraction(1, 2) + Fraction(3, 10) + Fraction(1, 5) * Fraction(1, 3)
+        different_category = config.score(False, True, 0)
+        assert different_category == Fraction(3, 10) + Fraction(1, 5)
+        assert config.score(True, False, 3) == config.score(True, False, 10**9) == Fraction(1, 2)
+        # the same figures as the oracle's per-pair score
         rec = rebuild([make_event(puid=None)], taxonomy)[0]
-        two_days_late = filed_record(
-            puid=None, created_at=datetime(2024, 1, 14, 8, 0, 0, tzinfo=UTC)
-        )
-        assert _pair_score(rec, two_days_late, config) == Fraction(1, 2) + Fraction(3, 10) + Fraction(
-            1, 5
-        ) * Fraction(1, 3)
-        different_category = filed_record(puid=None, category="nudity")
-        assert _pair_score(rec, different_category, config) == Fraction(3, 10) + Fraction(1, 5)
+        late = filed_record(puid=None, created_at=datetime(2024, 1, 14, 8, 0, 0, tzinfo=UTC))
+        assert _pair_score(rec, late, config) == two_days_late
+        assert _pair_score(rec, filed_record(puid=None, category="nudity"), config) == different_category
 
     def test_below_threshold_is_not_matched(self, taxonomy):
         rec = rebuild([make_event(puid=None)], taxonomy)
@@ -276,6 +282,112 @@ class TestLink:
         assert len(rec_ids) == len(set(rec_ids))
         assert len(filed_ids) == len(set(filed_ids))
         assert len(linkage.pairs) == 4
+
+
+LINK_CONFIGS = (
+    LinkConfig(),
+    LinkConfig(max_day_distance=10**9),
+    LinkConfig(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3), Fraction(1, 3), max_day_distance=1),
+    LinkConfig(Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), Fraction(1, 2), max_day_distance=10**9),
+    LinkConfig(Fraction(0), Fraction(0), Fraction(0), Fraction(0), max_day_distance=10**9),
+    LinkConfig(threshold=Fraction(0), max_day_distance=1),
+)
+LINK_DAY = date(2024, 1, 10)
+
+
+def unique_puids(draws: list[int | None]) -> list[str | None]:
+    """One puid per drawn number, None for a repeat: puids are unique per side."""
+    seen: set[int] = set()
+    out: list[str | None] = []
+    for n in draws:
+        out.append(None if n is None or n in seen else f"p-{n}")
+        if n is not None:
+            seen.add(n)
+    return out
+
+
+@st.composite
+def tie_dense_link_inputs(draw):
+    """Few categories, decision types, days and ids, so that scores, uuids and
+    content_ids tie often; moderation days may differ from application dates."""
+    categories = ("hate_speech", "misinformation", "nudity")[: draw(st.integers(2, 3))]
+    decisions = (
+        DecisionType.VISIBILITY_REMOVAL,
+        DecisionType.VISIBILITY_DISABLE,
+        DecisionType.ACCOUNT_SUSPENSION,
+    )[: draw(st.integers(2, 3))]
+    days = draw(st.integers(2, 3))
+    content_types = (ContentType.TEXT, ContentType.IMAGE)
+    day = st.integers(0, days - 1).map(lambda k: LINK_DAY + timedelta(days=k))
+    puid = st.none() | st.integers(0, 5)
+
+    rec_draws = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2), puid, st.sampled_from(categories), st.sampled_from(decisions),
+                st.sampled_from(content_types), day, st.integers(-1, 1), st.integers(0, 23),
+            ),
+            max_size=14,
+        )
+    )
+    rebuilt = [
+        ReconstructedSor(
+            content_id=f"c-{cid}",
+            puid=p,
+            decision_type=decision,
+            decision_ground=DEFAULT_RECONSTRUCTED_GROUND,
+            category=category,
+            content_type=content_type,
+            automated_detection=False,
+            automated_decision=AutomatedDecision.NOT_AUTOMATED,
+            content_date=date(2024, 1, 1),
+            application_date=applied,
+            moderated_at=datetime.combine(applied + timedelta(days=shift), time(hour), tzinfo=UTC),
+            classifier_verdict=None,
+        )
+        for (cid, _, category, decision, content_type, applied, shift, hour), p in zip(
+            rec_draws, unique_puids([d[1] for d in rec_draws])
+        )
+    ]
+    filed_draws = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2), puid, st.sampled_from(categories), st.sampled_from(decisions),
+                st.sampled_from(content_types), day, st.integers(0, 4), st.integers(0, 23),
+            ),
+            max_size=14,
+        )
+    )
+    filed = [
+        make_record(
+            uuid=f"sor-{uid}",
+            puid=p,
+            category=category,
+            decision_type=decision,
+            content_type=content_type,
+            content_date=date(2024, 1, 1),
+            application_date=applied,
+            created_at=datetime.combine(applied + timedelta(days=lag), time(hour), tzinfo=UTC),
+        )
+        for (uid, _, category, decision, content_type, applied, lag, hour), p in zip(
+            filed_draws, unique_puids([d[1] for d in filed_draws])
+        )
+    ]
+    return rebuilt, filed, draw(st.sampled_from(LINK_CONFIGS))
+
+
+class TestLinkMatchesNaiveOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(tie_dense_link_inputs())
+    def test_same_objects_in_same_order(self, inputs):
+        rebuilt, filed, config = inputs
+        got = link(rebuilt, filed, config)
+        want = naive_link(rebuilt, filed, config)
+        assert [(id(r), id(f)) for r, f in got.pairs] == [(id(r), id(f)) for r, f in want.pairs]
+        assert [id(r) for r in got.unmatched_reconstructed] == [
+            id(r) for r in want.unmatched_reconstructed
+        ]
+        assert [id(f) for f in got.unmatched_filed] == [id(f) for f in want.unmatched_filed]
 
 
 class TestStrippedPuidRecall:
