@@ -1,13 +1,17 @@
-"""Claim replication: evaluate report predicates over record streams and compute
-the aggregate each claim asserts, in one pass and with exact arithmetic.
+"""Claim replication: count a record stream into a summary of cells in one pass,
+then compute the aggregate each claim asserts from the cells, with exact
+arithmetic.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .sor import (
@@ -127,6 +131,11 @@ class Predicate:
 
 
 PERIOD_FIELDS = ("application_date", "content_date", "created_at")
+_RECORD_DATE = {
+    "application_date": attrgetter("application_date"),
+    "content_date": attrgetter("content_date"),
+    "created_at": lambda record: record.created_at.date(),
+}
 
 
 @dataclass(frozen=True)
@@ -156,11 +165,7 @@ class Period:
         return cls(start=start, end=end, field=field)
 
     def record_date(self, record: SorRecord) -> date:
-        if self.field == "application_date":
-            return record.application_date
-        if self.field == "content_date":
-            return record.content_date
-        return record.created_at.date()
+        return _RECORD_DATE[self.field](record)
 
     def contains(self, record: SorRecord) -> bool:
         d = self.record_date(record)
@@ -225,8 +230,9 @@ class AggregateResult:
 
 
 class CellTally:
-    """Per (category, decision_type) activity counter, used for coverage checks
-    of exhaustive claim sets. Rides along the single replication pass."""
+    """Per (category, decision_type) action counts over the claims' application-
+    date hull, used for coverage checks of exhaustive claim sets. Filled from
+    the same corpus summary the claims are replicated from."""
 
     def __init__(self, hull_start: date, hull_end: date) -> None:
         self.hull_start = hull_start
@@ -240,46 +246,108 @@ class CellTally:
             return None
         return cls(min(p.start for p in periods), max(p.end for p in periods))
 
-    def add(self, record: SorRecord) -> None:
-        if self.hull_start <= record.application_date < self.hull_end:
-            key = (record.category, record.decision_type)
-            self.counts[key] = self.counts.get(key, 0) + 1
 
+class CellLayout:
+    """The cell key of a corpus summary for a set of claims and an optional
+    coverage tally (the group-by of Gray et al., "Data Cube", ICDE 1996).
 
-class _Counter:
-    __slots__ = ("claim", "period", "tests", "den_tests", "matched", "denominator", "is_share")
+    A record's cell holds its value of every attribute that a claim's
+    predicate or denominator tests (category and decision_type too when a
+    tally rides along) and, for each period field in use, its date bucket:
+    how many period edges on that field (the tally's hull included) fall on
+    or before the record's date. Every claim, and the tally, is decided by the
+    cell alone, so a claim's counts are sums over cells. Summaries of disjoint
+    record streams add like counters.
+    """
 
-    def __init__(self, claim: "Claim") -> None:
-        self.claim = claim
-        self.period = claim.period
-        self.tests = claim.predicate.conjuncts
-        self.den_tests = claim.denominator_predicate.conjuncts if claim.denominator_predicate else None
-        self.is_share = self.den_tests is not None
-        self.matched = 0
-        self.denominator = 0
+    def __init__(self, claims: Sequence["Claim"], cell_tally: CellTally | None = None) -> None:
+        seen: set[str] = set()
+        attrs: set[str] = set()
+        edges: dict[str, set[date]] = {}
+        for claim in claims:
+            if claim.claim_id in seen:
+                raise PredicateError(f"duplicate claim_id {claim.claim_id!r}")
+            seen.add(claim.claim_id)
+            for predicate in (claim.predicate, claim.denominator_predicate):
+                if predicate is not None:
+                    attrs.update(attr for attr, _ in predicate.conjuncts)
+            edges.setdefault(claim.period.field, set()).update((claim.period.start, claim.period.end))
+        if cell_tally is not None:
+            attrs.update(("category", "decision_type"))
+            edges.setdefault("application_date", set()).update((cell_tally.hull_start, cell_tally.hull_end))
+        self.claims = tuple(claims)
+        self.cell_tally = cell_tally
+        self.attrs = tuple(sorted(attrs))
+        self.edges = {field: sorted(edges[field]) for field in PERIOD_FIELDS if field in edges}
 
-    def result(self) -> AggregateResult:
-        if not self.is_share:
-            return AggregateResult(
-                claim_id=self.claim.claim_id,
-                computed_value=self.matched,
-                matched_count=self.matched,
+    def summarize(self, records: Iterable[SorRecord]) -> Counter:
+        """Count the records by cell, in one pass."""
+        values = [attrgetter(attr) for attr in self.attrs]
+        buckets = [(_RECORD_DATE[field], edges) for field, edges in self.edges.items()]
+
+        def cell(record: SorRecord) -> tuple:
+            return tuple(
+                [value(record) for value in values]
+                + [bisect_right(edges, record_date(record)) for record_date, edges in buckets]
             )
-        if self.denominator == 0:
-            return AggregateResult(
-                claim_id=self.claim.claim_id,
-                computed_value=None,
-                matched_count=self.matched,
-                denominator_count=0,
-                status=ResultStatus.UNDEFINED,
-                note="share denominator matched no records",
-            )
+
+        return Counter(map(cell, records))
+
+    def _window(self, field: str, start: date, end: date) -> tuple[int, int, int]:
+        """(position of the field's bucket in a cell, lo, hi): a date lies in
+        [start, end) exactly when lo < bucket <= hi."""
+        edges = self.edges[field]
+        return len(self.attrs) + list(self.edges).index(field), edges.index(start), edges.index(end)
+
+    def evaluate(self, summary: Mapping[tuple, int]) -> list[AggregateResult]:
+        """Every claim's result from a summary made with this layout, ordered
+        by claim_id; the coverage tally, if any, gets its counts added."""
+        column = {attr: i for i, attr in enumerate(self.attrs)}
+        cells = list(summary.items())
+
+        def count(in_period: list, predicate: Predicate) -> int:
+            tests = [(column[attr], allowed) for attr, allowed in predicate.conjuncts]
+            return sum(n for cell, n in in_period if all(cell[i] in allowed for i, allowed in tests))
+
+        results = []
+        for claim in self.claims:
+            period = claim.period
+            at, lo, hi = self._window(period.field, period.start, period.end)
+            in_period = [(cell, n) for cell, n in cells if lo < cell[at] <= hi]
+            matched = count(in_period, claim.predicate)
+            den = claim.denominator_predicate
+            results.append(_result(claim.claim_id, matched, None if den is None else count(in_period, den)))
+        results.sort(key=lambda r: r.claim_id)
+
+        tally = self.cell_tally
+        if tally is not None:
+            at, lo, hi = self._window("application_date", tally.hull_start, tally.hull_end)
+            category, decision_type = column["category"], column["decision_type"]
+            for cell, n in cells:
+                if lo < cell[at] <= hi:
+                    key = (cell[category], cell[decision_type])
+                    tally.counts[key] = tally.counts.get(key, 0) + n
+        return results
+
+
+def _result(claim_id: str, matched: int, denominator: int | None) -> AggregateResult:
+    if denominator is None:
+        return AggregateResult(claim_id=claim_id, computed_value=matched, matched_count=matched)
+    if denominator == 0:
         return AggregateResult(
-            claim_id=self.claim.claim_id,
-            computed_value=Fraction(self.matched, self.denominator),
-            matched_count=self.matched,
-            denominator_count=self.denominator,
+            claim_id=claim_id,
+            computed_value=None,
+            matched_count=matched,
+            denominator_count=0,
+            status=ResultStatus.UNDEFINED,
+            note="share denominator matched no records",
         )
+    return AggregateResult(
+        claim_id=claim_id,
+        computed_value=Fraction(matched, denominator),
+        matched_count=matched,
+        denominator_count=denominator,
+    )
 
 
 def replicate_all(
@@ -287,105 +355,19 @@ def replicate_all(
     records: Iterable[SorRecord],
     cell_tally: CellTally | None = None,
 ) -> list[AggregateResult]:
-    """Replicate every claim in a single pass over the stream.
+    """Replicate every claim from one summary of the stream.
 
-    All claim counters (and the optional coverage tally) advance per record;
-    results come back ordered by claim_id.
+    The records are counted by cell in a single pass (see CellLayout), then
+    each claim, and the optional coverage tally, is evaluated once over the
+    cells; results come back ordered by claim_id. With no claims and no tally
+    the stream is not read.
     """
-    seen: set[str] = set()
-    for claim in claims:
-        if claim.claim_id in seen:
-            raise PredicateError(f"duplicate claim_id {claim.claim_id!r}")
-        seen.add(claim.claim_id)
-
-    counters = [_Counter(c) for c in claims]
-    if counters or cell_tally is not None:
-        for record in records:
-            if cell_tally is not None:
-                cell_tally.add(record)
-            for counter in counters:
-                period = counter.period
-                d = (
-                    record.application_date
-                    if period.field == "application_date"
-                    else record.content_date
-                    if period.field == "content_date"
-                    else record.created_at.date()
-                )
-                if d < period.start or d >= period.end:
-                    continue
-                ok = True
-                for attr, allowed in counter.tests:
-                    if getattr(record, attr) not in allowed:
-                        ok = False
-                        break
-                if ok:
-                    counter.matched += 1
-                if counter.den_tests is not None:
-                    ok = True
-                    for attr, allowed in counter.den_tests:
-                        if getattr(record, attr) not in allowed:
-                            ok = False
-                            break
-                    if ok:
-                        counter.denominator += 1
-    results = [c.result() for c in counters]
-    results.sort(key=lambda r: r.claim_id)
-    return results
+    layout = CellLayout(claims, cell_tally)
+    if not claims and cell_tally is None:
+        return []
+    return layout.evaluate(layout.summarize(records))
 
 
 def replicate_claim(claim: "Claim", records: Iterable[SorRecord]) -> AggregateResult:
     """Single-claim convenience wrapper over replicate_all."""
     return replicate_all([claim], records)[0]
-
-
-def merge_results(parts: Iterable[Sequence[AggregateResult]]) -> list[AggregateResult]:
-    """Merge per-partition replication results by adding counters.
-
-    Associative and commutative, so any parallel partitioning of the record
-    stream yields identical totals.
-    """
-    acc: dict[str, dict[str, object]] = {}
-    order: list[str] = []
-    share: dict[str, bool] = {}
-    for part in parts:
-        for res in part:
-            if res.status is ResultStatus.UNREPLICABLE:
-                raise ValueError("cannot merge unreplicable results")
-            slot = acc.get(res.claim_id)
-            if slot is None:
-                acc[res.claim_id] = {"matched": res.matched_count, "den": res.denominator_count}
-                share[res.claim_id] = res.denominator_count is not None
-                order.append(res.claim_id)
-            else:
-                slot["matched"] = slot["matched"] + res.matched_count  # type: ignore[operator]
-                if res.denominator_count is not None:
-                    slot["den"] = (slot["den"] or 0) + res.denominator_count  # type: ignore[operator]
-    merged: list[AggregateResult] = []
-    for claim_id in order:
-        matched = acc[claim_id]["matched"]
-        den = acc[claim_id]["den"]
-        if not share[claim_id]:
-            merged.append(AggregateResult(claim_id=claim_id, computed_value=matched, matched_count=matched))  # type: ignore[arg-type]
-        elif not den:
-            merged.append(
-                AggregateResult(
-                    claim_id=claim_id,
-                    computed_value=None,
-                    matched_count=matched,  # type: ignore[arg-type]
-                    denominator_count=0,
-                    status=ResultStatus.UNDEFINED,
-                    note="share denominator matched no records",
-                )
-            )
-        else:
-            merged.append(
-                AggregateResult(
-                    claim_id=claim_id,
-                    computed_value=Fraction(matched, den),  # type: ignore[arg-type]
-                    matched_count=matched,  # type: ignore[arg-type]
-                    denominator_count=den,  # type: ignore[arg-type]
-                )
-            )
-    merged.sort(key=lambda r: r.claim_id)
-    return merged

@@ -21,11 +21,10 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .aggregate import CellTally, Period, replicate_all
-from .claims import ClaimsError, load_claims, resolve_categories
-from .crosscheck import ToleranceSpec, cross_check, finalize_results
+from .aggregate import Period
+from .claims import ClaimsError, load_claims
+from .crosscheck import ToleranceSpec, replicate_claims, run_crosscheck
 from .ingest import IngestError, open_corpus, open_platform_export
-from .parallel import parallel_replicate
 from .report import REPORT_FORMATS, Severity, emit_report, meets_threshold, parse_severity
 from .sor import CategoryTaxonomy, TaxonomyError, default_taxonomy, informativeness_profile
 from .synth import ScenarioConfig, ScenarioError, generate
@@ -303,35 +302,16 @@ def _load_claimset(path: str) -> object:
         raise InputError(str(exc)) from None
 
 
-def _replicate(config: AppConfig, claimset, reader, quarantine_sink: Callable):
-    """Shared replicate/crosscheck core; honours config.parallel."""
-    resolved, unresolvable = resolve_categories(claimset, config.taxonomy)
-    replicable = [c for c in resolved if c.claim_id not in unresolvable]
-    tally = CellTally.for_claims(list(resolved.claims)) if resolved.exhaustive else None
-
-    if config.parallel > 1:
-        results, manifest, quarantine = parallel_replicate(
-            reader, replicable, config.parallel, cell_tally=tally
-        )
-        for entry in quarantine:
-            quarantine_sink(entry)
-        coverage = manifest.date_range
-    else:
-        results = replicate_all(replicable, reader, cell_tally=tally)
-        manifest = reader.manifest
-        coverage = manifest.date_range
-
-    final = finalize_results(resolved, unresolvable, results, coverage)
-    return resolved, final, tally, manifest
-
-
 def _cmd_replicate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     claimset = _load_claimset(args.claims)
     with RunDir(args.out, ["replicate", str(args.corpus), str(args.claims)]) as run:
         sink = run.quarantine_sink()
         reader = open_corpus(args.corpus, config.taxonomy, sink)
-        _resolved, results, _tally, manifest = _replicate(config, claimset, reader, sink)
+        _resolved, results, _tally = replicate_claims(
+            claimset, reader, config.taxonomy, workers=config.parallel
+        )
+        manifest = reader.manifest
         run.write(
             "results.json",
             json.dumps([r.to_dict() for r in results], indent=2, sort_keys=True) + "\n",
@@ -356,8 +336,10 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
     with RunDir(args.out, ["crosscheck", str(args.corpus), str(args.claims)]) as run:
         sink = run.quarantine_sink()
         reader = open_corpus(args.corpus, config.taxonomy, sink)
-        resolved, results, tally, manifest = _replicate(config, claimset, reader, sink)
-        findings = cross_check(resolved, results, config.tolerance, cell_tally=tally)
+        findings, _results = run_crosscheck(
+            claimset, reader, config.taxonomy, config.tolerance, workers=config.parallel
+        )
+        manifest = reader.manifest
         _write_findings(run, findings, args.format)
         run.write("manifest.json", json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
         run.track_inputs(*_corpus_inputs(reader), Path(args.claims), *config.extra_inputs)
@@ -480,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, fmt: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, *, fmt: bool = True, parallel: bool = False) -> None:
         p.add_argument("--taxonomy", help="category taxonomy JSON file")
         p.add_argument("--config", help="declarative config JSON file")
         p.add_argument("--out", default="runs", help="directory for run output (default: runs)")
@@ -489,7 +471,10 @@ def build_parser() -> argparse.ArgumentParser:
             choices=[s.value for s in Severity],
             help="lowest severity that drives a nonzero exit code (default: warn)",
         )
-        p.add_argument("--parallel", type=int, default=1, help="worker processes (default: 1)")
+        if parallel:
+            p.add_argument(
+                "--parallel", type=int, default=1, help="worker processes, one dump file each (default: 1)"
+            )
         if fmt:
             p.add_argument(
                 "--format", choices=REPORT_FORMATS, default="json", help="extra findings format"
@@ -508,13 +493,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replicate", help="replicate claims against a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--claims", required=True, help="claims JSON file")
-    common(p, fmt=False)
+    common(p, fmt=False, parallel=True)
     p.set_defaults(func=_cmd_replicate)
 
     p = sub.add_parser("crosscheck", help="compare report claims with replicated aggregates")
     p.add_argument("--corpus", required=True)
     p.add_argument("--claims", required=True)
-    common(p)
+    common(p, parallel=True)
     p.set_defaults(func=_cmd_crosscheck)
 
     p = sub.add_parser("verify", help="verify filed statements against a platform export")

@@ -13,8 +13,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .aggregate import AggregateResult, CellTally, ResultStatus, replicate_all
+from .aggregate import AggregateResult, CellTally, ResultStatus
 from .claims import Claim, ClaimSet, Metric, Precision, floor_log10, resolve_categories
+from .parallel import parallel_replicate
 from .report import SEVERITY_RANK, Severity
 from .sor import CategoryTaxonomy, SorRecord
 
@@ -294,29 +295,43 @@ def finalize_results(
     return final
 
 
+def replicate_claims(
+    claimset: ClaimSet,
+    records: Iterable[SorRecord],
+    taxonomy: CategoryTaxonomy,
+    coverage: tuple[date, date] | None = None,
+    workers: int = 1,
+) -> tuple[ClaimSet, list[AggregateResult], CellTally | None]:
+    """Resolve, replicate and finalize a claim set over a record stream.
+
+    Claims with unresolvable category labels are not replicated; exhaustive
+    sets also get a coverage tally. The stream is read once, by up to
+    `workers` processes when it is a CorpusReader over several files, and
+    coverage defaults to the reader's manifest. Returns the resolved claim
+    set, the final results and the tally.
+    """
+    resolved, unresolvable = resolve_categories(claimset, taxonomy)
+    replicable = [c for c in resolved if c.claim_id not in unresolvable]
+    tally = CellTally.for_claims(list(resolved.claims)) if resolved.exhaustive else None
+
+    results = parallel_replicate(records, replicable, workers, cell_tally=tally)
+
+    manifest = getattr(records, "manifest", None)
+    if coverage is None and manifest is not None:
+        coverage = manifest.date_range
+
+    return resolved, finalize_results(resolved, unresolvable, results, coverage), tally
+
+
 def run_crosscheck(
     claimset: ClaimSet,
     records: Iterable[SorRecord],
     taxonomy: CategoryTaxonomy,
     spec: ToleranceSpec | None = None,
     coverage: tuple[date, date] | None = None,
+    workers: int = 1,
 ) -> tuple[list[Finding], list[AggregateResult]]:
-    """Full cross-checking pipeline over an already-open record stream.
-
-    Claims with unresolvable category labels are not replicated; coverage
-    defaults to the manifest of a CorpusReader stream, known after the pass.
-    """
-    resolved, unresolvable = resolve_categories(claimset, taxonomy)
-    replicable = [c for c in resolved if c.claim_id not in unresolvable]
-    tally = CellTally.for_claims(list(resolved.claims)) if resolved.exhaustive else None
-
-    results = replicate_all(replicable, records, cell_tally=tally)
-
-    if coverage is None:
-        manifest = getattr(records, "manifest", None)
-        if manifest is not None and manifest.date_range is not None:
-            coverage = manifest.date_range
-
-    final = finalize_results(resolved, unresolvable, results, coverage)
-    findings = cross_check(resolved, final, spec, cell_tally=tally)
-    return findings, final
+    """Full cross-checking pipeline over an already-open record stream: the
+    results of replicate_claims, checked against the reported values."""
+    resolved, final, tally = replicate_claims(claimset, records, taxonomy, coverage, workers)
+    return cross_check(resolved, final, spec, cell_tally=tally), final

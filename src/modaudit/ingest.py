@@ -9,11 +9,12 @@ identical sequences.
 
 from __future__ import annotations
 
+import copy
 import csv
 from dataclasses import dataclass
-from datetime import date, datetime
+from datetime import date
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .sor import (
     FIELD_ORDER,
@@ -115,8 +116,9 @@ class CorpusReader:
     """Iterable over every valid SoR record in a dump directory.
 
     Iterating runs one full streaming pass; the manifest is available once a
-    pass has completed. Quarantined rows go to `on_quarantine` when given,
-    otherwise they collect on `.quarantine`.
+    pass has completed, here or in per-file parts (`split`, `join`).
+    Quarantined rows go to `on_quarantine` when given, otherwise they collect
+    on `.quarantine`.
     """
 
     def __init__(
@@ -177,6 +179,32 @@ class CorpusReader:
             raise RuntimeError("manifest is available after a complete pass over the corpus")
         return self._manifest
 
+    def split(self) -> list["CorpusReader"]:
+        """One reader per file, without a sink, for passes made in other
+        processes; `join` takes their outcome back."""
+        parts = []
+        for path in self.files:
+            part = copy.copy(self)
+            part.files, part._sink, part.quarantine, part._manifest = [path], None, [], None
+            parts.append(part)
+        return parts
+
+    def join(self, parts: Sequence["CorpusReader"]) -> None:
+        """Take over the quarantine entries and manifests of split parts that
+        have each made a pass, as if this reader had made the pass itself."""
+        self.quarantine = []
+        for part in parts:
+            for entry in part.quarantine:
+                self._quarantined(entry)
+        manifests = [part.manifest for part in parts]
+        ranges = [m.date_range for m in manifests if m.date_range is not None]
+        self._manifest = CorpusManifest(
+            files=tuple(p.name for p in self.files),
+            record_count=sum(m.record_count for m in manifests),
+            quarantine_count=sum(m.quarantine_count for m in manifests),
+            date_range=(min(lo for lo, _ in ranges), max(hi for _, hi in ranges)) if ranges else None,
+        )
+
 
 def open_corpus(
     path: str | Path,
@@ -201,17 +229,11 @@ class ExportReader:
         self.quarantine: list[QuarantineEntry] = []
         self.event_count = 0
         self.quarantine_count = 0
-        self.moderated_range: tuple[datetime, datetime] | None = None
-        self._complete = False
 
     def __iter__(self) -> Iterator[ModerationEvent]:
         self.quarantine = []
         self.event_count = 0
         self.quarantine_count = 0
-        self.moderated_range = None
-        self._complete = False
-        lo: datetime | None = None
-        hi: datetime | None = None
         n_fields = len(EVENT_FIELD_ORDER)
         name = self.path.name
         try:
@@ -238,11 +260,6 @@ class ExportReader:
                         self._quarantined(result.located(name, reader.line_num))
                         continue
                     self.event_count += 1
-                    t = result.moderated_at
-                    if lo is None or t < lo:
-                        lo = t
-                    if hi is None or t > hi:
-                        hi = t
                     yield result
         except OSError as exc:
             raise IngestError(f"cannot read {self.path}: {exc}") from exc
@@ -250,8 +267,6 @@ class ExportReader:
             raise _undecodable(self.path, exc) from None
         except csv.Error as exc:
             raise _unparsable(self.path, reader.line_num, exc) from None
-        self.moderated_range = None if lo is None else (lo, hi)  # type: ignore[assignment]
-        self._complete = True
 
     def _quarantined(self, entry: QuarantineEntry) -> None:
         if self._sink is not None:

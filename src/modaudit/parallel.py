@@ -1,100 +1,50 @@
-"""Opt-in process parallelism for the replication hot path.
+"""Opt-in process parallelism for replication.
 
-Corpus files are parsed and counted in worker processes; per-file counter
-vectors merge by addition, which is associative and commutative, so any
-worker count produces exactly the serial results. Quarantine entries come back
-in file order.
+Each worker counts one corpus file into a summary of cells (CellLayout),
+reading it through a CorpusReader limited to that file, and hands back the
+summary and that reader. Summaries add, so any worker count produces exactly
+the serial results; the corpus reader then takes over the parts' manifests and
+quarantine entries, in file order.
 """
 
 from __future__ import annotations
 
-from datetime import date
+from collections import Counter
 from multiprocessing import get_context
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .aggregate import AggregateResult, CellTally, merge_results, replicate_all
+from .aggregate import AggregateResult, CellLayout, CellTally
 from .claims import Claim
-from .ingest import CorpusManifest, CorpusReader, stream_dump_file
-from .sor import QuarantineEntry
+from .ingest import CorpusReader
+from .sor import SorRecord
 
 
-def _replicate_one_file(payload):
-    path, taxonomy, claims, hull = payload
-    tally = CellTally(*hull) if hull is not None else None
-    quarantine: list[QuarantineEntry] = []
-    record_count = 0
-    min_date: date | None = None
-    max_date: date | None = None
-
-    def counting():
-        nonlocal record_count, min_date, max_date
-        for record in stream_dump_file(path, taxonomy, quarantine.append):
-            record_count += 1
-            d = record.application_date
-            if min_date is None or d < min_date:
-                min_date = d
-            if max_date is None or d > max_date:
-                max_date = d
-            yield record
-
-    results = replicate_all(claims, counting(), cell_tally=tally)
-    return (
-        results,
-        None if tally is None else tally.counts,
-        record_count,
-        quarantine,
-        min_date,
-        max_date,
-    )
+def _summarize_part(payload: tuple[CellLayout, CorpusReader]) -> tuple[Counter, CorpusReader]:
+    layout, part = payload
+    return layout.summarize(part), part
 
 
 def parallel_replicate(
-    reader: CorpusReader,
+    records: Iterable[SorRecord],
     claims: Sequence[Claim],
     workers: int,
     cell_tally: CellTally | None = None,
-) -> tuple[list[AggregateResult], CorpusManifest, list[QuarantineEntry]]:
-    """Replicate claims over a corpus using worker processes, one file per task.
+) -> list[AggregateResult]:
+    """Replicate claims with up to `workers` processes, one corpus file per task.
 
-    Returns the merged results, the exact manifest, and all quarantine entries
-    (ordered by file, then row). Output is identical to the serial pass for any
-    worker count.
+    A CorpusReader over several files is split across the workers; any other
+    stream, or workers <= 1, is read in this process. Either way the stream
+    is read once, so a reader's manifest and quarantine are complete on
+    return, and the results equal replicate_all's.
     """
-    hull = None if cell_tally is None else (cell_tally.hull_start, cell_tally.hull_end)
-    payloads = [(path, reader.taxonomy, list(claims), hull) for path in reader.files]
-
-    if workers <= 1 or len(payloads) <= 1:
-        parts = [_replicate_one_file(p) for p in payloads]
-    else:
-        ctx = get_context("spawn")
-        with ctx.Pool(processes=min(workers, len(payloads))) as pool:
-            parts = pool.map(_replicate_one_file, payloads)
-
-    if not parts:
-        results = replicate_all(claims, [], cell_tally=cell_tally)
-        manifest = CorpusManifest(files=(), record_count=0, quarantine_count=0, date_range=None)
-        return results, manifest, []
-
-    record_count = 0
-    quarantine: list[QuarantineEntry] = []
-    min_date: date | None = None
-    max_date: date | None = None
-    for _results, counts, n, q, lo, hi in parts:
-        record_count += n
-        quarantine.extend(q)
-        if lo is not None and (min_date is None or lo < min_date):
-            min_date = lo
-        if hi is not None and (max_date is None or hi > max_date):
-            max_date = hi
-        if cell_tally is not None and counts:
-            for key, count in counts.items():
-                cell_tally.counts[key] = cell_tally.counts.get(key, 0) + count
-
-    results = merge_results([p[0] for p in parts])
-    manifest = CorpusManifest(
-        files=tuple(p.name for p in reader.files),
-        record_count=record_count,
-        quarantine_count=len(quarantine),
-        date_range=None if min_date is None else (min_date, max_date),  # type: ignore[arg-type]
-    )
-    return results, manifest, quarantine
+    layout = CellLayout(claims, cell_tally)
+    if workers <= 1 or not isinstance(records, CorpusReader) or len(records.files) <= 1:
+        return layout.evaluate(layout.summarize(records))
+    parts = records.split()
+    with get_context("spawn").Pool(processes=min(workers, len(parts))) as pool:
+        done = pool.map(_summarize_part, [(layout, part) for part in parts])
+    summary: Counter = Counter()
+    for part_summary, _ in done:
+        summary.update(part_summary)
+    records.join([part for _, part in done])
+    return layout.evaluate(summary)

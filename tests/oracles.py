@@ -1,9 +1,9 @@
 """Independent brute-force oracles and random fixture builders.
 
 The replication oracle deliberately stays a per-claim full scan over a list;
-it never shares the single-pass counter machinery it checks. The linkage
-oracle is the quadratic all-pairs candidate list that verify.link's queues
-and tiers replace.
+it never shares the cell summary it checks. The linkage oracle is the
+quadratic all-pairs candidate list that verify.link's queues and tiers
+replace.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from datetime import date, datetime, time, timedelta, timezone
 from fractions import Fraction
 from typing import Sequence
 
-from modaudit.aggregate import Period, Predicate
+from modaudit.aggregate import FILTERABLE_ATTRIBUTES, PERIOD_FIELDS, Period, Predicate
 from modaudit.claims import Claim, Metric, Precision
 from modaudit.sor import (
     AutomatedDecision,
@@ -126,6 +126,65 @@ def random_count_claim(rng: random.Random, claim_id: str) -> Claim:
         source_locator="oracle:random",
         value_text="0",
     )
+
+
+# Literal domains of every filterable attribute, wider than what random_record
+# draws, so some predicates and denominators match nothing.
+ATTRIBUTE_DOMAINS = {
+    "decision_type": tuple(d.value for d in DecisionType),
+    "decision_ground": tuple(g.value for g in DecisionGround),
+    "content_type": tuple(c.value for c in ContentType),
+    "automated_decision": tuple(a.value for a in AutomatedDecision),
+    "source_type": tuple(s.value for s in SourceType),
+    "category": CODES,
+    "platform_name": PLATFORMS,
+    "automated_detection": ("true", "false"),
+}
+assert set(ATTRIBUTE_DOMAINS) == set(FILTERABLE_ATTRIBUTES)
+
+
+def random_predicate(rng: random.Random, rate: float = 0.3) -> Predicate:
+    raw: dict[str, object] = {}
+    for attr, domain in ATTRIBUTE_DOMAINS.items():
+        if rng.random() < rate:
+            raw[attr] = rng.sample(domain, rng.randint(1, max(1, len(domain) // 2)))
+    return Predicate.parse(raw)
+
+
+def random_period(rng: random.Random, edges: Sequence[date]) -> Period:
+    """A period over a random date field whose bounds come from `edges`, so
+    claims built from one pool share period edges."""
+    start, end = sorted(rng.sample(list(edges), 2))
+    return Period(start=start, end=end, field=rng.choice(PERIOD_FIELDS))
+
+
+def random_share_claim(rng: random.Random, claim_id: str, edges: Sequence[date]) -> Claim:
+    """A share claim over every attribute; the denominator is sometimes TRUE
+    and sometimes empty (a predicate or a period that matches no record)."""
+    numerator = random_predicate(rng)
+    denominator = random_predicate(rng) if rng.random() < 0.7 else Predicate()
+    return Claim(
+        claim_id=claim_id,
+        platform_name="examplehub",
+        metric=Metric.SHARE,
+        predicate=numerator,
+        denominator_predicate=denominator,
+        period=random_period(rng, edges),
+        reported_value=Fraction(1, 2),
+        precision=Precision.rounded(2),
+        source_locator="oracle:random",
+        value_text="50%",
+    )
+
+
+def naive_tally(records: list[SorRecord], start: date, end: date) -> dict:
+    """(category, decision_type) counts of the records applied in [start, end)."""
+    counts: dict = {}
+    for r in records:
+        if start <= r.application_date < end:
+            key = (r.category, r.decision_type)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 def _pair_score(rec: ReconstructedSor, filed: SorRecord, config: LinkConfig) -> Fraction:

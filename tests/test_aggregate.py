@@ -1,26 +1,41 @@
 from __future__ import annotations
 
 import random
-from datetime import date
+from datetime import date, timedelta
 from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from modaudit.aggregate import (
+    FILTERABLE_ATTRIBUTES,
+    CellLayout,
+    CellTally,
     Period,
     PeriodError,
     Predicate,
     PredicateError,
     ResultStatus,
-    merge_results,
     replicate_all,
     replicate_claim,
 )
 from modaudit.claims import Claim, Metric, Precision
+from modaudit.ingest import open_corpus, write_dump
+from modaudit.parallel import parallel_replicate
 from modaudit.sor import DecisionType
 
 from .conftest import make_record
-from .oracles import naive_replicate, random_count_claim, random_record
+from .oracles import (
+    SPAN_DAYS,
+    SPAN_START,
+    naive_replicate,
+    naive_tally,
+    random_count_claim,
+    random_record,
+    random_share_claim,
+)
 
 JAN = Period(start=date(2024, 1, 1), end=date(2024, 2, 1))
 
@@ -213,25 +228,102 @@ class TestReplicate:
                 assert results[claim.claim_id] == naive_replicate(claim, records)
 
 
-class TestMergeResults:
+class TestMergeSummaries:
     def test_sharded_counts_merge_to_single_pass(self):
         rng = random.Random(17)
         records = [random_record(rng, i) for i in range(500)]
         claims = [random_count_claim(rng, f"c{i}") for i in range(5)] + [
             share_claim("s", {"automated_decision": "FULLY"}, period=Period(date(2024, 1, 1), date(2024, 3, 15)))
         ]
-        whole = replicate_all(claims, records)
-        parts = [
-            replicate_all(claims, records[:200]),
-            replicate_all(claims, records[200:350]),
-            replicate_all(claims, records[350:]),
-        ]
-        assert merge_results(parts) == whole
+        layout = CellLayout(claims)
+        whole = layout.summarize(records)
+        summed = (
+            layout.summarize(records[:200])
+            + layout.summarize(records[200:350])
+            + layout.summarize(records[350:])
+        )
+        assert summed == whole
+        assert layout.evaluate(summed) == replicate_all(claims, records)
 
     def test_merge_order_does_not_matter(self):
         rng = random.Random(23)
         records = [random_record(rng, i) for i in range(120)]
         claims = [random_count_claim(rng, f"c{i}") for i in range(4)]
-        a = replicate_all(claims, records[:60])
-        b = replicate_all(claims, records[60:])
-        assert merge_results([a, b]) == merge_results([b, a])
+        layout = CellLayout(claims)
+        a = layout.summarize(records[:60])
+        b = layout.summarize(records[60:])
+        assert a + b == b + a
+        assert layout.evaluate(a + b) == layout.evaluate(b + a)
+
+
+def period_edges(rng: random.Random) -> list[date]:
+    """A small pool of period bounds, some outside the records' dates."""
+    days = rng.sample(range(-10, SPAN_DAYS + 25), 6)
+    return sorted(SPAN_START + timedelta(days=d) for d in days)
+
+
+def random_claims(rng: random.Random) -> list[Claim]:
+    edges = period_edges(rng)
+    claims = [random_count_claim(rng, f"c{i}") for i in range(rng.randint(0, 4))]
+    claims += [random_share_claim(rng, f"s{i}", edges) for i in range(rng.randint(1, 6))]
+    return claims
+
+
+class TestSummaryMatchesNaiveOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), exhaustive=st.booleans())
+    def test_results_and_tally_equal_full_scans(self, seed, exhaustive):
+        rng = random.Random(seed)
+        records = [random_record(rng, i) for i in range(rng.randint(0, 250))]
+        claims = random_claims(rng)
+        tally = CellTally.for_claims(claims) if exhaustive else None
+        results = {r.claim_id: r for r in replicate_all(claims, records, cell_tally=tally)}
+        for claim in claims:
+            expected = naive_replicate(claim, records)
+            result = results[claim.claim_id]
+            if expected is None:
+                assert result.status is ResultStatus.UNDEFINED
+                assert result.denominator_count == 0
+            else:
+                assert result.computed_value == expected
+        if tally is not None:
+            assert tally.counts == naive_tally(records, tally.hull_start, tally.hull_end)
+
+    def test_builders_reach_every_field_and_empty_denominators(self):
+        rng = random.Random(8)
+        records = [random_record(rng, i) for i in range(200)]
+        fields, undefined, attrs = set(), 0, set()
+        for _ in range(40):
+            for claim in random_claims(rng):
+                fields.add(claim.period.field)
+                for predicate in (claim.predicate, claim.denominator_predicate):
+                    attrs.update(a for a, _ in (predicate.conjuncts if predicate else ()))
+                if claim.metric is Metric.SHARE and naive_replicate(claim, records) is None:
+                    undefined += 1
+        assert fields == {"application_date", "content_date", "created_at"}
+        assert attrs == set(FILTERABLE_ATTRIBUTES)
+        assert undefined > 0
+
+    def test_parallel_over_three_files_equals_serial(self, tmp_path, taxonomy):
+        rng = random.Random(31)
+        # sorted by date, so each file covers its own part of the date range
+        records = sorted((random_record(rng, i) for i in range(600)), key=lambda r: r.application_date)
+        write_dump(records, tmp_path / "dump", chunk_size=200)
+        bad = tmp_path / "dump" / "part-00001.csv"
+        bad.write_text(bad.read_text(encoding="utf-8") + "not,a,row\n", encoding="utf-8")
+        claims = random_claims(rng) + [random_count_claim(rng, "all")]
+
+        serial_tally = CellTally.for_claims(claims)
+        serial_reader = open_corpus(tmp_path / "dump", taxonomy)
+        serial = replicate_all(claims, serial_reader, cell_tally=serial_tally)
+
+        parallel_tally = CellTally.for_claims(claims)
+        parallel_reader = open_corpus(tmp_path / "dump", taxonomy)
+        parallel = parallel_replicate(parallel_reader, claims, 2, cell_tally=parallel_tally)
+
+        assert len(parallel_reader.files) == 3
+        assert parallel == serial
+        assert parallel_tally.counts == serial_tally.counts
+        assert parallel_reader.manifest == serial_reader.manifest
+        assert parallel_reader.quarantine == serial_reader.quarantine
+        assert serial_reader.manifest.quarantine_count == 1

@@ -85,6 +85,17 @@ def verify_args(scen_dir, out_dir, *extra):
     ]
 
 
+def split_dump(dump_dir: Path, parts: int) -> None:
+    """Spread the rows of the one dump file over `parts` files, in order."""
+    first = dump_dir / "part-00000.csv"
+    header, *rows = first.read_text(encoding="utf-8").splitlines(keepends=True)
+    size = -(-len(rows) // parts)
+    for i in range(parts):
+        (dump_dir / f"part-{i:05d}.csv").write_text(
+            header + "".join(rows[i * size : (i + 1) * size]), encoding="utf-8"
+        )
+
+
 def only_run_dir(out_dir: Path) -> Path:
     dirs = [p for p in out_dir.iterdir() if p.is_dir()]
     assert len(dirs) == 1
@@ -177,6 +188,15 @@ class TestExitCodes:
             str(tmp_path / "runs"),
         ]
         assert run(args) == 2
+
+    @pytest.mark.parametrize("command", ["validate", "profile", "verify"])
+    def test_parallel_is_refused_where_it_does_nothing(self, faithful, tmp_path, command):
+        out = tmp_path / "runs"
+        args = verify_args(faithful, out, "--parallel", "2")
+        if command != "verify":
+            args = [command, "--corpus", str(faithful / "dump"), "--out", str(out), "--parallel", "2"]
+        assert run(args) == 2
+        assert not out.exists()
 
     def test_bad_scenario_config_is_config_error(self, tmp_path):
         scen = write_scenario(tmp_path, {"seed": 1})
@@ -307,6 +327,25 @@ class TestRunPersistence:
             only_run_dir(out_parallel) / "findings.json"
         ).read_bytes()
 
+    @pytest.mark.parametrize("command,output", [("replicate", "results.json"), ("crosscheck", "findings.json")])
+    def test_parallel_over_split_dump_matches_serial(self, injected, tmp_path, command, output):
+        dump = injected / "dump"
+        split_dump(dump, 3)
+        with open(dump / "part-00001.csv", "a", encoding="utf-8") as fh:
+            fh.write("not,a,row\n")
+        written = {}
+        for mode, extra in (("serial", ()), ("parallel", ("--parallel", "2"))):
+            out = tmp_path / mode
+            run([command, *crosscheck_args(injected, out, *extra)[1:]])
+            run_dir = only_run_dir(out)
+            written[mode] = {
+                name: (run_dir / name).read_bytes() for name in (output, "manifest.json", "quarantine.log")
+            }
+        assert written["parallel"] == written["serial"]
+        manifest = json.loads(written["serial"]["manifest.json"])
+        assert len(manifest["files"]) == 3
+        assert manifest["quarantine_count"] == 1
+
     def test_verify_manifest_records_linkage_provenance(self, tmp_path):
         doc = {**SCENARIO, "injections": {"strip_puid": True}}
         scen = tmp_path / "scen-stripped"
@@ -395,6 +434,21 @@ class TestOtherSubcommands:
         assert {r["status"] for r in results} == {"ok"}
         total = next(r for r in results if r["claim_id"] == "examplehub-total")
         assert total["computed_value"] == 150
+
+    def test_replicate_with_no_replicable_claim_still_reads_the_corpus(self, faithful, tmp_path):
+        doc = json.loads((faithful / "claims.json").read_text())
+        doc["exhaustive"] = False
+        doc["claims"] = [{**doc["claims"][0], "predicate": {"category": "Jaywalking"}}]
+        claims = faithful / "unresolvable.json"
+        claims.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "runs"
+        args = crosscheck_args(faithful, out)
+        args[0], args[4] = "replicate", str(claims)
+        assert run(args) == 0
+        run_dir = only_run_dir(out)
+        results = json.loads((run_dir / "results.json").read_text())
+        assert [r["status"] for r in results] == ["unreplicable"]
+        assert json.loads((run_dir / "manifest.json").read_text())["record_count"] == 150
 
     def test_report_renders_markdown(self, faithful, tmp_path, capsys):
         out = tmp_path / "runs"

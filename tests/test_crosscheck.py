@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from modaudit.aggregate import AggregateResult, CellTally, Period, Predicate, ResultStatus
+from modaudit.aggregate import AggregateResult, CellTally, Period, Predicate, ResultStatus, replicate_all
 from modaudit.claims import Claim, ClaimSet, Metric, Precision, parse_number
 from modaudit.crosscheck import (
     Finding,
@@ -111,6 +111,13 @@ class TestToleranceBound:
             ToleranceSpec(relative=0.2, approximate_relative=0.1)
 
 
+def jan_tally(*records):
+    """Coverage tally over January, filled the way replication fills it."""
+    tally = CellTally(JAN.start, JAN.end)
+    replicate_all([], records, cell_tally=tally)
+    return tally
+
+
 def run_pair(c, r, spec=None, exhaustive=False, tally=None):
     claims = ClaimSet(claims=(c,), exhaustive=exhaustive)
     return cross_check(claims, [r], spec or ToleranceSpec(), cell_tally=tally)
@@ -183,9 +190,7 @@ class TestCrossCheck:
             cross_check(ClaimSet(claims=(c,)), [count_result("c", 1), count_result("x", 2)])
 
     def test_exhaustive_set_reports_uncovered_cells(self):
-        tally = CellTally(JAN.start, JAN.end)
-        tally.add(make_record(category="hate_speech"))
-        tally.add(make_record(category="nudity"))
+        tally = jan_tally(make_record(category="hate_speech"), make_record(category="nudity"))
         c = claim("c", "1", predicate={"category": "hate_speech"})
         findings = run_pair(c, count_result("c", 1), exhaustive=True, tally=tally)
         missing = [f for f in findings if f.kind is FindingKind.MISSING_IN_REPORT]
@@ -194,8 +199,7 @@ class TestCrossCheck:
         assert missing[0].severity is Severity.WARN
 
     def test_non_exhaustive_set_never_reports_coverage(self):
-        tally = CellTally(JAN.start, JAN.end)
-        tally.add(make_record(category="nudity"))
+        tally = jan_tally(make_record(category="nudity"))
         findings = run_pair(claim("c", "0"), count_result("c", 0), tally=tally)
         assert all(f.kind is not FindingKind.MISSING_IN_REPORT for f in findings)
 
