@@ -12,7 +12,6 @@ from .aggregate import (
     Predicate,
     ResultStatus,
     replicate_all,
-    replicate_claim,
 )
 from .claims import (
     Claim,

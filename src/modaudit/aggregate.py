@@ -366,8 +366,3 @@ def replicate_all(
     if not claims and cell_tally is None:
         return []
     return layout.evaluate(layout.summarize(records))
-
-
-def replicate_claim(claim: "Claim", records: Iterable[SorRecord]) -> AggregateResult:
-    """Single-claim convenience wrapper over replicate_all."""
-    return replicate_all([claim], records)[0]

@@ -312,7 +312,9 @@ def parse_claimset(data: Mapping[str, object], source: str = "<claims>") -> Clai
     platform = data.get("platform")
     if not isinstance(platform, str) or not platform:
         raise ClaimsError(f"{source}: top-level 'platform' must be a non-empty string")
-    exhaustive = bool(data.get("exhaustive", False))
+    exhaustive = data.get("exhaustive", False)
+    if not isinstance(exhaustive, bool):
+        raise ClaimsError(f"{source}: top-level 'exhaustive' must be true or false")
     raw_claims = data.get("claims")
     if not isinstance(raw_claims, list):
         raise ClaimsError(f"{source}: top-level 'claims' must be a list")
@@ -478,6 +480,9 @@ class ExtractionMapping:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "ExtractionMapping":
+        exhaustive = data.get("exhaustive", False)
+        if not isinstance(exhaustive, bool):
+            raise ClaimsError("extraction mapping 'exhaustive' must be true or false")
         try:
             metric = Metric(str(data["metric"]).lower())
             period = Period.parse(data["period"])  # type: ignore[arg-type]
@@ -488,7 +493,7 @@ class ExtractionMapping:
                 metric=metric,
                 period=period,
                 platform=str(data["platform"]),
-                exhaustive=bool(data.get("exhaustive", False)),
+                exhaustive=exhaustive,
             )
         except KeyError as exc:
             raise ClaimsError(f"extraction mapping is missing {exc.args[0]!r}") from None

@@ -76,6 +76,13 @@ def _resolve_config(args: argparse.Namespace) -> AppConfig:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
         if not isinstance(file_data, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
+        for key, kind, what in (
+            ("taxonomy", str, "a string"),
+            ("tolerance", dict, "an object"),
+            ("linkage", dict, "an object"),
+        ):
+            if file_data.get(key) is not None and not isinstance(file_data[key], kind):
+                raise ConfigError(f"config file {path}: {key!r} must be {what}")
         extra_inputs.append(path)
 
     taxonomy_arg = getattr(args, "taxonomy", None) or file_data.get("taxonomy")
@@ -94,7 +101,9 @@ def _resolve_config(args: argparse.Namespace) -> AppConfig:
     try:
         tolerance = ToleranceSpec.from_dict(file_data.get("tolerance", {}) or {})
         link_config = LinkConfig.from_dict(file_data.get("linkage", {}) or {})
-        deadline_days = int(file_data.get("deadline_days", DEFAULT_DEADLINE_DAYS))
+        deadline_days = file_data.get("deadline_days", DEFAULT_DEADLINE_DAYS)
+        if not isinstance(deadline_days, int) or isinstance(deadline_days, bool) or deadline_days < 0:
+            raise ValueError(f"deadline_days must be a non-negative integer, got {deadline_days!r}")
         threshold_text = getattr(args, "severity_threshold", None) or file_data.get(
             "severity_threshold", "warn"
         )

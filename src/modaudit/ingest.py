@@ -13,8 +13,10 @@ import copy
 import csv
 from dataclasses import dataclass
 from datetime import date
+from functools import partial
+from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .sor import (
     FIELD_ORDER,
@@ -26,10 +28,13 @@ from .sor import (
 )
 from .verify import EVENT_FIELD_ORDER, ModerationEvent, parse_event_row
 
+_T = TypeVar("_T")
+
 
 class IngestError(RuntimeError):
-    """File-level failure: unreadable file or a header that does not match the
-    dump format. Row-level problems never raise; they are quarantined."""
+    """File-level failure: an unreadable file, a header that does not match
+    the format, non-UTF-8 bytes or malformed CSV. Row-level problems never
+    raise; they are quarantined."""
 
 
 @dataclass(frozen=True)
@@ -50,11 +55,6 @@ class CorpusManifest:
         }
 
 
-def _check_header(header: list[str] | None, expected: tuple[str, ...], path: Path) -> None:
-    if header is None or [h.strip() for h in header] != list(expected):
-        raise IngestError(f"{path}: header row does not match the expected column order")
-
-
 def _first_non_utf8_line(path: Path) -> int:
     # A newline byte never occurs inside a UTF-8 sequence, so lines decode alone.
     with open(path, "rb") as fh:
@@ -66,50 +66,45 @@ def _first_non_utf8_line(path: Path) -> int:
     return 0
 
 
-def _undecodable(path: Path, exc: UnicodeDecodeError) -> IngestError:
-    return IngestError(f"{path}: line {_first_non_utf8_line(path)}: not valid UTF-8 ({exc.reason})")
-
-
-def _unparsable(path: Path, line: int, exc: csv.Error) -> IngestError:
-    return IngestError(f"{path}: line {line}: malformed CSV ({exc})")
-
-
-def stream_dump_file(
+def _stream_rows(
     path: Path,
-    taxonomy: CategoryTaxonomy,
+    field_order: tuple[str, ...],
+    parse: Callable[[dict[str, str]], _T | QuarantineEntry],
     on_quarantine: Callable[[QuarantineEntry], None],
-) -> Iterator[SorRecord]:
-    """Stream the valid records of one dump file; malformed rows go to the sink."""
+) -> Iterator[_T]:
+    """Stream the parsed rows of one CSV file whose header is `field_order`.
+
+    Rows of the wrong width and rows `parse` rejects go to the sink, located
+    by file name and line; an unreadable file, a wrong header, non-UTF-8 bytes
+    or malformed CSV raise IngestError.
+    """
     name = path.name
-    n_fields = len(FIELD_ORDER)
+    n_fields = len(field_order)
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            _check_header(header, FIELD_ORDER, path)
+            if header is None or [h.strip() for h in header] != list(field_order):
+                raise IngestError(f"{path}: header row does not match the expected column order")
             for row in reader:
-                if len(row) != n_fields:
-                    on_quarantine(
-                        QuarantineEntry(
-                            reason=QuarantineReason.MISSING_FIELD,
-                            field="row_shape",
-                            raw_row=dict(zip(FIELD_ORDER, row)),
-                            file=name,
-                            row_number=reader.line_num,
-                        )
+                raw = dict(zip(field_order, row))
+                if len(row) == n_fields:
+                    result = parse(raw)
+                else:
+                    result = QuarantineEntry(
+                        reason=QuarantineReason.MISSING_FIELD, field="row_shape", raw_row=raw
                     )
-                    continue
-                result = validate_record(dict(zip(FIELD_ORDER, row)), taxonomy)
                 if isinstance(result, QuarantineEntry):
                     on_quarantine(result.located(name, reader.line_num))
-                    continue
-                yield result
+                else:
+                    yield result
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise _undecodable(path, exc) from None
+        line = _first_non_utf8_line(path)
+        raise IngestError(f"{path}: line {line}: not valid UTF-8 ({exc.reason})") from None
     except csv.Error as exc:
-        raise _unparsable(path, reader.line_num, exc) from None
+        raise IngestError(f"{path}: line {reader.line_num}: malformed CSV ({exc})") from None
 
 
 class CorpusReader:
@@ -144,14 +139,16 @@ class CorpusReader:
         quarantine_count = 0
         min_date: date | None = None
         max_date: date | None = None
+        sink = self._sink or self.quarantine.append
+        parse = partial(validate_record, taxonomy=self.taxonomy)
 
         def quarantined(entry: QuarantineEntry) -> None:
             nonlocal quarantine_count
             quarantine_count += 1
-            self._quarantined(entry)
+            sink(entry)
 
         for path in self.files:
-            for result in stream_dump_file(path, self.taxonomy, quarantined):
+            for result in _stream_rows(path, FIELD_ORDER, parse, quarantined):
                 record_count += 1
                 d = result.application_date
                 if min_date is None or d < min_date:
@@ -166,12 +163,6 @@ class CorpusReader:
             quarantine_count=quarantine_count,
             date_range=None if min_date is None else (min_date, max_date),  # type: ignore[arg-type]
         )
-
-    def _quarantined(self, entry: QuarantineEntry) -> None:
-        if self._sink is not None:
-            self._sink(entry)
-        else:
-            self.quarantine.append(entry)
 
     @property
     def manifest(self) -> CorpusManifest:
@@ -193,9 +184,10 @@ class CorpusReader:
         """Take over the quarantine entries and manifests of split parts that
         have each made a pass, as if this reader had made the pass itself."""
         self.quarantine = []
+        sink = self._sink or self.quarantine.append
         for part in parts:
             for entry in part.quarantine:
-                self._quarantined(entry)
+                sink(entry)
         manifests = [part.manifest for part in parts]
         ranges = [m.date_range for m in manifests if m.date_range is not None]
         self._manifest = CorpusManifest(
@@ -234,45 +226,15 @@ class ExportReader:
         self.quarantine = []
         self.event_count = 0
         self.quarantine_count = 0
-        n_fields = len(EVENT_FIELD_ORDER)
-        name = self.path.name
-        try:
-            with open(self.path, "r", encoding="utf-8", newline="") as fh:
-                reader = csv.reader(fh)
-                header = next(reader, None)
-                _check_header(header, EVENT_FIELD_ORDER, self.path)
-                for row in reader:
-                    if len(row) != n_fields:
-                        self.quarantine_count += 1
-                        self._quarantined(
-                            QuarantineEntry(
-                                reason=QuarantineReason.MISSING_FIELD,
-                                field="row_shape",
-                                raw_row=dict(zip(EVENT_FIELD_ORDER, row)),
-                                file=name,
-                                row_number=reader.line_num,
-                            )
-                        )
-                        continue
-                    result = parse_event_row(dict(zip(EVENT_FIELD_ORDER, row)))
-                    if isinstance(result, QuarantineEntry):
-                        self.quarantine_count += 1
-                        self._quarantined(result.located(name, reader.line_num))
-                        continue
-                    self.event_count += 1
-                    yield result
-        except OSError as exc:
-            raise IngestError(f"cannot read {self.path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise _undecodable(self.path, exc) from None
-        except csv.Error as exc:
-            raise _unparsable(self.path, reader.line_num, exc) from None
+        sink = self._sink or self.quarantine.append
 
-    def _quarantined(self, entry: QuarantineEntry) -> None:
-        if self._sink is not None:
-            self._sink(entry)
-        else:
-            self.quarantine.append(entry)
+        def quarantined(entry: QuarantineEntry) -> None:
+            self.quarantine_count += 1
+            sink(entry)
+
+        for event in _stream_rows(self.path, EVENT_FIELD_ORDER, parse_event_row, quarantined):
+            self.event_count += 1
+            yield event
 
 
 def open_platform_export(
@@ -287,15 +249,18 @@ def open_platform_export(
 # ---------------------------------------------------------------------------
 
 
-def write_dump_file(records: Iterable[SorRecord], path: str | Path) -> int:
-    """Write one dump CSV file; returns the number of rows written."""
+def _write_rows(
+    path: Path, field_order: tuple[str, ...], items: Iterable[SorRecord | ModerationEvent]
+) -> int:
+    """Write one CSV file: the header, then each item's `to_row()` in
+    `field_order`; returns the number of rows written."""
     count = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FIELD_ORDER)
-        for record in records:
-            row = record.to_row()
-            writer.writerow([row[name] for name in FIELD_ORDER])
+        writer.writerow(field_order)
+        for item in items:
+            row = item.to_row()
+            writer.writerow([row[name] for name in field_order])
             count += 1
     return count
 
@@ -306,43 +271,18 @@ def write_dump(
     """Write records into a dump directory, chunked into part-NNNNN.csv files."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    records = iter(records)
     paths: list[Path] = []
-    writer = None
-    fh = None
-    in_chunk = 0
-    try:
-        for record in records:
-            if writer is None or in_chunk >= chunk_size:
-                if fh is not None:
-                    fh.close()
-                part = directory / f"part-{len(paths):05d}.csv"
-                paths.append(part)
-                fh = open(part, "w", encoding="utf-8", newline="")
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(FIELD_ORDER)
-                in_chunk = 0
-            row = record.to_row()
-            writer.writerow([row[name] for name in FIELD_ORDER])
-            in_chunk += 1
-    finally:
-        if fh is not None:
-            fh.close()
+    # each pass takes the chunk's first record and streams the rest through islice
+    for first in records:
+        paths.append(directory / f"part-{len(paths):05d}.csv")
+        _write_rows(paths[-1], FIELD_ORDER, chain((first,), islice(records, chunk_size - 1)))
     if not paths:  # an empty corpus still needs one well-formed file
-        part = directory / "part-00000.csv"
-        with open(part, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerow(FIELD_ORDER)
-        paths.append(part)
+        paths.append(directory / "part-00000.csv")
+        _write_rows(paths[-1], FIELD_ORDER, ())
     return paths
 
 
 def write_export(events: Iterable[ModerationEvent], path: str | Path) -> int:
     """Write one platform-export CSV file; returns the number of rows."""
-    count = 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EVENT_FIELD_ORDER)
-        for event in events:
-            row = event.to_row()
-            writer.writerow([row[name] for name in EVENT_FIELD_ORDER])
-            count += 1
-    return count
+    return _write_rows(Path(path), EVENT_FIELD_ORDER, events)

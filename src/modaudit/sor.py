@@ -327,6 +327,18 @@ def format_timestamp(dt: datetime) -> str:
     return f"{dt.year:04d}-{dt.month:02d}-{dt.day:02d}T{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}Z"
 
 
+def _first_missing(
+    raw: Mapping[str, str], field_order: tuple[str, ...], required: frozenset[str]
+) -> str | None:
+    """The first field in `field_order` that `raw` lacks, or leaves empty
+    although it is `required`; None when there is none."""
+    for name in field_order:
+        value = raw.get(name)
+        if value is None or (value == "" and name in required):
+            return name
+    return None
+
+
 def validate_record(
     raw: Mapping[str, str], taxonomy: CategoryTaxonomy
 ) -> SorRecord | QuarantineEntry:
@@ -337,12 +349,9 @@ def validate_record(
     def bad(reason: QuarantineReason, field_name: str) -> QuarantineEntry:
         return QuarantineEntry(reason=reason, field=field_name, raw_row=dict(raw))
 
-    for name in FIELD_ORDER:
-        value = raw.get(name)
-        if value is None:
-            return bad(QuarantineReason.MISSING_FIELD, name)
-        if name in _REQUIRED and value == "":
-            return bad(QuarantineReason.MISSING_FIELD, name)
+    missing = _first_missing(raw, FIELD_ORDER, _REQUIRED)
+    if missing is not None:
+        return bad(QuarantineReason.MISSING_FIELD, missing)
 
     decision_type = _DECISION_TYPES.get(raw["decision_type"])
     if decision_type is None:
@@ -437,7 +446,7 @@ class FillStat:
 
 @dataclass
 class AttributeFillReport:
-    """Per-attribute fill counts over a record stream. Mergeable by addition."""
+    """Per-attribute fill counts over a record stream."""
 
     stats: dict[str, FillStat]
 
@@ -470,15 +479,6 @@ class AttributeFillReport:
             st.applicable += 1
             if record.content_type_other:
                 st.filled += 1
-
-    def merged(self, other: "AttributeFillReport") -> "AttributeFillReport":
-        out = AttributeFillReport.empty()
-        for name, st in out.stats.items():
-            a = self.stats[name]
-            b = other.stats[name]
-            st.filled = a.filled + b.filled
-            st.applicable = a.applicable + b.applicable
-        return out
 
     def to_dict(self) -> dict[str, dict[str, object]]:
         return {

@@ -76,6 +76,8 @@ class InjectionSpec:
             rate = getattr(self, name)
             if not (0.0 <= rate <= 1.0):
                 raise ScenarioError(f"{name} must be in [0, 1], got {rate}")
+        if not isinstance(self.strip_puid, bool):
+            raise ScenarioError("strip_puid must be true or false")
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "InjectionSpec":
@@ -94,7 +96,7 @@ class InjectionSpec:
             shift_category_rate=float(data.get("shift_category_rate", 0.0)),  # type: ignore[arg-type]
             late_filing_rate=float(data.get("late_filing_rate", 0.0)),  # type: ignore[arg-type]
             claim_perturbations=perturbations,
-            strip_puid=bool(data.get("strip_puid", False)),
+            strip_puid=data.get("strip_puid", False),  # type: ignore[arg-type]
         )
 
     def to_dict(self) -> dict[str, object]:

@@ -20,6 +20,9 @@ from typing import Iterable, Mapping, Protocol, Sequence
 from .aggregate import Period
 from .report import SEVERITY_RANK, Severity
 from .sor import (
+    _AUTOMATED_DECISIONS,
+    _BOOLS,
+    _CONTENT_TYPES,
     AutomatedDecision,
     CategoryTaxonomy,
     ContentType,
@@ -28,6 +31,7 @@ from .sor import (
     QuarantineEntry,
     QuarantineReason,
     SorRecord,
+    _first_missing,
     format_timestamp,
     parse_date,
     parse_timestamp,
@@ -81,9 +85,6 @@ _EVENT_REQUIRED = frozenset(
 )
 
 _VISIBILITIES = {m.value: m for m in VisibilityStatus}
-_CONTENT_TYPES = {m.value: m for m in ContentType}
-_AUTOMATED_DECISIONS = {m.value: m for m in AutomatedDecision}
-_BOOLS = {"true": True, "false": False}
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,12 +131,9 @@ def parse_event_row(raw: Mapping[str, str]) -> ModerationEvent | QuarantineEntry
     def bad(reason: QuarantineReason, field_name: str) -> QuarantineEntry:
         return QuarantineEntry(reason=reason, field=field_name, raw_row=dict(raw))
 
-    for name in EVENT_FIELD_ORDER:
-        value = raw.get(name)
-        if value is None:
-            return bad(QuarantineReason.MISSING_FIELD, name)
-        if name in _EVENT_REQUIRED and value == "":
-            return bad(QuarantineReason.MISSING_FIELD, name)
+    missing = _first_missing(raw, EVENT_FIELD_ORDER, _EVENT_REQUIRED)
+    if missing is not None:
+        return bad(QuarantineReason.MISSING_FIELD, missing)
 
     content_type = _CONTENT_TYPES.get(raw["content_type"])
     if content_type is None:

@@ -19,7 +19,6 @@ from modaudit.aggregate import (
     PredicateError,
     ResultStatus,
     replicate_all,
-    replicate_claim,
 )
 from modaudit.claims import Claim, Metric, Precision
 from modaudit.ingest import open_corpus, write_dump
@@ -140,27 +139,27 @@ class TestReplicate:
             "c1", {"category": "hate_speech", "decision_type": "VISIBILITY_REMOVAL"}
         )
         records = self.fixture_six()
-        result = replicate_claim(claim, records)
+        result = replicate_all([claim], records)[0]
         assert result.computed_value == 2
         assert result.computed_value == naive_replicate(claim, records)
 
     def test_true_predicate_counts_everything_in_period(self):
         claim = count_claim("c1", {})
         records = [make_record(uuid=f"r{i}") for i in range(11)]
-        assert replicate_claim(claim, records).computed_value == 11
+        assert replicate_all([claim], records)[0].computed_value == 11
 
     def test_zero_share_corpus(self):
         # no fully-automated decisions at all: share must be exactly 0
         claim = share_claim("s1", {"automated_decision": "FULLY"})
         records = [make_record(uuid=f"r{i}") for i in range(8)]
-        result = replicate_claim(claim, records)
+        result = replicate_all([claim], records)[0]
         assert result.computed_value == 0
         assert result.denominator_count == 8
         assert result.status is ResultStatus.OK
 
     def test_share_with_empty_denominator_is_undefined(self):
         claim = share_claim("s1", {"automated_decision": "FULLY"}, period=Period(date(2030, 1, 1), date(2030, 2, 1)))
-        result = replicate_claim(claim, [make_record()])
+        result = replicate_all([claim], [make_record()])[0]
         assert result.status is ResultStatus.UNDEFINED
         assert result.computed_value is None
 
@@ -172,7 +171,7 @@ class TestReplicate:
             share_claim("c", {"automated_decision": "NOT_AUTOMATED"}),
         ]
         together = replicate_all(claims, records)
-        separate = [replicate_claim(c, records) for c in claims]
+        separate = [replicate_all([c], records)[0] for c in claims]
         assert together == sorted(separate, key=lambda r: r.claim_id)
 
     def test_no_claims_reads_nothing(self):

@@ -185,6 +185,11 @@ class TestLoadClaims:
         with pytest.raises(ClaimsError, match="denominator"):
             load_claims(path)
 
+    def test_exhaustive_must_be_a_boolean(self):
+        # the string "false" is truthy: taken as a flag it would switch coverage findings on
+        with pytest.raises(ClaimsError, match="'exhaustive' must be true or false"):
+            parse_claimset(claims_doc([count_entry()], exhaustive="false"))
+
     def test_save_load_round_trip(self, tmp_path):
         doc = claims_doc(
             [
@@ -310,6 +315,11 @@ class TestExtractHtmlClaims:
         path = tmp_path / "claims.json"
         save_claims(claimset, path)
         assert load_claims(path) == claimset
+
+    def test_mapping_exhaustive_must_be_a_boolean(self):
+        assert mapping(exhaustive=True).exhaustive is True
+        with pytest.raises(ClaimsError, match="'exhaustive' must be true or false"):
+            mapping(exhaustive="false")
 
     def test_source_locators_name_table_and_row(self):
         claimset = extract_html_claims(REPORT_HTML, mapping())

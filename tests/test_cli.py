@@ -3,6 +3,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -502,3 +504,120 @@ class TestOtherSubcommands:
         assert run(["synth", "--scenario", str(scen), "--out", str(out_a)]) == 0
         assert run(["synth", "--scenario", str(scen), "--out", str(out_b), "--seed", "99"]) == 0
         assert (out_a / "export.csv").read_bytes() != (out_b / "export.csv").read_bytes()
+
+
+class TestSettingTypes:
+    @pytest.mark.parametrize(
+        "doc,fragment",
+        [
+            ({"linkage": [1]}, "'linkage' must be an object"),
+            ({"tolerance": "x"}, "'tolerance' must be an object"),
+            ({"taxonomy": 5}, "'taxonomy' must be a string"),
+            ({"deadline_days": -3}, "deadline_days must be a non-negative integer"),
+            ({"tolerance": {"rounding_aware": "false"}}, "rounding_aware must be true or false"),
+        ],
+        ids=["linkage_list", "tolerance_string", "taxonomy_number", "negative_deadline", "rounding_aware_string"],
+    )
+    def test_config_section_of_the_wrong_type_exits_two(self, faithful, tmp_path, capsys, doc, fragment):
+        config = tmp_path / "audit.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "runs"
+        assert run(verify_args(faithful, out, "--config", str(config))) == 2
+        assert_one_line_input_error(capsys, out, fragment)
+        assert not out.exists()
+
+    def test_claims_exhaustive_must_be_a_boolean(self, faithful, tmp_path, capsys):
+        doc = json.loads((faithful / "claims.json").read_text())
+        doc["exhaustive"] = "false"
+        claims = faithful / "string-flag.json"
+        claims.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "runs"
+        args = crosscheck_args(faithful, out)
+        args[4] = str(claims)
+        assert run(args) == 3
+        assert_one_line_input_error(capsys, out, "'exhaustive' must be true or false")
+
+    def test_scenario_strip_puid_must_be_a_boolean(self, tmp_path, capsys):
+        scen = write_scenario(tmp_path, {**SCENARIO, "injections": {"strip_puid": "false"}})
+        out = tmp_path / "scen"
+        assert run(["synth", "--scenario", str(scen), "--out", str(out)]) == 2
+        assert_one_line_input_error(capsys, out, "strip_puid must be true or false")
+        assert not out.exists()
+
+
+CORRUPTION_BYTES = b'",\n\r\x00\xff;'
+
+
+def corrupt(data: bytes, rng: random.Random) -> tuple[bytes, list[str]]:
+    """Overwrite, delete or insert 1-4 single bytes of `data`; returns the new
+    bytes and a description of each change."""
+    changes = []
+    for _ in range(rng.randint(1, 4)):
+        op = rng.choice(("overwrite", "delete", "insert"))
+        at = rng.randrange(len(data))
+        byte = bytes([rng.choice(CORRUPTION_BYTES)])
+        if op == "overwrite":
+            data = data[:at] + byte + data[at + 1 :]
+        elif op == "delete":
+            data = data[:at] + data[at + 1 :]
+        else:
+            data = data[:at] + byte + data[at:]
+        changes.append(f"{op}@{at}" + ("" if op == "delete" else f"={byte!r}"))
+    return data, changes
+
+
+class TestByteCorruption:
+    """Damaged CSV bytes in either format end in a clean exit: a quarantined
+    row, a one-line error (2 or 3), or exit 1 only with findings to show."""
+
+    CASES = 60
+
+    @pytest.fixture(scope="class")
+    def scenario(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("corruption")
+        out = base / "scen"
+        assert run(["synth", "--scenario", str(write_scenario(base, SCENARIO)), "--out", str(out)]) == 0
+        return out
+
+    def test_damaged_bytes_never_escape(self, scenario, tmp_path, capsys):
+        rng = random.Random(20240607)
+        targets = [scenario / "export.csv", scenario / "dump" / "part-00000.csv"]
+        originals = {path: path.read_bytes() for path in targets}
+        codes = Counter()
+        for case in range(self.CASES):
+            target = targets[case % 2]
+            damaged, changes = corrupt(originals[target], rng)
+            target.write_bytes(damaged)
+            out = tmp_path / f"case-{case}"
+            commands = {
+                "validate": ["validate", "--corpus", str(scenario / "dump"), "--out", str(out / "validate")],
+                "profile": ["profile", "--corpus", str(scenario / "dump"), "--out", str(out / "profile")],
+                "crosscheck": crosscheck_args(scenario, out / "crosscheck"),
+                "verify": verify_args(scenario, out / "verify"),
+            }
+            if target.name == "export.csv":
+                commands = {"verify": commands["verify"]}
+            try:
+                for name, args in commands.items():
+                    label = f"case {case} ({target.name} {' '.join(changes)}) {name}"
+                    capsys.readouterr()
+                    try:
+                        code = run(args)
+                    except Exception as exc:  # nothing may escape cli.run
+                        pytest.fail(f"{label}: {type(exc).__name__}: {exc}")
+                    err = capsys.readouterr().err
+                    codes[name, code] += 1
+                    assert code in (0, 1, 2, 3), label
+                    if code in (2, 3):
+                        assert len(err.splitlines()) == 1 and err.startswith("error: "), f"{label}: {err}"
+                        continue
+                    assert err == "", f"{label}: {err}"
+                    flagged = 0
+                    if name in ("crosscheck", "verify"):
+                        findings = json.loads((only_run_dir(out / name) / "findings.json").read_text())
+                        flagged = sum(1 for f in findings if f["severity"] in ("warn", "critical"))
+                    assert code == (1 if flagged else 0), label
+            finally:
+                target.write_bytes(originals[target])
+        # the cases reach clean runs, runs with findings and refused inputs
+        assert codes["verify", 0] and codes["verify", 1] and codes["verify", 3], codes

@@ -10,10 +10,9 @@ from modaudit.ingest import (
     open_corpus,
     open_platform_export,
     write_dump,
-    write_dump_file,
     write_export,
 )
-from modaudit.sor import FIELD_ORDER, QuarantineReason
+from modaudit.sor import FIELD_ORDER, QuarantineReason, default_taxonomy
 from modaudit.verify import EVENT_FIELD_ORDER
 
 from .conftest import make_record, make_row
@@ -57,7 +56,7 @@ def fix_dates(record):
 class TestOpenCorpus:
     def test_single_file_all_valid(self, tmp_path, taxonomy):
         recs = [fix_dates(r) for r in records(3)]
-        write_dump_file(recs, tmp_path / "a.csv")
+        write_dump(recs, tmp_path)
         reader = open_corpus(tmp_path, taxonomy)
         out = list(reader)
         assert out == recs
@@ -106,11 +105,8 @@ class TestOpenCorpus:
         recs = [fix_dates(r) for r in records(9)]
         whole = tmp_path / "whole"
         split = tmp_path / "split"
-        whole.mkdir()
-        split.mkdir()
-        write_dump_file(recs, whole / "all.csv")
-        write_dump_file(recs[:4], split / "p1.csv")
-        write_dump_file(recs[4:], split / "p2.csv")
+        write_dump(recs, whole)
+        assert len(write_dump(recs, split, chunk_size=4)) == 3  # 4 + 4 + 1
         reader_whole = open_corpus(whole, taxonomy)
         reader_split = open_corpus(split, taxonomy)
         assert sorted(r.uuid for r in reader_whole) == sorted(r.uuid for r in reader_split)
@@ -209,3 +205,46 @@ class TestOpenPlatformExport:
         back = tmp_path / "back.csv"
         write_export(events, back)
         assert list(open_platform_export(back)) == events
+
+
+def dump_source(tmp_path):
+    path = tmp_path / "dump" / "part-00000.csv"
+    write_dump([fix_dates(r) for r in records(2)], path.parent)
+    return path, lambda on_quarantine: open_corpus(path.parent, default_taxonomy(), on_quarantine)
+
+
+def export_source(tmp_path):
+    path = tmp_path / "export.csv"
+    write_rows(path, [make_event_row(content_id=f"c-{i}", puid=f"p-{i}") for i in range(2)], EVENT_FIELD_ORDER)
+    return path, lambda on_quarantine: open_platform_export(path, on_quarantine)
+
+
+@pytest.mark.parametrize("source", [dump_source, export_source], ids=["dump", "export"])
+class TestOneRowReader:
+    """Dump files and platform exports follow the same rules for bad rows."""
+
+    def test_row_of_the_wrong_width_is_quarantined_at_its_line(self, tmp_path, source):
+        path, open_reader = source(tmp_path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("not,a,row\n")
+        got = []
+        assert len(list(open_reader(got.append))) == 2
+        assert [(e.reason, e.field, e.file, e.row_number) for e in got] == [
+            (QuarantineReason.MISSING_FIELD, "row_shape", path.name, 4)
+        ]
+        assert list(got[0].raw_row.values()) == ["not", "a", "row"]
+
+    def test_wrong_header_aborts(self, tmp_path, source):
+        path, open_reader = source(tmp_path)
+        path.write_text("foo,bar\n1,2\n", encoding="utf-8")
+        with pytest.raises(IngestError, match="header"):
+            list(open_reader(None))
+
+
+class TestWriteDump:
+    def test_chunks_fill_in_order_without_an_empty_tail(self, tmp_path, taxonomy):
+        recs = [fix_dates(r) for r in records(20)]
+        paths = write_dump(iter(recs), tmp_path, chunk_size=10)
+        assert [p.name for p in paths] == ["part-00000.csv", "part-00001.csv"]
+        assert sorted(tmp_path.iterdir()) == paths
+        assert list(open_corpus(tmp_path, taxonomy)) == recs

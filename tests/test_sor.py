@@ -191,22 +191,6 @@ class TestInformativenessProfile:
         stat = report.stats["illegal_content_explanation"]
         assert (stat.filled, stat.applicable, stat.rate) == (0, 5, 0.0)
 
-    def test_profile_of_concat_is_fieldwise_sum(self):
-        a = [
-            make_record(uuid=f"a-{i}", puid=("p" if i % 2 else None)) for i in range(7)
-        ]
-        b = [
-            make_record(
-                uuid=f"b-{i}",
-                decision_ground=DecisionGround.ILLEGAL_CONTENT,
-                illegal_content_explanation="threats" if i == 0 else None,
-            )
-            for i in range(4)
-        ]
-        merged = informativeness_profile(a).merged(informativeness_profile(b))
-        whole = informativeness_profile(a + b)
-        assert merged.to_dict() == whole.to_dict()
-
     def test_report_dict_shape(self):
         d = informativeness_profile([make_record()]).to_dict()
         assert d["puid"] == {"filled": 0, "applicable": 1, "rate": 0.0}
