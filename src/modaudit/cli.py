@@ -14,18 +14,21 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import resource
 import secrets
 import sys
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence, TextIO
 
 from .aggregate import Period
 from .claims import ClaimsError, load_claims
 from .crosscheck import ToleranceSpec, replicate_claims, run_crosscheck
-from .ingest import IngestError, open_corpus, open_platform_export
-from .report import REPORT_FORMATS, Severity, emit_report, meets_threshold, parse_severity
+from .ingest import ExportReader, IngestError, open_corpus, open_platform_export
+from .report import REPORT_FORMATS, Severity, meets_threshold, parse_severity, write_report
 from .sor import CategoryTaxonomy, TaxonomyError, default_taxonomy, informativeness_profile
 from .synth import ScenarioConfig, ScenarioError, generate
 from .verify import (
@@ -166,6 +169,7 @@ class AuditRunRecord:
     manifest: dict | None
     finding_counts: dict[str, int]
     outputs: dict[str, dict[str, str]]  # name -> {path, sha256}
+    metrics: dict[str, object]
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -177,6 +181,7 @@ class AuditRunRecord:
             "manifest": self.manifest,
             "finding_counts": self.finding_counts,
             "outputs": self.outputs,
+            "metrics": self.metrics,
         }
 
 
@@ -196,7 +201,7 @@ class RunDir:
         self.inputs: list[Path] = []
         self._output_paths: dict[str, Path] = {}
         self._quarantine_fh = None
-        self.quarantine_count = 0
+        self.quarantine_by_reason: Counter[str] = Counter()
 
     def __enter__(self) -> "RunDir":
         return self
@@ -218,16 +223,22 @@ class RunDir:
         self._output_paths["quarantine.log"] = log_path
 
         def sink(entry) -> None:
-            self.quarantine_count += 1
+            self.quarantine_by_reason[entry.reason.value] += 1
             self._quarantine_fh.write(entry.to_json_line() + "\n")
 
         return sink
 
-    def write(self, name: str, text: str) -> Path:
+    @contextmanager
+    def open(self, name: str) -> Iterator[TextIO]:
+        """Register output `name` and yield a UTF-8 text handle to stream it."""
         target = self.path / name
-        target.write_text(text, encoding="utf-8")
         self._output_paths[name] = target
-        return target
+        with open(target, "w", encoding="utf-8") as fh:
+            yield fh
+
+    def write(self, name: str, text: str) -> None:
+        with self.open(name) as fh:
+            fh.write(text)
 
     def finish(self, config: AppConfig, manifest: dict | None, finding_counts: dict[str, int]) -> None:
         self.close()
@@ -244,6 +255,10 @@ class RunDir:
             manifest=manifest,
             finding_counts=finding_counts,
             outputs=outputs,
+            metrics={
+                "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+                "quarantine_by_reason": dict(self.quarantine_by_reason),
+            },
         )
         (self.path / "run.json").write_text(
             json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -333,10 +348,12 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
 
 
 def _write_findings(run: RunDir, findings, fmt: str) -> None:
-    run.write("findings.json", emit_report(findings, "json"))
+    with run.open("findings.json") as fh:
+        write_report(findings, "json", fh)
     if fmt != "json":
         suffix = "md" if fmt == "markdown" else fmt
-        run.write(f"findings.{suffix}", emit_report(findings, fmt))
+        with run.open(f"findings.{suffix}") as fh:
+            write_report(findings, fmt, fh)
 
 
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
@@ -361,7 +378,8 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
         return _exit_for(findings, config.severity_threshold)
 
 
-def _parse_window(args: argparse.Namespace, events) -> Period:
+def _parse_window(args: argparse.Namespace) -> Period | None:
+    """The audit window the flags give, or None when they give none."""
     if args.window_start and args.window_end:
         try:
             return Period.parse({"start": args.window_start, "end": args.window_end})
@@ -369,24 +387,38 @@ def _parse_window(args: argparse.Namespace, events) -> Period:
             raise ConfigError(str(exc)) from None
     if args.window_start or args.window_end:
         raise ConfigError("--window-start and --window-end must be given together")
-    if not events:
+    return None
+
+
+def _hull_window(export_reader: ExportReader) -> Period:
+    """The whole days that hold every moderation time of a pass over the export."""
+    if export_reader.moderated_range is None:
         raise InputError("export holds no events and no window was given")
-    lo = min(e.moderated_at for e in events).date()
-    hi = max(e.moderated_at for e in events).date()
-    return Period(start=lo, end=hi + timedelta(days=1), field="application_date")
+    first, last = export_reader.moderated_range
+    try:
+        end = last.date() + timedelta(days=1)
+    except OverflowError:
+        raise InputError(
+            f"export has events on {last.date().isoformat()}, the last representable day, "
+            "so no window can hold them"
+        ) from None
+    return Period(start=first.date(), end=end, field="application_date")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
+    window = _parse_window(args)
     with RunDir(args.out, ["verify", str(args.export), str(args.corpus)]) as run:
         sink = run.quarantine_sink()
 
+        # The export streams through reconstruction. Without a window every
+        # event lies inside the hull of all events, so an unbounded pass
+        # rebuilds what the hull window would.
         export_reader = open_platform_export(args.export, sink)
-        events = list(export_reader)
-        window = _parse_window(args, events)
-
         classifier = KeywordClassifier.from_taxonomy(config.taxonomy)
-        reconstructed = reconstruct(events, classifier, window)
+        reconstructed = reconstruct(export_reader, classifier, window)
+        if window is None:
+            window = _hull_window(export_reader)
 
         corpus_reader = open_corpus(args.corpus, config.taxonomy, sink)
         filed = [
@@ -453,9 +485,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise InputError(f"cannot read findings file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"findings file {path} is not valid JSON: {exc}") from None
-    if not isinstance(rows, list):
-        raise InputError(f"findings file {path} must hold a JSON array")
-    sys.stdout.write(emit_report(rows, args.format))
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise InputError(f"findings file {path} must hold a JSON array of objects")
+    write_report(rows, args.format, sys.stdout)
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import csv
 from dataclasses import dataclass
-from datetime import date
+from datetime import date, datetime
 from functools import partial
 from itertools import chain, islice
 from pathlib import Path
@@ -207,7 +207,11 @@ def open_corpus(
 
 
 class ExportReader:
-    """Iterable over the moderation events of one platform-export file."""
+    """Iterable over the moderation events of one platform-export file.
+
+    A complete pass leaves the counts of events and quarantined rows, and the
+    earliest and latest moderation time (None without events).
+    """
 
     def __init__(
         self,
@@ -221,12 +225,16 @@ class ExportReader:
         self.quarantine: list[QuarantineEntry] = []
         self.event_count = 0
         self.quarantine_count = 0
+        self.moderated_range: tuple[datetime, datetime] | None = None
 
     def __iter__(self) -> Iterator[ModerationEvent]:
         self.quarantine = []
         self.event_count = 0
         self.quarantine_count = 0
+        self.moderated_range = None
         sink = self._sink or self.quarantine.append
+        first: datetime | None = None
+        last: datetime | None = None
 
         def quarantined(entry: QuarantineEntry) -> None:
             self.quarantine_count += 1
@@ -234,7 +242,13 @@ class ExportReader:
 
         for event in _stream_rows(self.path, EVENT_FIELD_ORDER, parse_event_row, quarantined):
             self.event_count += 1
+            moment = event.moderated_at
+            if first is None or moment < first:
+                first = moment
+            if last is None or moment > last:
+                last = moment
             yield event
+        self.moderated_range = None if first is None else (first, last)  # type: ignore[assignment]
 
 
 def open_platform_export(

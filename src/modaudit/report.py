@@ -1,8 +1,9 @@
 """Finding severity scale and deterministic report emission.
 
 Both audit pipelines produce findings with the same surface (kind, severity,
-identifiers, evidence); emit_report renders any mix of them to JSON (canonical
-machine format), CSV, or a MARKDOWN summary. Identical findings always yield
+identifiers, evidence); write_report streams any mix of them to JSON (canonical
+machine format), CSV, or a MARKDOWN summary, one finding at a time, and
+emit_report returns the same text as a string. Identical findings always yield
 byte-identical documents.
 """
 
@@ -11,8 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Mapping, Sequence
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from json.encoder import encode_basestring
+from typing import TextIO
 
 
 class Severity(str, Enum):
@@ -54,23 +57,12 @@ _CSV_COLUMNS = (
 )
 
 
-def _as_dicts(findings: Iterable[object]) -> list[dict[str, object]]:
-    out: list[dict[str, object]] = []
-    for f in findings:
-        if isinstance(f, Mapping):
-            out.append(dict(f))
-        else:
-            out.append(f.to_dict())  # type: ignore[attr-defined]
-    return out
-
-
-def _severity_counts(rows: Sequence[Mapping[str, object]]) -> dict[str, int]:
-    counts = {s.value: 0 for s in SEVERITY_ORDER}
-    for row in rows:
-        sev = str(row.get("severity", ""))
-        if sev in counts:
-            counts[sev] += 1
-    return counts
+def _as_dict(finding: object) -> dict[str, object]:
+    if isinstance(finding, dict):
+        return finding
+    if isinstance(finding, Mapping):
+        return dict(finding)
+    return finding.to_dict()  # type: ignore[attr-defined]
 
 
 def _csv_cell(value: object) -> str:
@@ -86,38 +78,86 @@ def _csv_cell(value: object) -> str:
     return str(value)
 
 
-def emit_report(findings: Iterable[object], format: str = "json") -> str:
-    """Render findings (objects with to_dict, or plain dicts) deterministically."""
+# The C encoder: json.dumps with indent set falls back to the pure-Python
+# one, whose nested closures form a reference cycle per call, left for the
+# cyclic garbage collector.
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _json_value(value: object, indent: str, keys: dict[str, str]) -> str:
+    """`value` exactly as json.dumps(..., indent=2, ensure_ascii=False) renders
+    it at nesting `indent`; `keys` caches each rendered string key."""
+    if isinstance(value, dict) and value:
+        inner = indent + "  "
+        items = []
+        for key, item in value.items():
+            rendered = keys.get(key)
+            if rendered is None:
+                # json renders int, float, bool and None keys as their literals, quoted
+                rendered = _encode(key if isinstance(key, str) else _encode(key)) + ": "
+                if isinstance(key, str):
+                    keys[key] = rendered
+            if type(item) is str:  # most values; saves a call each
+                items.append(inner + rendered + encode_basestring(item))
+            else:
+                items.append(inner + rendered + _json_value(item, inner, keys))
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        inner = indent + "  "
+        items = [inner + _json_value(item, inner, keys) for item in value]
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    return _encode(value)
+
+
+def write_report(findings: Sequence[object], format: str, fh: TextIO) -> None:
+    """Write findings (objects with to_dict, or plain dicts) to an open text
+    stream in `format`, one finding per write after a fixed header.
+
+    Markdown makes two passes, so `findings` must be a sequence.
+    """
     if format not in REPORT_FORMATS:
         raise ValueError(f"unknown report format {format!r}; expected one of {REPORT_FORMATS}")
-    rows = _as_dicts(findings)
 
     if format == "json":
-        return json.dumps(rows, indent=2, ensure_ascii=False) + "\n"
+        separator = "[\n  "
+        keys: dict[str, str] = {}
+        for finding in findings:
+            fh.write(separator + _json_value(_as_dict(finding), "  ", keys))
+            separator = ",\n  "
+        fh.write("[]\n" if separator == "[\n  " else "\n]\n")
+        return
 
     if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
-        for row in rows:
+        for finding in findings:
+            row = _as_dict(finding)
             writer.writerow([_csv_cell(row.get(col)) for col in _CSV_COLUMNS])
-        return buf.getvalue()
+        return
 
-    counts = _severity_counts(rows)
-    lines = ["# Audit findings", ""]
-    lines.append(
-        f"{len(rows)} finding(s): "
-        f"{counts['critical']} critical, {counts['warn']} warn, {counts['info']} info."
+    counts = {s.value: 0 for s in SEVERITY_ORDER}
+    total = 0
+    for finding in findings:
+        total += 1
+        severity = str(_as_dict(finding).get("severity", ""))
+        if severity in counts:
+            counts[severity] += 1
+    fh.write(
+        f"# Audit findings\n\n{total} finding(s): "
+        f"{counts['critical']} critical, {counts['warn']} warn, {counts['info']} info.\n"
     )
-    lines.append("")
-    if rows:
-        lines.append("| severity | kind | subject | evidence |")
-        lines.append("| --- | --- | --- | --- |")
-        for row in rows:
-            subject = row.get("claim_id") or row.get("content_id") or row.get("sor_uuid") or ""
-            evidence = str(row.get("evidence", "")).replace("|", "\\|")
-            lines.append(
-                f"| {row.get('severity', '')} | {row.get('kind', '')} | {subject} | {evidence} |"
-            )
-        lines.append("")
-    return "\n".join(lines)
+    if not total:
+        return
+    fh.write("\n| severity | kind | subject | evidence |\n| --- | --- | --- | --- |\n")
+    for finding in findings:
+        row = _as_dict(finding)
+        subject = row.get("claim_id") or row.get("content_id") or row.get("sor_uuid") or ""
+        evidence = str(row.get("evidence", "")).replace("|", "\\|")
+        fh.write(f"| {row.get('severity', '')} | {row.get('kind', '')} | {subject} | {evidence} |\n")
+
+
+def emit_report(findings: Sequence[object], format: str = "json") -> str:
+    """Render findings deterministically, as write_report writes them."""
+    buf = io.StringIO()
+    write_report(findings, format, buf)
+    return buf.getvalue()

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, time, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .aggregate import Period
+from .aggregate import Period, PeriodError
 from .claims import parse_number, percent_text
 from .crosscheck import ToleranceSpec, tolerance_bound
 from .ingest import write_dump, write_export
@@ -40,6 +41,25 @@ class ScenarioError(ValueError):
     pass
 
 
+def _object(value: object, name: str) -> Mapping[str, object]:
+    if not isinstance(value, Mapping):
+        raise ScenarioError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
+def _integer(value: object, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value: object, name: str) -> float:
+    # The magnitude test refuses NaN, the infinities and integers that no float holds.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ScenarioError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ClaimPerturbation:
     """Additive or multiplicative tampering of one claim's reported value."""
@@ -55,6 +75,15 @@ class ClaimPerturbation:
             )
 
 
+_RATES = (
+    "drop_sor_rate",
+    "phantom_sor_rate",
+    "flip_automation_rate",
+    "shift_category_rate",
+    "late_filing_rate",
+)
+
+
 @dataclass(frozen=True)
 class InjectionSpec:
     drop_sor_rate: float = 0.0
@@ -66,13 +95,7 @@ class InjectionSpec:
     strip_puid: bool = False
 
     def __post_init__(self) -> None:
-        for name in (
-            "drop_sor_rate",
-            "phantom_sor_rate",
-            "flip_automation_rate",
-            "shift_category_rate",
-            "late_filing_rate",
-        ):
+        for name in _RATES:
             rate = getattr(self, name)
             if not (0.0 <= rate <= 1.0):
                 raise ScenarioError(f"{name} must be in [0, 1], got {rate}")
@@ -80,22 +103,25 @@ class InjectionSpec:
             raise ScenarioError("strip_puid must be true or false")
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "InjectionSpec":
-        perturbations = tuple(
-            ClaimPerturbation(
-                claim_id=str(p["claim_id"]),
-                delta=p.get("delta"),  # type: ignore[arg-type]
-                factor=p.get("factor"),  # type: ignore[arg-type]
+    def from_dict(cls, data: object) -> "InjectionSpec":
+        data = _object(data, "injections")
+        entries = data.get("claim_perturbations", [])
+        if not isinstance(entries, list):
+            raise ScenarioError(f"claim_perturbations must be a JSON array, got {entries!r}")
+        perturbations = []
+        for entry in entries:
+            entry = _object(entry, "a claim perturbation")
+            delta, factor = entry.get("delta"), entry.get("factor")
+            perturbations.append(
+                ClaimPerturbation(
+                    claim_id=str(entry["claim_id"]),
+                    delta=None if delta is None else _number(delta, "delta"),
+                    factor=None if factor is None else _number(factor, "factor"),
+                )
             )
-            for p in data.get("claim_perturbations", [])  # type: ignore[union-attr]
-        )
         return cls(
-            drop_sor_rate=float(data.get("drop_sor_rate", 0.0)),  # type: ignore[arg-type]
-            phantom_sor_rate=float(data.get("phantom_sor_rate", 0.0)),  # type: ignore[arg-type]
-            flip_automation_rate=float(data.get("flip_automation_rate", 0.0)),  # type: ignore[arg-type]
-            shift_category_rate=float(data.get("shift_category_rate", 0.0)),  # type: ignore[arg-type]
-            late_filing_rate=float(data.get("late_filing_rate", 0.0)),  # type: ignore[arg-type]
-            claim_perturbations=perturbations,
+            **{name: float(_number(data.get(name, 0.0), name)) for name in _RATES},
+            claim_perturbations=tuple(perturbations),
             strip_puid=data.get("strip_puid", False),  # type: ignore[arg-type]
         )
 
@@ -118,6 +144,8 @@ class InjectionSpec:
 def _check_mix(mix: Mapping[str, float], name: str) -> None:
     if not mix:
         raise ScenarioError(f"{name} must not be empty")
+    for weight in mix.values():
+        _number(weight, f"a {name} weight")
     if any(w < 0 for w in mix.values()):
         raise ScenarioError(f"{name} weights must be non-negative")
     if sum(mix.values()) <= 0:
@@ -146,19 +174,22 @@ class ScenarioConfig:
                 raise ScenarioError(f"unknown automation_mix key {key!r}")
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "ScenarioConfig":
+    def from_dict(cls, data: object) -> "ScenarioConfig":
+        data = _object(data, "scenario config")
         try:
             return cls(
-                seed=int(data["seed"]),  # type: ignore[arg-type]
+                seed=_integer(data["seed"], "seed"),
                 platform=str(data["platform"]),
-                window=Period.parse(data["window"]),  # type: ignore[arg-type]
-                volume=int(data["volume"]),  # type: ignore[arg-type]
-                category_mix=dict(data["category_mix"]),  # type: ignore[arg-type]
-                automation_mix=dict(data["automation_mix"]),  # type: ignore[arg-type]
-                injections=InjectionSpec.from_dict(data.get("injections", {}) or {}),  # type: ignore[arg-type]
+                window=Period.parse(_object(data["window"], "window")),
+                volume=_integer(data["volume"], "volume"),
+                category_mix=dict(_object(data["category_mix"], "category_mix")),
+                automation_mix=dict(_object(data["automation_mix"], "automation_mix")),
+                injections=InjectionSpec.from_dict(data.get("injections", {}) or {}),
             )
         except KeyError as exc:
             raise ScenarioError(f"scenario config is missing {exc.args[0]!r}") from None
+        except PeriodError as exc:
+            raise ScenarioError(f"window: {exc}") from None
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScenarioConfig":

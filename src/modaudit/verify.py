@@ -292,16 +292,21 @@ def _decision_type_for(event: ModerationEvent) -> DecisionType | None:
 def reconstruct(
     events: Iterable[ModerationEvent],
     classifier: ContentClassifier,
-    window: Period,
+    window: Period | None,
 ) -> list[ReconstructedSor]:
     """Rebuild the expected statement for every moderated event whose
-    moderation timestamp falls in [window.start, window.end).
+    moderation timestamp falls in [window.start, window.end); a window of
+    None bounds nothing. `events` is read in one pass.
     """
-    start_dt = datetime.combine(window.start, time.min, tzinfo=timezone.utc)
-    end_dt = datetime.combine(window.end, time.min, tzinfo=timezone.utc)
+    bounds = None
+    if window is not None:
+        bounds = (
+            datetime.combine(window.start, time.min, tzinfo=timezone.utc),
+            datetime.combine(window.end, time.min, tzinfo=timezone.utc),
+        )
     out: list[ReconstructedSor] = []
     for event in events:
-        if not (start_dt <= event.moderated_at < end_dt):
+        if bounds is not None and not (bounds[0] <= event.moderated_at < bounds[1]):
             continue
         decision_type = _decision_type_for(event)
         if decision_type is None:
@@ -601,7 +606,7 @@ UNDIFFED_FIELDS = (
 DEFAULT_DEADLINE_DAYS = 7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationFinding:
     kind: VerificationKind
     severity: Severity

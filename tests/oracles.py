@@ -3,18 +3,23 @@
 The replication oracle deliberately stays a per-claim full scan over a list;
 it never shares the cell summary it checks. The linkage oracle is the
 quadratic all-pairs candidate list that verify.link's queues and tiers
-replace.
+replace. The report oracle renders the whole findings list at once, with one
+json.dumps, which report.write_report's per-finding writes replace.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import random
 from datetime import date, datetime, time, timedelta, timezone
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 from modaudit.aggregate import FILTERABLE_ATTRIBUTES, PERIOD_FIELDS, Period, Predicate
 from modaudit.claims import Claim, Metric, Precision
+from modaudit.report import _CSV_COLUMNS, REPORT_FORMATS, SEVERITY_ORDER, _csv_cell
 from modaudit.sor import (
     AutomatedDecision,
     ContentType,
@@ -271,3 +276,45 @@ def naive_link(
     unmatched_rec.sort(key=lambda r: r.content_id)
     unmatched_filed.sort(key=lambda f: f.uuid)
     return Linkage(pairs=pairs, unmatched_reconstructed=unmatched_rec, unmatched_filed=unmatched_filed)
+
+
+def naive_emit_report(findings: Iterable[object], format: str = "json") -> str:
+    """Whole-document reference for report.write_report: every finding becomes
+    a dict first, and the document is built in memory."""
+    if format not in REPORT_FORMATS:
+        raise ValueError(f"unknown report format {format!r}; expected one of {REPORT_FORMATS}")
+    rows = [dict(f) if isinstance(f, Mapping) else f.to_dict() for f in findings]  # type: ignore[attr-defined]
+
+    if format == "json":
+        return json.dumps(rows, indent=2, ensure_ascii=False) + "\n"
+
+    if format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(_CSV_COLUMNS)
+        for row in rows:
+            writer.writerow([_csv_cell(row.get(col)) for col in _CSV_COLUMNS])
+        return buf.getvalue()
+
+    counts = {s.value: 0 for s in SEVERITY_ORDER}
+    for row in rows:
+        sev = str(row.get("severity", ""))
+        if sev in counts:
+            counts[sev] += 1
+    lines = ["# Audit findings", ""]
+    lines.append(
+        f"{len(rows)} finding(s): "
+        f"{counts['critical']} critical, {counts['warn']} warn, {counts['info']} info."
+    )
+    lines.append("")
+    if rows:
+        lines.append("| severity | kind | subject | evidence |")
+        lines.append("| --- | --- | --- | --- |")
+        for row in rows:
+            subject = row.get("claim_id") or row.get("content_id") or row.get("sor_uuid") or ""
+            evidence = str(row.get("evidence", "")).replace("|", "\\|")
+            lines.append(
+                f"| {row.get('severity', '')} | {row.get('kind', '')} | {subject} | {evidence} |"
+            )
+        lines.append("")
+    return "\n".join(lines)

@@ -5,6 +5,7 @@ import io
 import json
 import random
 from collections import Counter
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,11 @@ def verify_args(scen_dir, out_dir, *extra):
     ]
 
 
+def without_window(args: list[str]) -> list[str]:
+    at = args.index("--window-start")
+    return args[:at] + args[at + 4 :]
+
+
 def split_dump(dump_dir: Path, parts: int) -> None:
     """Spread the rows of the one dump file over `parts` files, in order."""
     first = dump_dir / "part-00000.csv"
@@ -144,6 +150,19 @@ class TestExitCodes:
 
     def test_injected_verify_exits_one(self, injected, tmp_path):
         assert run(verify_args(injected, tmp_path / "runs")) == 1
+
+    def test_derived_window_equals_the_export_hull_given_explicitly(self, injected, tmp_path):
+        with open(injected / "export.csv", newline="", encoding="utf-8") as fh:
+            days = sorted(row["moderated_at"][:10] for row in csv.DictReader(fh))
+        hull = [days[0], (date.fromisoformat(days[-1]) + timedelta(days=1)).isoformat()]
+        args = verify_args(injected, tmp_path / "explicit")
+        at = args.index("--window-start")
+        args[at + 1], args[at + 3] = hull
+        assert run(args) == 1
+        assert run(without_window(verify_args(injected, tmp_path / "derived"))) == 1
+        for name in ("findings.json", "manifest.json"):
+            explicit = (only_run_dir(tmp_path / "explicit") / name).read_bytes()
+            assert (only_run_dir(tmp_path / "derived") / name).read_bytes() == explicit, name
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run(["frobnicate"]) == 2
@@ -267,6 +286,13 @@ class TestInputErrors:
         assert run(args) == 3
         assert_one_line_input_error(capsys, out, f"{target}: line {line}: ")
 
+    def test_derived_window_past_the_last_representable_day_exits_three(self, faithful, tmp_path, capsys):
+        export = faithful / "export.csv"
+        append_copy(export, export, {"moderated_at": "9999-12-31T10:00:00Z"})
+        out = tmp_path / "runs"
+        assert run(without_window(verify_args(faithful, out))) == 3
+        assert_one_line_input_error(capsys, out, "9999-12-31")
+
     def test_run_dir_closes_quarantine_log_on_error(self, tmp_path):
         entry = QuarantineEntry(reason=QuarantineReason.MISSING_FIELD, field="uuid", raw_row={})
         with pytest.raises(RuntimeError):
@@ -360,6 +386,21 @@ class TestRunPersistence:
         record = json.loads((run_dir / "run.json").read_text())
         assert record["manifest"]["linkage"] == {"puid_pairs": 0, "fuzzy_pairs": len(pairs)}
         assert len(pairs) > 0
+
+    def test_run_json_carries_metrics_that_findings_do_not(self, injected, tmp_path):
+        with open(injected / "export.csv", "a", encoding="utf-8") as fh:
+            fh.write("not,a,row\n")
+        written = []
+        for side in ("a", "b"):
+            assert run(verify_args(injected, tmp_path / side)) == 1
+            run_dir = only_run_dir(tmp_path / side)
+            record = json.loads((run_dir / "run.json").read_text())
+            assert record["metrics"]["peak_rss_kb"] > 0
+            assert record["metrics"]["quarantine_by_reason"] == {"MISSING_FIELD": 1}
+            findings = (run_dir / "findings.json").read_bytes()
+            assert b"peak_rss" not in findings and b"quarantine_by_reason" not in findings
+            written.append(findings)
+        assert written[0] == written[1]
 
     def test_requested_format_written_alongside_json(self, faithful, tmp_path):
         out = tmp_path / "runs"
@@ -470,6 +511,18 @@ class TestOtherSubcommands:
         rendered = capsys.readouterr().out
         assert rendered.splitlines()[0].startswith("severity,kind")
 
+    @pytest.mark.parametrize("doc", [[1], [], {"rows": []}], ids=["numbers", "empty_array", "object"])
+    def test_report_refuses_a_document_that_is_not_an_array_of_objects(self, tmp_path, capsys, doc):
+        path = tmp_path / "findings.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = run(["report", str(path)])
+        if doc == []:
+            assert code == 0
+            assert capsys.readouterr().out.startswith("# Audit findings\n\n0 finding(s)")
+            return
+        assert code == 3
+        assert_one_line_input_error(capsys, tmp_path, "must hold a JSON array of objects")
+
     def test_config_file_with_flag_precedence(self, injected, tmp_path):
         # config file loosens tolerance enough to absorb the +500 perturbation
         config_path = tmp_path / "audit.json"
@@ -536,6 +589,42 @@ class TestSettingTypes:
         args[4] = str(claims)
         assert run(args) == 3
         assert_one_line_input_error(capsys, out, "'exhaustive' must be true or false")
+
+    @pytest.mark.parametrize(
+        "doc,fragment",
+        [
+            ([1], "scenario config must be a JSON object"),
+            ({"seed": "x"}, "seed must be an integer"),
+            ({**SCENARIO, "injections": [1]}, "injections must be a JSON object"),
+            ({**SCENARIO, "volume": "x"}, "volume must be an integer"),
+            ({**SCENARIO, "window": "x"}, "window must be a JSON object"),
+            ({**SCENARIO, "window": {"start": "2024-02-01", "end": "2024-01-01"}}, "window: period start"),
+            ({**SCENARIO, "category_mix": {"hate_speech": "x"}}, "category_mix weight must be a finite number"),
+            ({**SCENARIO, "injections": {"drop_sor_rate": "x"}}, "drop_sor_rate must be a finite number"),
+            ({**SCENARIO, "injections": {"claim_perturbations": ["x"]}}, "claim perturbation must be a JSON object"),
+            (
+                {**SCENARIO, "injections": {"claim_perturbations": [{"claim_id": "examplehub-total", "delta": "x"}]}},
+                "delta must be a finite number",
+            ),
+        ],
+        ids=[
+            "top_level_array",
+            "seed_string",
+            "injections_array",
+            "volume_string",
+            "window_string",
+            "window_reversed",
+            "mix_weight_string",
+            "rate_string",
+            "perturbation_string",
+            "delta_string",
+        ],
+    )
+    def test_scenario_of_the_wrong_type_exits_two(self, tmp_path, capsys, doc, fragment):
+        out = tmp_path / "scen"
+        assert run(["synth", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 2
+        assert_one_line_input_error(capsys, out, "error: bad scenario config: ", fragment)
+        assert not out.exists()
 
     def test_scenario_strip_puid_must_be_a_boolean(self, tmp_path, capsys):
         scen = write_scenario(tmp_path, {**SCENARIO, "injections": {"strip_puid": "false"}})
