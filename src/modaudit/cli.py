@@ -202,6 +202,7 @@ class RunDir:
         self._output_paths: dict[str, Path] = {}
         self._quarantine_fh = None
         self.quarantine_by_reason: Counter[str] = Counter()
+        self.quarantine_by_file: Counter[str] = Counter()
 
     def __enter__(self) -> "RunDir":
         return self
@@ -224,6 +225,7 @@ class RunDir:
 
         def sink(entry) -> None:
             self.quarantine_by_reason[entry.reason.value] += 1
+            self.quarantine_by_file[entry.file] += 1
             self._quarantine_fh.write(entry.to_json_line() + "\n")
 
         return sink
@@ -258,6 +260,7 @@ class RunDir:
             metrics={
                 "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
                 "quarantine_by_reason": dict(self.quarantine_by_reason),
+                "quarantine_by_file": dict(self.quarantine_by_file),
             },
         )
         (self.path / "run.json").write_text(

@@ -21,12 +21,13 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 from .sor import (
     FIELD_ORDER,
     CategoryTaxonomy,
+    Fault,
     QuarantineEntry,
     QuarantineReason,
     SorRecord,
-    validate_record,
+    parse_dump_row,
 )
-from .verify import EVENT_FIELD_ORDER, ModerationEvent, parse_event_row
+from .verify import EVENT_FIELD_ORDER, ModerationEvent, parse_export_row
 
 _T = TypeVar("_T")
 
@@ -69,14 +70,16 @@ def _first_non_utf8_line(path: Path) -> int:
 def _stream_rows(
     path: Path,
     field_order: tuple[str, ...],
-    parse: Callable[[dict[str, str]], _T | QuarantineEntry],
+    parse: Callable[[list[str]], _T | Fault],
     on_quarantine: Callable[[QuarantineEntry], None],
 ) -> Iterator[_T]:
     """Stream the parsed rows of one CSV file whose header is `field_order`.
 
-    Rows of the wrong width and rows `parse` rejects go to the sink, located
-    by file name and line; an unreadable file, a wrong header, non-UTF-8 bytes
-    or malformed CSV raise IngestError.
+    `parse` gets each row of the right width as its list of strings and
+    returns a record or a (reason, field) fault. Rows of the wrong width and
+    rows `parse` rejects go to the sink as entries located by file name and
+    line; only these rows become a column-name dict. An unreadable file, a
+    wrong header, non-UTF-8 bytes or malformed CSV raise IngestError.
     """
     name = path.name
     n_fields = len(field_order)
@@ -87,17 +90,16 @@ def _stream_rows(
             if header is None or [h.strip() for h in header] != list(field_order):
                 raise IngestError(f"{path}: header row does not match the expected column order")
             for row in reader:
-                raw = dict(zip(field_order, row))
                 if len(row) == n_fields:
-                    result = parse(raw)
+                    result = parse(row)
+                    if result.__class__ is not tuple:
+                        yield result  # type: ignore[misc]
+                        continue
+                    reason, field = result  # type: ignore[misc]
                 else:
-                    result = QuarantineEntry(
-                        reason=QuarantineReason.MISSING_FIELD, field="row_shape", raw_row=raw
-                    )
-                if isinstance(result, QuarantineEntry):
-                    on_quarantine(result.located(name, reader.line_num))
-                else:
-                    yield result
+                    reason, field = QuarantineReason.MISSING_FIELD, "row_shape"
+                raw = dict(zip(field_order, row))
+                on_quarantine(QuarantineEntry(reason, field, raw, name, reader.line_num))
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -140,7 +142,7 @@ class CorpusReader:
         min_date: date | None = None
         max_date: date | None = None
         sink = self._sink or self.quarantine.append
-        parse = partial(validate_record, taxonomy=self.taxonomy)
+        parse = partial(parse_dump_row, self.taxonomy, {})  # a fresh verdict memo per pass
 
         def quarantined(entry: QuarantineEntry) -> None:
             nonlocal quarantine_count
@@ -240,7 +242,8 @@ class ExportReader:
             self.quarantine_count += 1
             sink(entry)
 
-        for event in _stream_rows(self.path, EVENT_FIELD_ORDER, parse_event_row, quarantined):
+        parse = partial(parse_export_row, {})  # a fresh verdict memo per pass
+        for event in _stream_rows(self.path, EVENT_FIELD_ORDER, parse, quarantined):
             self.event_count += 1
             moment = event.moderated_at
             if first is None or moment < first:

@@ -10,7 +10,6 @@ quarantine entries, in file order.
 from __future__ import annotations
 
 from collections import Counter
-from multiprocessing import get_context
 from typing import Iterable, Sequence
 
 from .aggregate import AggregateResult, CellLayout, CellTally
@@ -40,6 +39,9 @@ def parallel_replicate(
     layout = CellLayout(claims, cell_tally)
     if workers <= 1 or not isinstance(records, CorpusReader) or len(records.files) <= 1:
         return layout.evaluate(layout.summarize(records))
+    # imported here: every other command and path runs without it
+    from multiprocessing import get_context
+
     parts = records.split()
     with get_context("spawn").Pool(processes=min(workers, len(parts))) as pool:
         done = pool.map(_summarize_part, [(layout, part) for part in parts])

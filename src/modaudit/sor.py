@@ -1,18 +1,25 @@
 """Statement of Reasons (SoR) records: schema, row validation, fill-rate profiling.
 
-A SoR travels on disk as one CSV row (column name -> string). validate_record
-turns a raw row into either a typed SorRecord or a QuarantineEntry; bad data is
-never an exception, it is routed to quarantine with a machine-readable reason.
+A SoR travels on disk as one CSV row. parse_dump_row turns the row, a list of
+strings in FIELD_ORDER, into either a typed SorRecord or the reason and field
+of its rejection; validate_record does the same for a row given as a mapping
+of column name to string and returns a QuarantineEntry for a rejected row. Bad
+data is never an exception, it is routed to quarantine with a
+machine-readable reason.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from datetime import date, datetime, timezone
+from dataclasses import dataclass, field
+from datetime import date, datetime
 from enum import Enum
+from functools import partial
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+
+_T = TypeVar("_T")
 
 
 class DecisionType(str, Enum):
@@ -111,6 +118,33 @@ _AUTOMATED_DECISIONS = {m.value: m for m in AutomatedDecision}
 _SOURCE_TYPES = {m.value: m for m in SourceType}
 _BOOLS = {"true": True, "false": False}
 
+# Enum and bool columns of a dump row in check order, with their lookup tables.
+_DUMP_ENUMS = (
+    ("decision_type", _DECISION_TYPES),
+    ("decision_ground", _DECISION_GROUNDS),
+    ("content_type", _CONTENT_TYPES),
+    ("automated_detection", _BOOLS),
+    ("automated_decision", _AUTOMATED_DECISIONS),
+    ("source_type", _SOURCE_TYPES),
+)
+_REQUIRED_INDICES = tuple(i for i, name in enumerate(FIELD_ORDER) if name in _REQUIRED)
+_required_values = itemgetter(*_REQUIRED_INDICES)
+_row_values = itemgetter(*FIELD_ORDER)
+# The memo key of a dump row: its enum and bool columns, then its category.
+_verdict_key = itemgetter(
+    *(FIELD_ORDER.index(name) for name, _ in _DUMP_ENUMS), FIELD_ORDER.index("category")
+)
+
+# A row's rejection: its reason and the field it names.
+Fault = tuple[QuarantineReason, str]
+# The decoded enum and bool columns of a row, or the fault of the first bad one.
+Verdict = tuple[tuple, None] | tuple[None, Fault]
+
+# Entries a per-pass verdict memo holds at most. The memo keeps only
+# combinations that pass, so every key string is an enum value or a category
+# code; these repeat, and real data stays far below the limit.
+VERDICT_MEMO_LIMIT = 4096
+
 
 @dataclass(frozen=True, slots=True)
 class SorRecord:
@@ -161,7 +195,7 @@ class SorRecord:
 class QuarantineEntry:
     """A rejected input row plus why it was rejected.
 
-    file and row_number are filled in by the reader that hit the row; a bare
+    file and row_number are set by the reader that hit the row; a bare
     validate_record call leaves them unset.
     """
 
@@ -170,9 +204,6 @@ class QuarantineEntry:
     raw_row: dict[str, str]
     file: str | None = None
     row_number: int | None = None
-
-    def located(self, file: str, row_number: int) -> "QuarantineEntry":
-        return replace(self, file=file, row_number=row_number)
 
     def to_json_line(self) -> str:
         payload = {
@@ -319,105 +350,174 @@ def parse_timestamp(text: str) -> datetime:
         or text[19] != "Z"
     ):
         raise ValueError(f"bad timestamp {text!r}")
-    # With every separator in place no UTC offset fits before the Z.
-    return datetime.fromisoformat(text[:19]).replace(tzinfo=timezone.utc)
+    # With every separator in place no UTC offset fits before the Z. A zero
+    # offset parses to timezone.utc itself, and costs far less than replace().
+    return datetime.fromisoformat(text[:19] + "+00:00")
 
 
 def format_timestamp(dt: datetime) -> str:
     return f"{dt.year:04d}-{dt.month:02d}-{dt.day:02d}T{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}Z"
 
 
-def _first_missing(
-    raw: Mapping[str, str], field_order: tuple[str, ...], required: frozenset[str]
-) -> str | None:
-    """The first field in `field_order` that `raw` lacks, or leaves empty
-    although it is `required`; None when there is none."""
-    for name in field_order:
-        value = raw.get(name)
-        if value is None or (value == "" and name in required):
-            return name
-    return None
+def _enum_verdict(columns: Sequence[tuple[str, Mapping[str, object]]], values: Sequence[str]) -> Verdict:
+    """Decode `values` through the tables of `columns`, pairwise and in order;
+    the first value its table lacks is a BAD_ENUM fault of that column."""
+    members = []
+    for (name, table), value in zip(columns, values):
+        member = table.get(value)
+        if member is None:
+            return None, (QuarantineReason.BAD_ENUM, name)
+        members.append(member)
+    return tuple(members), None
+
+
+def _remember(memo: dict[tuple[str, ...], tuple], key: tuple[str, ...], members: tuple) -> None:
+    """Store `members` under `key` in a per-pass memo, emptying the memo first
+    when it holds VERDICT_MEMO_LIMIT entries."""
+    if len(memo) >= VERDICT_MEMO_LIMIT:
+        memo.clear()
+    memo[key] = members
+
+
+def _first_empty(row: Sequence[str], field_order: tuple[str, ...], indices: tuple[int, ...]) -> Fault:
+    """The MISSING_FIELD fault of the first of `indices` that `row`, which
+    leaves one of them empty, leaves empty."""
+    i = next(i for i in indices if row[i] == "")
+    return QuarantineReason.MISSING_FIELD, field_order[i]
+
+
+def _parse_mapping(
+    raw: Mapping[str, str],
+    field_order: tuple[str, ...],
+    required: frozenset[str],
+    values: Callable[[Mapping[str, str]], tuple[str, ...]],
+    parse: Callable[[tuple[str, ...]], _T | Fault],
+) -> _T | QuarantineEntry:
+    """Run a positional parser over a row given as a mapping; `values` picks
+    the mapping's strings in `field_order`. A lacking column is MISSING_FIELD
+    at the first column in `field_order` that is lacking or empty although
+    `required`."""
+    try:
+        row = values(raw)
+    except KeyError:
+        name = next(n for n in field_order if raw.get(n) is None or (raw[n] == "" and n in required))
+        result: _T | Fault = (QuarantineReason.MISSING_FIELD, name)
+    else:
+        result = parse(row)
+    if result.__class__ is tuple:
+        reason, field_name = result  # type: ignore[misc]
+        return QuarantineEntry(reason=reason, field=field_name, raw_row=dict(raw))
+    return result  # type: ignore[return-value]
+
+
+def _dump_verdict(key: tuple[str, ...], taxonomy: CategoryTaxonomy) -> Verdict:
+    verdict = _enum_verdict(_DUMP_ENUMS, key)
+    if verdict[1] is None and key[-1] not in taxonomy:
+        return None, (QuarantineReason.UNKNOWN_CATEGORY, "category")
+    return verdict
+
+
+def parse_dump_row(
+    taxonomy: CategoryTaxonomy, memo: dict[tuple[str, ...], tuple], row: Sequence[str]
+) -> SorRecord | Fault:
+    """Validate one dump row, a sequence of strings in FIELD_ORDER. Total and
+    deterministic: returns a SorRecord or the fault of the first failed check,
+    never raises on data.
+
+    `memo` maps the enum, bool and category strings of rows that pass those
+    checks to the decoded members. It holds one reader pass, since category
+    validity depends on `taxonomy`; a row that fails them is decided afresh.
+    """
+    if "" in _required_values(row):
+        return _first_empty(row, FIELD_ORDER, _REQUIRED_INDICES)
+    key = _verdict_key(row)
+    members = memo.get(key)
+    if members is None:
+        members, fault = _dump_verdict(key, taxonomy)
+        if fault is not None:
+            return fault
+        _remember(memo, key, members)
+    (
+        decision_type,
+        decision_ground,
+        content_type,
+        automated_detection,
+        automated_decision,
+        source_type,
+    ) = members
+    (
+        uuid,
+        platform_name,
+        _,
+        decision_type_other,
+        _,
+        reference_url,
+        explanation,
+        category,
+        _,
+        content_type_other,
+        _,
+        _,
+        _,
+        content_text,
+        application_text,
+        created_text,
+        puid,
+    ) = row
+
+    try:
+        content_date = _parse_date_memo(content_text)
+    except ValueError:
+        return QuarantineReason.BAD_DATE, "content_date"
+    try:
+        application_date = _parse_date_memo(application_text)
+    except ValueError:
+        return QuarantineReason.BAD_DATE, "application_date"
+    try:
+        created_at = parse_timestamp(created_text)
+    except ValueError:
+        return QuarantineReason.BAD_DATE, "created_at"
+
+    if content_date > application_date:
+        return QuarantineReason.DATE_ORDER, "application_date"
+    if application_date > created_at.date():
+        return QuarantineReason.DATE_ORDER, "created_at"
+
+    if decision_type is DecisionType.OTHER and decision_type_other == "":
+        return QuarantineReason.EMPTY_OTHER_TEXT, "decision_type_other"
+    if content_type is ContentType.OTHER and content_type_other == "":
+        return QuarantineReason.EMPTY_OTHER_TEXT, "content_type_other"
+
+    # positional: the fields are declared in FIELD_ORDER
+    return SorRecord(
+        uuid,
+        platform_name,
+        decision_type,
+        decision_type_other or None,
+        decision_ground,
+        reference_url or None,
+        explanation or None,
+        category,
+        content_type,
+        content_type_other or None,
+        automated_detection,
+        automated_decision,
+        source_type,
+        content_date,
+        application_date,
+        created_at,
+        puid or None,
+    )
 
 
 def validate_record(
     raw: Mapping[str, str], taxonomy: CategoryTaxonomy
 ) -> SorRecord | QuarantineEntry:
-    """Validate one raw dump row. Total and deterministic: always returns
-    exactly one of SorRecord or QuarantineEntry, never raises on data.
+    """Validate one raw dump row given as a mapping of column name to string.
+    Total and deterministic: always returns exactly one of SorRecord or
+    QuarantineEntry, never raises on data.
     """
-
-    def bad(reason: QuarantineReason, field_name: str) -> QuarantineEntry:
-        return QuarantineEntry(reason=reason, field=field_name, raw_row=dict(raw))
-
-    missing = _first_missing(raw, FIELD_ORDER, _REQUIRED)
-    if missing is not None:
-        return bad(QuarantineReason.MISSING_FIELD, missing)
-
-    decision_type = _DECISION_TYPES.get(raw["decision_type"])
-    if decision_type is None:
-        return bad(QuarantineReason.BAD_ENUM, "decision_type")
-    decision_ground = _DECISION_GROUNDS.get(raw["decision_ground"])
-    if decision_ground is None:
-        return bad(QuarantineReason.BAD_ENUM, "decision_ground")
-    content_type = _CONTENT_TYPES.get(raw["content_type"])
-    if content_type is None:
-        return bad(QuarantineReason.BAD_ENUM, "content_type")
-    automated_detection = _BOOLS.get(raw["automated_detection"])
-    if automated_detection is None:
-        return bad(QuarantineReason.BAD_ENUM, "automated_detection")
-    automated_decision = _AUTOMATED_DECISIONS.get(raw["automated_decision"])
-    if automated_decision is None:
-        return bad(QuarantineReason.BAD_ENUM, "automated_decision")
-    source_type = _SOURCE_TYPES.get(raw["source_type"])
-    if source_type is None:
-        return bad(QuarantineReason.BAD_ENUM, "source_type")
-
-    category = raw["category"]
-    if category not in taxonomy:
-        return bad(QuarantineReason.UNKNOWN_CATEGORY, "category")
-
-    try:
-        content_date = _parse_date_memo(raw["content_date"])
-    except ValueError:
-        return bad(QuarantineReason.BAD_DATE, "content_date")
-    try:
-        application_date = _parse_date_memo(raw["application_date"])
-    except ValueError:
-        return bad(QuarantineReason.BAD_DATE, "application_date")
-    try:
-        created_at = parse_timestamp(raw["created_at"])
-    except ValueError:
-        return bad(QuarantineReason.BAD_DATE, "created_at")
-
-    if content_date > application_date:
-        return bad(QuarantineReason.DATE_ORDER, "application_date")
-    if application_date > created_at.date():
-        return bad(QuarantineReason.DATE_ORDER, "created_at")
-
-    if decision_type is DecisionType.OTHER and raw["decision_type_other"] == "":
-        return bad(QuarantineReason.EMPTY_OTHER_TEXT, "decision_type_other")
-    if content_type is ContentType.OTHER and raw["content_type_other"] == "":
-        return bad(QuarantineReason.EMPTY_OTHER_TEXT, "content_type_other")
-
-    return SorRecord(
-        uuid=raw["uuid"],
-        platform_name=raw["platform_name"],
-        decision_type=decision_type,
-        decision_type_other=raw["decision_type_other"] or None,
-        decision_ground=decision_ground,
-        decision_ground_reference_url=raw["decision_ground_reference_url"] or None,
-        illegal_content_explanation=raw["illegal_content_explanation"] or None,
-        category=category,
-        content_type=content_type,
-        content_type_other=raw["content_type_other"] or None,
-        automated_detection=automated_detection,
-        automated_decision=automated_decision,
-        source_type=source_type,
-        content_date=content_date,
-        application_date=application_date,
-        created_at=created_at,
-        puid=raw["puid"] or None,
-    )
+    return _parse_mapping(raw, FIELD_ORDER, _REQUIRED, _row_values, partial(parse_dump_row, taxonomy, {}))
 
 
 # Optional and conditionally required attributes whose fill rates quantify how

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
 from fractions import Fraction
+from functools import partial
+from operator import itemgetter
 from typing import Iterable, Mapping, Protocol, Sequence
 
 from .aggregate import Period
@@ -28,12 +30,16 @@ from .sor import (
     ContentType,
     DecisionGround,
     DecisionType,
+    Fault,
     QuarantineEntry,
     QuarantineReason,
     SorRecord,
-    _first_missing,
+    _enum_verdict,
+    _first_empty,
+    _parse_date_memo,
+    _parse_mapping,
+    _remember,
     format_timestamp,
-    parse_date,
     parse_timestamp,
 )
 
@@ -86,6 +92,18 @@ _EVENT_REQUIRED = frozenset(
 
 _VISIBILITIES = {m.value: m for m in VisibilityStatus}
 
+# Enum and bool columns of an export row in check order, with their lookup tables.
+_EVENT_ENUMS = (
+    ("content_type", _CONTENT_TYPES),
+    ("visibility_status", _VISIBILITIES),
+    ("automated_detection", _BOOLS),
+    ("automated_decision", _AUTOMATED_DECISIONS),
+)
+_EVENT_REQUIRED_INDICES = tuple(i for i, name in enumerate(EVENT_FIELD_ORDER) if name in _EVENT_REQUIRED)
+_event_required_values = itemgetter(*_EVENT_REQUIRED_INDICES)
+_event_values = itemgetter(*EVENT_FIELD_ORDER)
+_event_verdict_key = itemgetter(*(EVENT_FIELD_ORDER.index(name) for name, _ in _EVENT_ENUMS))
+
 
 @dataclass(frozen=True, slots=True)
 class ModerationEvent:
@@ -125,57 +143,56 @@ class ModerationEvent:
         }
 
 
-def parse_event_row(raw: Mapping[str, str]) -> ModerationEvent | QuarantineEntry:
-    """Validate one platform-export row; mirrors validate_record's contract."""
-
-    def bad(reason: QuarantineReason, field_name: str) -> QuarantineEntry:
-        return QuarantineEntry(reason=reason, field=field_name, raw_row=dict(raw))
-
-    missing = _first_missing(raw, EVENT_FIELD_ORDER, _EVENT_REQUIRED)
-    if missing is not None:
-        return bad(QuarantineReason.MISSING_FIELD, missing)
-
-    content_type = _CONTENT_TYPES.get(raw["content_type"])
-    if content_type is None:
-        return bad(QuarantineReason.BAD_ENUM, "content_type")
-    visibility = _VISIBILITIES.get(raw["visibility_status"])
-    if visibility is None:
-        return bad(QuarantineReason.BAD_ENUM, "visibility_status")
-    automated_detection = _BOOLS.get(raw["automated_detection"])
-    if automated_detection is None:
-        return bad(QuarantineReason.BAD_ENUM, "automated_detection")
-    automated_decision = _AUTOMATED_DECISIONS.get(raw["automated_decision"])
-    if automated_decision is None:
-        return bad(QuarantineReason.BAD_ENUM, "automated_decision")
+def parse_export_row(memo: dict[tuple[str, ...], tuple], row: Sequence[str]) -> ModerationEvent | Fault:
+    """Validate one platform-export row, a sequence of strings in
+    EVENT_FIELD_ORDER; mirrors parse_dump_row's contract. `memo` maps the
+    enum and bool strings of rows that pass those checks to the decoded
+    members, for one reader pass."""
+    if "" in _event_required_values(row):
+        return _first_empty(row, EVENT_FIELD_ORDER, _EVENT_REQUIRED_INDICES)
+    key = _event_verdict_key(row)
+    members = memo.get(key)
+    if members is None:
+        members, fault = _enum_verdict(_EVENT_ENUMS, key)
+        if fault is not None:
+            return fault
+        _remember(memo, key, members)
+    content_type, visibility, automated_detection, automated_decision = members
+    content_id, puid, _, created_text, moderated_text, _, categories, _, _, annotations, payload = row
 
     try:
-        content_created = parse_date(raw["content_created"])
+        content_created = _parse_date_memo(created_text)
     except ValueError:
-        return bad(QuarantineReason.BAD_DATE, "content_created")
+        return QuarantineReason.BAD_DATE, "content_created"
     try:
-        moderated_at = parse_timestamp(raw["moderated_at"])
+        moderated_at = parse_timestamp(moderated_text)
     except ValueError:
-        return bad(QuarantineReason.BAD_DATE, "moderated_at")
+        return QuarantineReason.BAD_DATE, "moderated_at"
 
     if content_created > moderated_at.date():
-        return bad(QuarantineReason.DATE_ORDER, "moderated_at")
+        return QuarantineReason.DATE_ORDER, "moderated_at"
 
-    categories = tuple(c for c in raw["platform_categories"].split(";") if c)
-    annotations = tuple(a for a in raw["annotations"].split(";") if a)
-
+    # positional: the fields are declared in EVENT_FIELD_ORDER
     return ModerationEvent(
-        content_id=raw["content_id"],
-        puid=raw["puid"] or None,
-        content_type=content_type,
-        content_created=content_created,
-        moderated_at=moderated_at,
-        visibility_status=visibility,
-        platform_categories=categories,
-        automated_detection=automated_detection,
-        automated_decision=automated_decision,
-        annotations=annotations,
-        payload=raw["payload"] or None,
+        content_id,
+        puid or None,
+        content_type,
+        content_created,
+        moderated_at,
+        visibility,
+        tuple(c for c in categories.split(";") if c),
+        automated_detection,
+        automated_decision,
+        tuple(a for a in annotations.split(";") if a),
+        payload or None,
     )
+
+
+def parse_event_row(raw: Mapping[str, str]) -> ModerationEvent | QuarantineEntry:
+    """Validate one platform-export row given as a mapping of column name to
+    string; mirrors validate_record's contract."""
+    parse = partial(parse_export_row, {})
+    return _parse_mapping(raw, EVENT_FIELD_ORDER, _EVENT_REQUIRED, _event_values, parse)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ The replication oracle deliberately stays a per-claim full scan over a list;
 it never shares the cell summary it checks. The linkage oracle is the
 quadratic all-pairs candidate list that verify.link's queues and tiers
 replace. The report oracle renders the whole findings list at once, with one
-json.dumps, which report.write_report's per-finding writes replace.
+json.dumps, which report.write_report's per-finding writes replace. The row
+validators take a column-name dict and test every field in turn, as the
+positional parsers sor.parse_dump_row and verify.parse_export_row, behind one
+memo per reader pass, replace.
 """
 
 from __future__ import annotations
@@ -21,14 +24,36 @@ from modaudit.aggregate import FILTERABLE_ATTRIBUTES, PERIOD_FIELDS, Period, Pre
 from modaudit.claims import Claim, Metric, Precision
 from modaudit.report import _CSV_COLUMNS, REPORT_FORMATS, SEVERITY_ORDER, _csv_cell
 from modaudit.sor import (
+    _AUTOMATED_DECISIONS,
+    _BOOLS,
+    _CONTENT_TYPES,
+    _DECISION_GROUNDS,
+    _DECISION_TYPES,
+    _REQUIRED,
+    _SOURCE_TYPES,
+    FIELD_ORDER,
     AutomatedDecision,
+    CategoryTaxonomy,
     ContentType,
     DecisionGround,
     DecisionType,
+    QuarantineEntry,
+    QuarantineReason,
     SorRecord,
     SourceType,
+    parse_date,
 )
-from modaudit.verify import LinkageError, LinkConfig, Linkage, ReconstructedSor
+from modaudit.verify import (
+    _EVENT_REQUIRED,
+    _VISIBILITIES,
+    EVENT_FIELD_ORDER,
+    LinkageError,
+    LinkConfig,
+    Linkage,
+    ModerationEvent,
+    ReconstructedSor,
+    VisibilityStatus,
+)
 
 CODES = ("hate_speech", "misinformation", "nudity", "other")
 PLATFORMS = ("alpha", "beta")
@@ -101,6 +126,188 @@ def random_record(rng: random.Random, i: int) -> SorRecord:
         application_date=application,
         created_at=created,
         puid=f"p-{i:07d}",
+    )
+
+
+def _first_missing(
+    raw: Mapping[str, str], field_order: tuple[str, ...], required: frozenset[str]
+) -> str | None:
+    """The first field in `field_order` that `raw` lacks, or leaves empty
+    although it is `required`; None when there is none."""
+    for name in field_order:
+        value = raw.get(name)
+        if value is None or (value == "" and name in required):
+            return name
+    return None
+
+
+def naive_parse_timestamp(text: str) -> datetime:
+    """Strict YYYY-MM-DDThh:mm:ssZ, with the zone attached afterwards."""
+    if (
+        len(text) != 20
+        or text[4] != "-"
+        or text[7] != "-"
+        or text[10] != "T"
+        or text[13] != ":"
+        or text[16] != ":"
+        or text[19] != "Z"
+    ):
+        raise ValueError(f"bad timestamp {text!r}")
+    return datetime.fromisoformat(text[:19]).replace(tzinfo=timezone.utc)
+
+
+def naive_validate_record(
+    raw: Mapping[str, str], taxonomy: CategoryTaxonomy
+) -> SorRecord | QuarantineEntry:
+    """Field-by-field reference for sor.parse_dump_row over a dump row dict."""
+
+    def bad(reason: QuarantineReason, field_name: str) -> QuarantineEntry:
+        return QuarantineEntry(reason=reason, field=field_name, raw_row=dict(raw))
+
+    missing = _first_missing(raw, FIELD_ORDER, _REQUIRED)
+    if missing is not None:
+        return bad(QuarantineReason.MISSING_FIELD, missing)
+
+    decision_type = _DECISION_TYPES.get(raw["decision_type"])
+    if decision_type is None:
+        return bad(QuarantineReason.BAD_ENUM, "decision_type")
+    decision_ground = _DECISION_GROUNDS.get(raw["decision_ground"])
+    if decision_ground is None:
+        return bad(QuarantineReason.BAD_ENUM, "decision_ground")
+    content_type = _CONTENT_TYPES.get(raw["content_type"])
+    if content_type is None:
+        return bad(QuarantineReason.BAD_ENUM, "content_type")
+    automated_detection = _BOOLS.get(raw["automated_detection"])
+    if automated_detection is None:
+        return bad(QuarantineReason.BAD_ENUM, "automated_detection")
+    automated_decision = _AUTOMATED_DECISIONS.get(raw["automated_decision"])
+    if automated_decision is None:
+        return bad(QuarantineReason.BAD_ENUM, "automated_decision")
+    source_type = _SOURCE_TYPES.get(raw["source_type"])
+    if source_type is None:
+        return bad(QuarantineReason.BAD_ENUM, "source_type")
+
+    category = raw["category"]
+    if category not in taxonomy:
+        return bad(QuarantineReason.UNKNOWN_CATEGORY, "category")
+
+    try:
+        content_date = parse_date(raw["content_date"])
+    except ValueError:
+        return bad(QuarantineReason.BAD_DATE, "content_date")
+    try:
+        application_date = parse_date(raw["application_date"])
+    except ValueError:
+        return bad(QuarantineReason.BAD_DATE, "application_date")
+    try:
+        created_at = naive_parse_timestamp(raw["created_at"])
+    except ValueError:
+        return bad(QuarantineReason.BAD_DATE, "created_at")
+
+    if content_date > application_date:
+        return bad(QuarantineReason.DATE_ORDER, "application_date")
+    if application_date > created_at.date():
+        return bad(QuarantineReason.DATE_ORDER, "created_at")
+
+    if decision_type is DecisionType.OTHER and raw["decision_type_other"] == "":
+        return bad(QuarantineReason.EMPTY_OTHER_TEXT, "decision_type_other")
+    if content_type is ContentType.OTHER and raw["content_type_other"] == "":
+        return bad(QuarantineReason.EMPTY_OTHER_TEXT, "content_type_other")
+
+    return SorRecord(
+        uuid=raw["uuid"],
+        platform_name=raw["platform_name"],
+        decision_type=decision_type,
+        decision_type_other=raw["decision_type_other"] or None,
+        decision_ground=decision_ground,
+        decision_ground_reference_url=raw["decision_ground_reference_url"] or None,
+        illegal_content_explanation=raw["illegal_content_explanation"] or None,
+        category=category,
+        content_type=content_type,
+        content_type_other=raw["content_type_other"] or None,
+        automated_detection=automated_detection,
+        automated_decision=automated_decision,
+        source_type=source_type,
+        content_date=content_date,
+        application_date=application_date,
+        created_at=created_at,
+        puid=raw["puid"] or None,
+    )
+
+
+def naive_parse_event_row(raw: Mapping[str, str]) -> ModerationEvent | QuarantineEntry:
+    """Field-by-field reference for verify.parse_export_row over an export
+    row dict."""
+
+    def bad(reason: QuarantineReason, field_name: str) -> QuarantineEntry:
+        return QuarantineEntry(reason=reason, field=field_name, raw_row=dict(raw))
+
+    missing = _first_missing(raw, EVENT_FIELD_ORDER, _EVENT_REQUIRED)
+    if missing is not None:
+        return bad(QuarantineReason.MISSING_FIELD, missing)
+
+    content_type = _CONTENT_TYPES.get(raw["content_type"])
+    if content_type is None:
+        return bad(QuarantineReason.BAD_ENUM, "content_type")
+    visibility = _VISIBILITIES.get(raw["visibility_status"])
+    if visibility is None:
+        return bad(QuarantineReason.BAD_ENUM, "visibility_status")
+    automated_detection = _BOOLS.get(raw["automated_detection"])
+    if automated_detection is None:
+        return bad(QuarantineReason.BAD_ENUM, "automated_detection")
+    automated_decision = _AUTOMATED_DECISIONS.get(raw["automated_decision"])
+    if automated_decision is None:
+        return bad(QuarantineReason.BAD_ENUM, "automated_decision")
+
+    try:
+        content_created = parse_date(raw["content_created"])
+    except ValueError:
+        return bad(QuarantineReason.BAD_DATE, "content_created")
+    try:
+        moderated_at = naive_parse_timestamp(raw["moderated_at"])
+    except ValueError:
+        return bad(QuarantineReason.BAD_DATE, "moderated_at")
+
+    if content_created > moderated_at.date():
+        return bad(QuarantineReason.DATE_ORDER, "moderated_at")
+
+    categories = tuple(c for c in raw["platform_categories"].split(";") if c)
+    annotations = tuple(a for a in raw["annotations"].split(";") if a)
+
+    return ModerationEvent(
+        content_id=raw["content_id"],
+        puid=raw["puid"] or None,
+        content_type=content_type,
+        content_created=content_created,
+        moderated_at=moderated_at,
+        visibility_status=visibility,
+        platform_categories=categories,
+        automated_detection=automated_detection,
+        automated_decision=automated_decision,
+        annotations=annotations,
+        payload=raw["payload"] or None,
+    )
+
+
+def random_event(rng: random.Random, i: int) -> ModerationEvent:
+    moderated = datetime.combine(
+        SPAN_START + timedelta(days=rng.randrange(SPAN_DAYS)),
+        time(rng.randrange(24), rng.randrange(60), rng.randrange(60)),
+        tzinfo=timezone.utc,
+    )
+    automated = rng.choice(tuple(AutomatedDecision))
+    return ModerationEvent(
+        content_id=f"c-{i:07d}",
+        puid=None if rng.random() < 0.3 else f"p-{i:07d}",
+        content_type=rng.choice(tuple(ContentType)),
+        content_created=moderated.date() - timedelta(days=rng.randrange(20)),
+        moderated_at=moderated,
+        visibility_status=rng.choice(tuple(VisibilityStatus)),
+        platform_categories=tuple(rng.sample(CODES, rng.randint(0, 2))),
+        automated_detection=rng.random() < 0.5,
+        automated_decision=automated,
+        annotations=("account_suspension",) if rng.random() < 0.2 else (),
+        payload=None if rng.random() < 0.5 else f"text {i}",
     )
 
 

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import random
+import subprocess
+import sys
 from collections import Counter
 from datetime import date, timedelta
 from pathlib import Path
@@ -397,8 +399,10 @@ class TestRunPersistence:
             record = json.loads((run_dir / "run.json").read_text())
             assert record["metrics"]["peak_rss_kb"] > 0
             assert record["metrics"]["quarantine_by_reason"] == {"MISSING_FIELD": 1}
+            assert record["metrics"]["quarantine_by_file"] == {"export.csv": 1}
             findings = (run_dir / "findings.json").read_bytes()
-            assert b"peak_rss" not in findings and b"quarantine_by_reason" not in findings
+            for key in (b"peak_rss", b"quarantine_by_reason", b"quarantine_by_file"):
+                assert key not in findings
             written.append(findings)
         assert written[0] == written[1]
 
@@ -407,6 +411,17 @@ class TestRunPersistence:
         run(crosscheck_args(faithful, out, "--format", "markdown"))
         run_dir = only_run_dir(out)
         assert (run_dir / "findings.md").exists()
+
+
+class TestStartup:
+    def test_cli_import_leaves_multiprocessing_out(self):
+        # only --parallel needs it; every other invocation skips its import cost
+        code = "import sys, modaudit.cli; print('multiprocessing' in sys.modules)"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True, check=True
+        )
+        assert out.stdout == "False\n"
 
 
 class TestOtherSubcommands:
