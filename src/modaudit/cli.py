@@ -14,15 +14,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import resource
 import secrets
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timedelta, timezone
+from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Mapping, Sequence, TextIO
 
 from .aggregate import Period
 from .claims import ClaimsError, load_claims
@@ -30,7 +32,7 @@ from .crosscheck import ToleranceSpec, replicate_claims, run_crosscheck
 from .ingest import ExportReader, IngestError, open_corpus, open_platform_export
 from .report import REPORT_FORMATS, Severity, meets_threshold, parse_severity, write_report
 from .sor import CategoryTaxonomy, TaxonomyError, default_taxonomy, informativeness_profile
-from .synth import ScenarioConfig, ScenarioError, generate
+from .synth import ScenarioConfig, ScenarioError, _integer, _number, generate
 from .verify import (
     DEFAULT_DEADLINE_DAYS,
     DIFF_FIELDS,
@@ -62,6 +64,34 @@ class AppConfig:
     severity_threshold: Severity
     parallel: int = 1
     extra_inputs: list[Path] = field(default_factory=list)
+
+
+# Fraction or decimal text of bounded digits, with no exponent and no zero
+# denominator, so that run.json can always print the value as read.
+_FRACTION_TEXT = re.compile(r"[0-9]{1,50}(/0{0,49}[1-9][0-9]{0,49}|\.[0-9]{1,50})?")
+
+
+def _read_value(value: object, default: object, name: str) -> object:
+    """`value` read, uncoerced, as the kind of `default`: bool, int, float or Fraction."""
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ConfigError(f"{name} must be true or false, got {value!r}")
+        return value
+    if isinstance(default, int):
+        return _integer(value, name)
+    if isinstance(default, float):
+        return float(_number(value, name))
+    if not isinstance(value, str):
+        return Fraction(str(_number(value, name)))
+    if not _FRACTION_TEXT.fullmatch(value):
+        raise ConfigError(f'{name} must be a finite number or a fraction such as "7/10", got {value!r}')
+    return Fraction(value)
+
+
+def _read_section(cls, data: Mapping[str, object], section: str):
+    """`cls` built from one config section: an absent field keeps its default."""
+    given = [f for f in fields(cls) if f.name in data]
+    return cls(**{f.name: _read_value(data[f.name], f.default, f"{section}.{f.name}") for f in given})
 
 
 def _resolve_config(args: argparse.Namespace) -> AppConfig:
@@ -102,14 +132,12 @@ def _resolve_config(args: argparse.Namespace) -> AppConfig:
         taxonomy = default_taxonomy()
 
     try:
-        tolerance = ToleranceSpec.from_dict(file_data.get("tolerance", {}) or {})
-        link_config = LinkConfig.from_dict(file_data.get("linkage", {}) or {})
-        deadline_days = file_data.get("deadline_days", DEFAULT_DEADLINE_DAYS)
-        if not isinstance(deadline_days, int) or isinstance(deadline_days, bool) or deadline_days < 0:
-            raise ValueError(f"deadline_days must be a non-negative integer, got {deadline_days!r}")
-        threshold_text = getattr(args, "severity_threshold", None) or file_data.get(
-            "severity_threshold", "warn"
-        )
+        tolerance = _read_section(ToleranceSpec, file_data.get("tolerance") or {}, "tolerance")
+        link_config = _read_section(LinkConfig, file_data.get("linkage") or {}, "linkage")
+        deadline_days = _integer(file_data.get("deadline_days", DEFAULT_DEADLINE_DAYS), "deadline_days")
+        if not 0 <= deadline_days <= timedelta.max.days:
+            raise ValueError(f"deadline_days must be a non-negative integer <= 999999999, got {deadline_days}")
+        threshold_text = getattr(args, "severity_threshold", None) or file_data.get("severity_threshold", "warn")
         threshold = parse_severity(str(threshold_text))
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
@@ -127,25 +155,21 @@ def _resolve_config(args: argparse.Namespace) -> AppConfig:
 
 
 def _config_snapshot(config: AppConfig) -> dict[str, object]:
+    def block(spec) -> dict[str, object]:
+        return {k: str(v) if isinstance(v, Fraction) else v for k, v in asdict(spec).items()}
+
     return {
         "taxonomy": str(config.taxonomy_path) if config.taxonomy_path else "<builtin>",
-        "tolerance": {
-            "absolute_floor": config.tolerance.absolute_floor,
-            "relative": config.tolerance.relative,
-            "rounding_aware": config.tolerance.rounding_aware,
-            "approximate_relative": config.tolerance.approximate_relative,
-        },
-        "linkage": {
-            "category_weight": str(config.link.category_weight),
-            "decision_weight": str(config.link.decision_weight),
-            "time_weight": str(config.link.time_weight),
-            "threshold": str(config.link.threshold),
-            "max_day_distance": config.link.max_day_distance,
-        },
+        "tolerance": block(config.tolerance),
+        "linkage": block(config.link),
         "deadline_days": config.deadline_days,
         "severity_threshold": config.severity_threshold.value,
         "parallel": config.parallel,
     }
+
+
+def _json_text(document: object) -> str:
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
 def _sha256(path: Path) -> str:
@@ -154,35 +178,6 @@ def _sha256(path: Path) -> str:
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
     return digest.hexdigest()
-
-
-@dataclass(frozen=True)
-class AuditRunRecord:
-    """Provenance of one audit run; persisted as run.json, last, and only on
-    successful completion (findings still count as success)."""
-
-    run_id: str
-    timestamp: str
-    command: list[str]
-    config: dict
-    input_digests: dict[str, str]
-    manifest: dict | None
-    finding_counts: dict[str, int]
-    outputs: dict[str, dict[str, str]]  # name -> {path, sha256}
-    metrics: dict[str, object]
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "run_id": self.run_id,
-            "timestamp": self.timestamp,
-            "command": self.command,
-            "config": self.config,
-            "input_digests": self.input_digests,
-            "manifest": self.manifest,
-            "finding_counts": self.finding_counts,
-            "outputs": self.outputs,
-            "metrics": self.metrics,
-        }
 
 
 class RunDir:
@@ -242,30 +237,31 @@ class RunDir:
         with self.open(name) as fh:
             fh.write(text)
 
-    def finish(self, config: AppConfig, manifest: dict | None, finding_counts: dict[str, int]) -> None:
+    def finish(self, config: AppConfig, manifest: dict, finding_counts: dict[str, int]) -> None:
+        """Write manifest.json, then run.json: the resolved config, a digest of
+        every input (the config file included) and of every output, and the
+        run's metrics. run.json is the last file written."""
+        self.write("manifest.json", _json_text(manifest))
         self.close()
-        outputs = {
-            name: {"path": str(path), "sha256": _sha256(path)}
-            for name, path in sorted(self._output_paths.items())
-        }
-        record = AuditRunRecord(
-            run_id=self.run_id,
-            timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            command=self.command,
-            config=_config_snapshot(config),
-            input_digests={str(p): _sha256(p) for p in sorted(set(self.inputs))},
-            manifest=manifest,
-            finding_counts=finding_counts,
-            outputs=outputs,
-            metrics={
+        record = {
+            "run_id": self.run_id,
+            "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            "command": self.command,
+            "config": _config_snapshot(config),
+            "input_digests": {str(p): _sha256(p) for p in sorted({*self.inputs, *config.extra_inputs})},
+            "manifest": manifest,
+            "finding_counts": finding_counts,
+            "outputs": {
+                name: {"path": str(path), "sha256": _sha256(path)}
+                for name, path in sorted(self._output_paths.items())
+            },
+            "metrics": {
                 "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
                 "quarantine_by_reason": dict(self.quarantine_by_reason),
                 "quarantine_by_file": dict(self.quarantine_by_file),
             },
-        )
-        (self.path / "run.json").write_text(
-            json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        }
+        (self.path / "run.json").write_text(_json_text(record), encoding="utf-8")
 
 
 def _finding_counts(findings) -> dict[str, int]:
@@ -273,15 +269,6 @@ def _finding_counts(findings) -> dict[str, int]:
     for f in findings:
         counts[f.severity.value] += 1
     return counts
-
-
-def _exit_for(findings, threshold: Severity) -> int:
-    flagged = sum(1 for f in findings if meets_threshold(f.severity, threshold))
-    return 1 if flagged else 0
-
-
-def _corpus_inputs(reader) -> list[Path]:
-    return list(reader.files)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +283,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         for _ in reader:
             pass
         manifest = reader.manifest.to_dict()
-        run.write("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        run.track_inputs(*_corpus_inputs(reader), *config.extra_inputs)
-        run.finish(config, manifest, {"critical": 0, "warn": 0, "info": 0})
+        run.track_inputs(*reader.files)
+        run.finish(config, manifest, _finding_counts(()))
         print(
             f"validated {manifest['record_count']} record(s), "
             f"quarantined {manifest['quarantine_count']} row(s) -> {run.path}"
@@ -312,10 +298,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         reader = open_corpus(args.corpus, config.taxonomy, run.quarantine_sink())
         profile = informativeness_profile(reader)
         manifest = reader.manifest.to_dict()
-        run.write("profile.json", json.dumps(profile.to_dict(), indent=2, sort_keys=True) + "\n")
-        run.write("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        run.track_inputs(*_corpus_inputs(reader), *config.extra_inputs)
-        run.finish(config, manifest, {"critical": 0, "warn": 0, "info": 0})
+        run.write("profile.json", _json_text(profile.to_dict()))
+        run.track_inputs(*reader.files)
+        run.finish(config, manifest, _finding_counts(()))
         print(f"profiled {manifest['record_count']} record(s) -> {run.path}")
         return 0
 
@@ -338,25 +323,25 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         _resolved, results, _tally = replicate_claims(
             claimset, reader, config.taxonomy, workers=config.parallel
         )
-        manifest = reader.manifest
-        run.write(
-            "results.json",
-            json.dumps([r.to_dict() for r in results], indent=2, sort_keys=True) + "\n",
-        )
-        run.write("manifest.json", json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
-        run.track_inputs(*_corpus_inputs(reader), Path(args.claims), *config.extra_inputs)
-        run.finish(config, manifest.to_dict(), {"critical": 0, "warn": 0, "info": 0})
+        run.write("results.json", _json_text([r.to_dict() for r in results]))
+        run.track_inputs(*reader.files, Path(args.claims))
+        run.finish(config, reader.manifest.to_dict(), _finding_counts(()))
         print(f"replicated {len(results)} claim(s) -> {run.path}")
         return 0
 
 
-def _write_findings(run: RunDir, findings, fmt: str) -> None:
+def _finish_with_findings(run: RunDir, config: AppConfig, manifest: dict, findings, fmt: str, label: str) -> int:
+    """Write the findings files and the run record; return the exit code the
+    findings call for at the severity threshold."""
     with run.open("findings.json") as fh:
         write_report(findings, "json", fh)
     if fmt != "json":
-        suffix = "md" if fmt == "markdown" else fmt
-        with run.open(f"findings.{suffix}") as fh:
+        with run.open(f"findings.{'md' if fmt == 'markdown' else fmt}") as fh:
             write_report(findings, fmt, fh)
+    counts = _finding_counts(findings)
+    run.finish(config, manifest, counts)
+    print(f"{label}: {counts['critical']} critical, {counts['warn']} warn, {counts['info']} info -> {run.path}")
+    return 1 if any(meets_threshold(f.severity, config.severity_threshold) for f in findings) else 0
 
 
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
@@ -368,17 +353,8 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
         findings, _results = run_crosscheck(
             claimset, reader, config.taxonomy, config.tolerance, workers=config.parallel
         )
-        manifest = reader.manifest
-        _write_findings(run, findings, args.format)
-        run.write("manifest.json", json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
-        run.track_inputs(*_corpus_inputs(reader), Path(args.claims), *config.extra_inputs)
-        counts = _finding_counts(findings)
-        run.finish(config, manifest.to_dict(), counts)
-        print(
-            f"cross-check: {counts['critical']} critical, {counts['warn']} warn, "
-            f"{counts['info']} info -> {run.path}"
-        )
-        return _exit_for(findings, config.severity_threshold)
+        run.track_inputs(*reader.files, Path(args.claims))
+        return _finish_with_findings(run, config, reader.manifest.to_dict(), findings, args.format, "cross-check")
 
 
 def _parse_window(args: argparse.Namespace) -> Period | None:
@@ -435,32 +411,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # Fuzzy linkage never pairs two items that both carry a puid.
         puid_pairs = sum(1 for rec, sor in linkage.pairs if rec.puid and sor.puid)
         findings = verify_diff(linkage, config.deadline_days)
-        _write_findings(run, findings, args.format)
         manifest = {
-            "export": {
-                "events": export_reader.event_count,
-                "quarantined": export_reader.quarantine_count,
-            },
+            "export": {"events": export_reader.event_count, "quarantined": export_reader.quarantine_count},
             "corpus": corpus_reader.manifest.to_dict(),
             "window": window.to_json(),
             "reconstructed": len(reconstructed),
             "filed_in_window": len(filed),
             "diffed_fields": list(DIFF_FIELDS),
             "undiffed_fields": list(UNDIFFED_FIELDS),
-            "linkage": {
-                "puid_pairs": puid_pairs,
-                "fuzzy_pairs": len(linkage.pairs) - puid_pairs,
-            },
+            "linkage": {"puid_pairs": puid_pairs, "fuzzy_pairs": len(linkage.pairs) - puid_pairs},
         }
-        run.write("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        run.track_inputs(Path(args.export), *_corpus_inputs(corpus_reader), *config.extra_inputs)
-        counts = _finding_counts(findings)
-        run.finish(config, manifest, counts)
-        print(
-            f"verify: {counts['critical']} critical, {counts['warn']} warn, "
-            f"{counts['info']} info -> {run.path}"
-        )
-        return _exit_for(findings, config.severity_threshold)
+        run.track_inputs(Path(args.export), *corpus_reader.files)
+        return _finish_with_findings(run, config, manifest, findings, args.format, "verify")
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -580,10 +542,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InputError, IngestError, LinkageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (InputError, IngestError, LinkageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

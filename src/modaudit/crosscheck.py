@@ -46,15 +46,6 @@ class ToleranceSpec:
         if not isinstance(self.rounding_aware, bool):
             raise ValueError("rounding_aware must be true or false")
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "ToleranceSpec":
-        return cls(
-            absolute_floor=float(data.get("absolute_floor", 0.0)),  # type: ignore[arg-type]
-            relative=float(data.get("relative", 0.0)),  # type: ignore[arg-type]
-            rounding_aware=data.get("rounding_aware", True),  # type: ignore[arg-type]
-            approximate_relative=float(data.get("approximate_relative", 0.05)),  # type: ignore[arg-type]
-        )
-
 
 def tolerance_bound(
     value: int | Fraction | float, precision: Precision, spec: ToleranceSpec

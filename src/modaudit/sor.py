@@ -258,9 +258,6 @@ class CategoryTaxonomy:
             return target
         return self._folded.get(label.casefold())  # type: ignore[attr-defined]
 
-    def label(self, code: str) -> str:
-        return self.labels.get(code, code)
-
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "CategoryTaxonomy":
         codes = data.get("codes")
@@ -521,14 +518,14 @@ def validate_record(
 
 
 # Optional and conditionally required attributes whose fill rates quantify how
-# informative a corpus is. Values are applicability tests.
-PROFILE_ATTRIBUTES: dict[str, str] = {
-    "decision_ground_reference_url": "always",
-    "illegal_content_explanation": "illegal_ground",
-    "decision_type_other": "decision_other",
-    "content_type_other": "content_other",
-    "puid": "always",
-}
+# informative a corpus is; AttributeFillReport.add decides when each applies.
+PROFILE_ATTRIBUTES: tuple[str, ...] = (
+    "decision_ground_reference_url",
+    "illegal_content_explanation",
+    "decision_type_other",
+    "content_type_other",
+    "puid",
+)
 
 
 @dataclass

@@ -121,12 +121,6 @@ class ModerationEvent:
     annotations: tuple[str, ...]
     payload: str | None
 
-    @property
-    def is_moderated(self) -> bool:
-        if self.visibility_status is not VisibilityStatus.VISIBLE:
-            return True
-        return any(a in ACCOUNT_ANNOTATIONS for a in self.annotations)
-
     def to_row(self) -> dict[str, str]:
         return {
             "content_id": self.content_id,
@@ -378,20 +372,6 @@ class LinkConfig:
             raise ValueError("linkage weights and threshold must be non-negative")
         if self.max_day_distance < 1:
             raise ValueError("max_day_distance must be at least 1")
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "LinkConfig":
-        def frac(key: str, default: Fraction) -> Fraction:
-            value = data.get(key)
-            return default if value is None else Fraction(str(value))
-
-        return cls(
-            category_weight=frac("category_weight", Fraction(1, 2)),
-            decision_weight=frac("decision_weight", Fraction(3, 10)),
-            time_weight=frac("time_weight", Fraction(1, 5)),
-            threshold=frac("threshold", Fraction(7, 10)),
-            max_day_distance=int(data.get("max_day_distance", 3)),  # type: ignore[arg-type]
-        )
 
     def score(self, category_equal: bool, decision_equal: bool, day_distance: int) -> Fraction:
         """Score of a rebuilt/filed pair from its feature comparison; the day

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import random
@@ -322,8 +323,6 @@ class TestRunPersistence:
         assert all(len(d) == 64 for d in record["input_digests"].values())
 
     def test_outputs_exist_and_match_recorded_digests(self, faithful, tmp_path):
-        import hashlib
-
         out = tmp_path / "runs"
         assert run(crosscheck_args(faithful, out)) == 0
         record = json.loads((only_run_dir(out) / "run.json").read_text())
@@ -411,6 +410,37 @@ class TestRunPersistence:
         run(crosscheck_args(faithful, out, "--format", "markdown"))
         run_dir = only_run_dir(out)
         assert (run_dir / "findings.md").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "profile", "replicate", "crosscheck", "verify"])
+    def test_every_subcommand_records_its_run(self, faithful, tmp_path, command):
+        split_dump(faithful / "dump", 2)
+        config = tmp_path / "audit.json"
+        doc = {  # values at the limits of what the config reader takes
+            "tolerance": {"absolute_floor": 0, "relative": 1e300, "approximate_relative": 1e300},
+            "linkage": {"category_weight": "1/2", "decision_weight": 0.3, "threshold": "0.7", "max_day_distance": 1},
+            "deadline_days": 999999999,
+        }
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "runs"
+        own = {"replicate": "claims.json", "crosscheck": "claims.json", "verify": "export.csv"}.get(command)
+        args = [command, "--corpus", str(faithful / "dump"), "--taxonomy", str(faithful / "taxonomy.json")]
+        if own:
+            args += ["--export" if command == "verify" else "--claims", str(faithful / own)]
+        assert run([*args, "--config", str(config), "--out", str(out)]) == 0
+        run_dir = only_run_dir(out)
+        record = json.loads((run_dir / "run.json").read_text())
+        manifest = run_dir / "manifest.json"
+        assert record["outputs"]["manifest.json"]["sha256"] == hashlib.sha256(manifest.read_bytes()).hexdigest()
+        assert json.loads(manifest.read_text()) == record["manifest"]
+        expected = [config, *(faithful / "dump").glob("*.csv"), *([faithful / own] if own else [])]
+        assert len(expected) == 3 + bool(own)
+        for path in expected:
+            assert record["input_digests"][str(path)] == hashlib.sha256(path.read_bytes()).hexdigest(), path
+        assert record["config"]["tolerance"]["absolute_floor"] == 0.0
+        assert isinstance(record["config"]["tolerance"]["absolute_floor"], float)
+        assert record["config"]["linkage"]["decision_weight"] == "3/10"
+        assert record["config"]["linkage"]["threshold"] == "7/10"
+        assert record["config"]["deadline_days"] == 999999999
 
 
 class TestStartup:
@@ -583,8 +613,49 @@ class TestSettingTypes:
             ({"taxonomy": 5}, "'taxonomy' must be a string"),
             ({"deadline_days": -3}, "deadline_days must be a non-negative integer"),
             ({"tolerance": {"rounding_aware": "false"}}, "rounding_aware must be true or false"),
+            (
+                {"tolerance": {"relative": float("inf"), "approximate_relative": float("inf")}},
+                "tolerance.relative must be a finite number",
+            ),
+            ({"tolerance": {"absolute_floor": float("nan")}}, "tolerance.absolute_floor must be a finite number"),
+            ({"tolerance": {"absolute_floor": True}}, "tolerance.absolute_floor must be a finite number"),
+            ({"tolerance": {"relative": "0.1"}}, "tolerance.relative must be a finite number"),
+            ({"tolerance": {"approximate_relative": None}}, "tolerance.approximate_relative must be a finite number"),
+            ({"linkage": {"max_day_distance": 2.7}}, "linkage.max_day_distance must be an integer"),
+            ({"linkage": {"max_day_distance": True}}, "linkage.max_day_distance must be an integer"),
+            ({"linkage": {"max_day_distance": "3"}}, "linkage.max_day_distance must be an integer"),
+            ({"linkage": {"threshold": True}}, "linkage.threshold must be a finite number"),
+            ({"linkage": {"threshold": float("inf")}}, "linkage.threshold must be a finite number"),
+            ({"linkage": {"threshold": "inf"}}, "linkage.threshold must be a finite number or a fraction"),
+            ({"linkage": {"time_weight": "1/0"}}, "linkage.time_weight must be a finite number or a fraction"),
+            ({"linkage": {"threshold": "1e-5000"}}, "linkage.threshold must be a finite number or a fraction"),
+            ({"linkage": {"threshold": "0." + "1" * 51}}, "linkage.threshold must be a finite number or a fraction"),
+            ({"deadline_days": 1000000000}, "deadline_days must be a non-negative integer <= 999999999"),
+            ({"deadline_days": 7.0}, "deadline_days must be an integer"),
         ],
-        ids=["linkage_list", "tolerance_string", "taxonomy_number", "negative_deadline", "rounding_aware_string"],
+        ids=[
+            "linkage_list",
+            "tolerance_string",
+            "taxonomy_number",
+            "negative_deadline",
+            "rounding_aware_string",
+            "infinite_relative",
+            "nan_floor",
+            "boolean_floor",
+            "string_relative",
+            "null_approximate_relative",
+            "fractional_day_distance",
+            "boolean_day_distance",
+            "string_day_distance",
+            "boolean_threshold",
+            "infinite_threshold",
+            "infinite_threshold_string",
+            "zero_denominator_weight",
+            "exponent_fraction_string",
+            "long_fraction_string",
+            "deadline_past_timedelta",
+            "float_deadline",
+        ],
     )
     def test_config_section_of_the_wrong_type_exits_two(self, faithful, tmp_path, capsys, doc, fragment):
         config = tmp_path / "audit.json"
