@@ -32,7 +32,7 @@ from .crosscheck import ToleranceSpec, replicate_claims, run_crosscheck
 from .ingest import ExportReader, IngestError, open_corpus, open_platform_export
 from .report import REPORT_FORMATS, Severity, meets_threshold, parse_severity, write_report
 from .sor import CategoryTaxonomy, TaxonomyError, default_taxonomy, informativeness_profile
-from .synth import ScenarioConfig, ScenarioError, _integer, _number, generate
+from .synth import ScenarioConfig, ScenarioError, _integer, _known_keys, _number, generate
 from .verify import (
     DEFAULT_DEADLINE_DAYS,
     DIFF_FIELDS,
@@ -66,6 +66,8 @@ class AppConfig:
     extra_inputs: list[Path] = field(default_factory=list)
 
 
+_CONFIG_KEYS = ("taxonomy", "tolerance", "linkage", "deadline_days", "severity_threshold")
+
 # Fraction or decimal text of bounded digits, with no exponent and no zero
 # denominator, so that run.json can always print the value as read.
 _FRACTION_TEXT = re.compile(r"[0-9]{1,50}(/0{0,49}[1-9][0-9]{0,49}|\.[0-9]{1,50})?")
@@ -90,6 +92,7 @@ def _read_value(value: object, default: object, name: str) -> object:
 
 def _read_section(cls, data: Mapping[str, object], section: str):
     """`cls` built from one config section: an absent field keeps its default."""
+    _known_keys(data, (f.name for f in fields(cls)), section)
     given = [f for f in fields(cls) if f.name in data]
     return cls(**{f.name: _read_value(data[f.name], f.default, f"{section}.{f.name}") for f in given})
 
@@ -128,10 +131,12 @@ def _resolve_config(args: argparse.Namespace) -> AppConfig:
             raise InputError(f"cannot read taxonomy {taxonomy_path}: {exc}") from None
         except (TaxonomyError, json.JSONDecodeError) as exc:
             raise InputError(f"bad taxonomy {taxonomy_path}: {exc}") from None
+        extra_inputs.append(taxonomy_path)
     else:
         taxonomy = default_taxonomy()
 
     try:
+        _known_keys(file_data, _CONFIG_KEYS, f"config file {config_path}")
         tolerance = _read_section(ToleranceSpec, file_data.get("tolerance") or {}, "tolerance")
         link_config = _read_section(LinkConfig, file_data.get("linkage") or {}, "linkage")
         deadline_days = _integer(file_data.get("deadline_days", DEFAULT_DEADLINE_DAYS), "deadline_days")

@@ -13,23 +13,28 @@ import copy
 import csv
 from dataclasses import dataclass
 from datetime import date, datetime
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, islice
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .sor import (
     FIELD_ORDER,
+    VERDICT_MEMO_LIMIT,
     CategoryTaxonomy,
     Fault,
     QuarantineEntry,
     QuarantineReason,
     SorRecord,
+    _dump_verdict,
     parse_dump_row,
 )
-from .verify import EVENT_FIELD_ORDER, ModerationEvent, parse_export_row
+from .verify import EVENT_FIELD_ORDER, ModerationEvent, _event_verdict, parse_export_row
 
 _T = TypeVar("_T")
+_application_date = attrgetter("application_date")
+_moderated_at = attrgetter("moderated_at")
 
 
 class IngestError(RuntimeError):
@@ -40,6 +45,10 @@ class IngestError(RuntimeError):
 
 @dataclass(frozen=True)
 class CorpusManifest:
+    """Totals of a complete pass over CSV files: the rows kept and
+    quarantined, and the least and greatest date of the kept records (the
+    moderation times, for a platform export)."""
+
     files: tuple[str, ...]
     record_count: int
     quarantine_count: int
@@ -54,6 +63,18 @@ class CorpusManifest:
             if self.date_range is None
             else [self.date_range[0].isoformat(), self.date_range[1].isoformat()],
         }
+
+    @classmethod
+    def merge(cls, parts: Sequence["CorpusManifest"]) -> "CorpusManifest":
+        """The manifest of the files of `parts`, in order: counts summed, and
+        the least and greatest of their ranges."""
+        ranges = [p.date_range for p in parts if p.date_range is not None]
+        return cls(
+            files=tuple(name for p in parts for name in p.files),
+            record_count=sum(p.record_count for p in parts),
+            quarantine_count=sum(p.quarantine_count for p in parts),
+            date_range=(min(lo for lo, _ in ranges), max(hi for _, hi in ranges)) if ranges else None,
+        )
 
 
 def _first_non_utf8_line(path: Path) -> int:
@@ -71,18 +92,25 @@ def _stream_rows(
     path: Path,
     field_order: tuple[str, ...],
     parse: Callable[[list[str]], _T | Fault],
+    key: Callable[[_T], date],
     on_quarantine: Callable[[QuarantineEntry], None],
+    manifests: list[CorpusManifest],
 ) -> Iterator[_T]:
     """Stream the parsed rows of one CSV file whose header is `field_order`.
 
     `parse` gets each row of the right width as its list of strings and
     returns a record or a (reason, field) fault. Rows of the wrong width and
     rows `parse` rejects go to the sink as entries located by file name and
-    line; only these rows become a column-name dict. An unreadable file, a
-    wrong header, non-UTF-8 bytes or malformed CSV raise IngestError.
+    line; only these rows become a column-name dict. Once the file is read
+    through, its manifest goes onto `manifests`: the rows kept and
+    quarantined, and the least and greatest `key` of the kept records. An
+    unreadable file, a wrong header, non-UTF-8 bytes or malformed CSV raise
+    IngestError.
     """
     name = path.name
     n_fields = len(field_order)
+    kept = quarantined = 0
+    least = greatest = None
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -93,11 +121,18 @@ def _stream_rows(
                 if len(row) == n_fields:
                     result = parse(row)
                     if result.__class__ is not tuple:
+                        kept += 1
+                        moment = key(result)  # type: ignore[arg-type]
+                        if least is None or moment < least:
+                            least = moment
+                        if greatest is None or moment > greatest:
+                            greatest = moment
                         yield result  # type: ignore[misc]
                         continue
                     reason, field = result  # type: ignore[misc]
                 else:
                     reason, field = QuarantineReason.MISSING_FIELD, "row_shape"
+                quarantined += 1
                 raw = dict(zip(field_order, row))
                 on_quarantine(QuarantineEntry(reason, field, raw, name, reader.line_num))
     except OSError as exc:
@@ -107,6 +142,8 @@ def _stream_rows(
         raise IngestError(f"{path}: line {line}: not valid UTF-8 ({exc.reason})") from None
     except csv.Error as exc:
         raise IngestError(f"{path}: line {reader.line_num}: malformed CSV ({exc})") from None
+    date_range = None if least is None else (least, greatest)
+    manifests.append(CorpusManifest((name,), kept, quarantined, date_range))  # type: ignore[arg-type]
 
 
 class CorpusReader:
@@ -137,34 +174,13 @@ class CorpusReader:
     def __iter__(self) -> Iterator[SorRecord]:
         self._manifest = None
         self.quarantine = []
-        record_count = 0
-        quarantine_count = 0
-        min_date: date | None = None
-        max_date: date | None = None
         sink = self._sink or self.quarantine.append
-        parse = partial(parse_dump_row, self.taxonomy, {})  # a fresh verdict memo per pass
-
-        def quarantined(entry: QuarantineEntry) -> None:
-            nonlocal quarantine_count
-            quarantine_count += 1
-            sink(entry)
-
+        verdicts = lru_cache(maxsize=VERDICT_MEMO_LIMIT)(partial(_dump_verdict, self.taxonomy))
+        parse = partial(parse_dump_row, verdicts)
+        parts: list[CorpusManifest] = []
         for path in self.files:
-            for result in _stream_rows(path, FIELD_ORDER, parse, quarantined):
-                record_count += 1
-                d = result.application_date
-                if min_date is None or d < min_date:
-                    min_date = d
-                if max_date is None or d > max_date:
-                    max_date = d
-                yield result
-
-        self._manifest = CorpusManifest(
-            files=tuple(p.name for p in self.files),
-            record_count=record_count,
-            quarantine_count=quarantine_count,
-            date_range=None if min_date is None else (min_date, max_date),  # type: ignore[arg-type]
-        )
+            yield from _stream_rows(path, FIELD_ORDER, parse, _application_date, sink, parts)
+        self._manifest = CorpusManifest.merge(parts)
 
     @property
     def manifest(self) -> CorpusManifest:
@@ -190,14 +206,7 @@ class CorpusReader:
         for part in parts:
             for entry in part.quarantine:
                 sink(entry)
-        manifests = [part.manifest for part in parts]
-        ranges = [m.date_range for m in manifests if m.date_range is not None]
-        self._manifest = CorpusManifest(
-            files=tuple(p.name for p in self.files),
-            record_count=sum(m.record_count for m in manifests),
-            quarantine_count=sum(m.quarantine_count for m in manifests),
-            date_range=(min(lo for lo, _ in ranges), max(hi for _, hi in ranges)) if ranges else None,
-        )
+        self._manifest = CorpusManifest.merge([part.manifest for part in parts])
 
 
 def open_corpus(
@@ -211,7 +220,7 @@ def open_corpus(
 class ExportReader:
     """Iterable over the moderation events of one platform-export file.
 
-    A complete pass leaves the counts of events and quarantined rows, and the
+    A complete pass sets the counts of events and quarantined rows, and the
     earliest and latest moderation time (None without events).
     """
 
@@ -231,27 +240,14 @@ class ExportReader:
 
     def __iter__(self) -> Iterator[ModerationEvent]:
         self.quarantine = []
-        self.event_count = 0
-        self.quarantine_count = 0
-        self.moderated_range = None
         sink = self._sink or self.quarantine.append
-        first: datetime | None = None
-        last: datetime | None = None
-
-        def quarantined(entry: QuarantineEntry) -> None:
-            self.quarantine_count += 1
-            sink(entry)
-
-        parse = partial(parse_export_row, {})  # a fresh verdict memo per pass
-        for event in _stream_rows(self.path, EVENT_FIELD_ORDER, parse, quarantined):
-            self.event_count += 1
-            moment = event.moderated_at
-            if first is None or moment < first:
-                first = moment
-            if last is None or moment > last:
-                last = moment
-            yield event
-        self.moderated_range = None if first is None else (first, last)  # type: ignore[assignment]
+        parse = partial(parse_export_row, lru_cache(maxsize=VERDICT_MEMO_LIMIT)(_event_verdict))
+        parts: list[CorpusManifest] = []
+        yield from _stream_rows(self.path, EVENT_FIELD_ORDER, parse, _moderated_at, sink, parts)
+        (manifest,) = parts
+        self.event_count = manifest.record_count
+        self.quarantine_count = manifest.quarantine_count
+        self.moderated_range = manifest.date_range  # type: ignore[assignment]
 
 
 def open_platform_export(

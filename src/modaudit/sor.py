@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
@@ -140,9 +140,9 @@ Fault = tuple[QuarantineReason, str]
 # The decoded enum and bool columns of a row, or the fault of the first bad one.
 Verdict = tuple[tuple, None] | tuple[None, Fault]
 
-# Entries a per-pass verdict memo holds at most. The memo keeps only
-# combinations that pass, so every key string is an enum value or a category
-# code; these repeat, and real data stays far below the limit.
+# Entries a per-pass verdict memo holds at most, the least recently used
+# leaving first. Faults are kept too; valid rows repeat their enum values and
+# category codes, and real data stays far below the limit.
 VERDICT_MEMO_LIMIT = 4096
 
 
@@ -169,26 +169,8 @@ class SorRecord:
     puid: str | None
 
     def to_row(self) -> dict[str, str]:
-        """Render the record back into its CSV row form (absent fields as '')."""
-        return {
-            "uuid": self.uuid,
-            "platform_name": self.platform_name,
-            "decision_type": self.decision_type.value,
-            "decision_type_other": self.decision_type_other or "",
-            "decision_ground": self.decision_ground.value,
-            "decision_ground_reference_url": self.decision_ground_reference_url or "",
-            "illegal_content_explanation": self.illegal_content_explanation or "",
-            "category": self.category,
-            "content_type": self.content_type.value,
-            "content_type_other": self.content_type_other or "",
-            "automated_detection": "true" if self.automated_detection else "false",
-            "automated_decision": self.automated_decision.value,
-            "source_type": self.source_type.value,
-            "content_date": self.content_date.isoformat(),
-            "application_date": self.application_date.isoformat(),
-            "created_at": format_timestamp(self.created_at),
-            "puid": self.puid or "",
-        }
+        """Render the record back into its CSV row form."""
+        return {name: render_cell(getattr(self, name)) for name in FIELD_ORDER}
 
 
 @dataclass(frozen=True)
@@ -321,18 +303,8 @@ def parse_date(text: str) -> date:
     return date.fromisoformat(text)
 
 
-_DATE_MEMO: dict[str, date] = {}
-
-
-def _parse_date_memo(text: str) -> date:
-    # Dump dates repeat heavily; memoise with a size guard against garbage input.
-    d = _DATE_MEMO.get(text)
-    if d is None:
-        d = parse_date(text)
-        if len(_DATE_MEMO) > 4096:
-            _DATE_MEMO.clear()
-        _DATE_MEMO[text] = d
-    return d
+# Dump dates repeat heavily; the bound guards against garbage input.
+_parse_date_memo = lru_cache(maxsize=4096)(parse_date)
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -356,6 +328,27 @@ def format_timestamp(dt: datetime) -> str:
     return f"{dt.year:04d}-{dt.month:02d}-{dt.day:02d}T{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}Z"
 
 
+def render_cell(value: object) -> str:
+    """One field of a record as CSV text: None as "", an enum as its value, a
+    bool as true/false, a timestamp or date in the format its parser takes,
+    and a tuple of strings joined by ";"."""
+    if value.__class__ is str:  # most fields: tested first for speed
+        return value
+    if value is None:
+        return ""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, datetime):  # before date: a datetime is a date
+        return format_timestamp(value)
+    if isinstance(value, date):
+        return value.isoformat()
+    if isinstance(value, tuple):
+        return ";".join(value)
+    return str(value)
+
+
 def _enum_verdict(columns: Sequence[tuple[str, Mapping[str, object]]], values: Sequence[str]) -> Verdict:
     """Decode `values` through the tables of `columns`, pairwise and in order;
     the first value its table lacks is a BAD_ENUM fault of that column."""
@@ -366,14 +359,6 @@ def _enum_verdict(columns: Sequence[tuple[str, Mapping[str, object]]], values: S
             return None, (QuarantineReason.BAD_ENUM, name)
         members.append(member)
     return tuple(members), None
-
-
-def _remember(memo: dict[tuple[str, ...], tuple], key: tuple[str, ...], members: tuple) -> None:
-    """Store `members` under `key` in a per-pass memo, emptying the memo first
-    when it holds VERDICT_MEMO_LIMIT entries."""
-    if len(memo) >= VERDICT_MEMO_LIMIT:
-        memo.clear()
-    memo[key] = members
 
 
 def _first_empty(row: Sequence[str], field_order: tuple[str, ...], indices: tuple[int, ...]) -> Fault:
@@ -407,33 +392,28 @@ def _parse_mapping(
     return result  # type: ignore[return-value]
 
 
-def _dump_verdict(key: tuple[str, ...], taxonomy: CategoryTaxonomy) -> Verdict:
+def _dump_verdict(taxonomy: CategoryTaxonomy, key: tuple[str, ...]) -> Verdict:
+    """The verdict on a dump row's enum, bool and category strings, in
+    _verdict_key order."""
     verdict = _enum_verdict(_DUMP_ENUMS, key)
     if verdict[1] is None and key[-1] not in taxonomy:
         return None, (QuarantineReason.UNKNOWN_CATEGORY, "category")
     return verdict
 
 
-def parse_dump_row(
-    taxonomy: CategoryTaxonomy, memo: dict[tuple[str, ...], tuple], row: Sequence[str]
-) -> SorRecord | Fault:
+def parse_dump_row(verdicts: Callable[[tuple[str, ...]], Verdict], row: Sequence[str]) -> SorRecord | Fault:
     """Validate one dump row, a sequence of strings in FIELD_ORDER. Total and
     deterministic: returns a SorRecord or the fault of the first failed check,
     never raises on data.
 
-    `memo` maps the enum, bool and category strings of rows that pass those
-    checks to the decoded members. It holds one reader pass, since category
-    validity depends on `taxonomy`; a row that fails them is decided afresh.
+    `verdicts` is _dump_verdict bound to a taxonomy: a reader pass memoizes it,
+    a lone call does not.
     """
     if "" in _required_values(row):
         return _first_empty(row, FIELD_ORDER, _REQUIRED_INDICES)
-    key = _verdict_key(row)
-    members = memo.get(key)
-    if members is None:
-        members, fault = _dump_verdict(key, taxonomy)
-        if fault is not None:
-            return fault
-        _remember(memo, key, members)
+    members, fault = verdicts(_verdict_key(row))
+    if fault is not None:
+        return fault
     (
         decision_type,
         decision_ground,
@@ -514,7 +494,8 @@ def validate_record(
     Total and deterministic: always returns exactly one of SorRecord or
     QuarantineEntry, never raises on data.
     """
-    return _parse_mapping(raw, FIELD_ORDER, _REQUIRED, _row_values, partial(parse_dump_row, taxonomy, {}))
+    parse = partial(parse_dump_row, partial(_dump_verdict, taxonomy))
+    return _parse_mapping(raw, FIELD_ORDER, _REQUIRED, _row_values, parse)
 
 
 # Optional and conditionally required attributes whose fill rates quantify how

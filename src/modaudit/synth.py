@@ -15,11 +15,11 @@ from __future__ import annotations
 import json
 import random
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import date, datetime, time, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .aggregate import Period, PeriodError
 from .claims import parse_number, percent_text
@@ -45,6 +45,14 @@ def _object(value: object, name: str) -> Mapping[str, object]:
     if not isinstance(value, Mapping):
         raise ScenarioError(f"{name} must be a JSON object, got {value!r}")
     return value
+
+
+def _known_keys(data: Mapping[str, object], known: Iterable[str], name: str) -> None:
+    """Refuse a key of `data` outside `known`: a misspelt setting would
+    otherwise leave its default in force without a word."""
+    unknown = sorted(set(data).difference(known))
+    if unknown:
+        raise ScenarioError(f"{name}: unknown key {unknown[0]!r}")
 
 
 def _integer(value: object, name: str) -> int:
@@ -105,12 +113,14 @@ class InjectionSpec:
     @classmethod
     def from_dict(cls, data: object) -> "InjectionSpec":
         data = _object(data, "injections")
+        _known_keys(data, (*_RATES, "claim_perturbations", "strip_puid"), "injections")
         entries = data.get("claim_perturbations", [])
         if not isinstance(entries, list):
             raise ScenarioError(f"claim_perturbations must be a JSON array, got {entries!r}")
         perturbations = []
         for entry in entries:
             entry = _object(entry, "a claim perturbation")
+            _known_keys(entry, ("claim_id", "delta", "factor"), "a claim perturbation")
             delta, factor = entry.get("delta"), entry.get("factor")
             perturbations.append(
                 ClaimPerturbation(
@@ -176,6 +186,7 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, data: object) -> "ScenarioConfig":
         data = _object(data, "scenario config")
+        _known_keys(data, [f.name for f in fields(cls)], "scenario config")
         try:
             return cls(
                 seed=_integer(data["seed"], "seed"),

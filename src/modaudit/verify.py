@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import partial
 from operator import itemgetter
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 from .aggregate import Period
 from .report import SEVERITY_RANK, Severity
@@ -34,13 +34,13 @@ from .sor import (
     QuarantineEntry,
     QuarantineReason,
     SorRecord,
+    Verdict,
     _enum_verdict,
     _first_empty,
     _parse_date_memo,
     _parse_mapping,
-    _remember,
-    format_timestamp,
     parse_timestamp,
+    render_cell,
 )
 
 
@@ -103,6 +103,8 @@ _EVENT_REQUIRED_INDICES = tuple(i for i, name in enumerate(EVENT_FIELD_ORDER) if
 _event_required_values = itemgetter(*_EVENT_REQUIRED_INDICES)
 _event_values = itemgetter(*EVENT_FIELD_ORDER)
 _event_verdict_key = itemgetter(*(EVENT_FIELD_ORDER.index(name) for name, _ in _EVENT_ENUMS))
+# The verdict on an export row's enum and bool strings, in _event_verdict_key order.
+_event_verdict = partial(_enum_verdict, _EVENT_ENUMS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,35 +124,20 @@ class ModerationEvent:
     payload: str | None
 
     def to_row(self) -> dict[str, str]:
-        return {
-            "content_id": self.content_id,
-            "puid": self.puid or "",
-            "content_type": self.content_type.value,
-            "content_created": self.content_created.isoformat(),
-            "moderated_at": format_timestamp(self.moderated_at),
-            "visibility_status": self.visibility_status.value,
-            "platform_categories": ";".join(self.platform_categories),
-            "automated_detection": "true" if self.automated_detection else "false",
-            "automated_decision": self.automated_decision.value,
-            "annotations": ";".join(self.annotations),
-            "payload": self.payload or "",
-        }
+        return {name: render_cell(getattr(self, name)) for name in EVENT_FIELD_ORDER}
 
 
-def parse_export_row(memo: dict[tuple[str, ...], tuple], row: Sequence[str]) -> ModerationEvent | Fault:
+def parse_export_row(
+    verdicts: Callable[[tuple[str, ...]], Verdict], row: Sequence[str]
+) -> ModerationEvent | Fault:
     """Validate one platform-export row, a sequence of strings in
-    EVENT_FIELD_ORDER; mirrors parse_dump_row's contract. `memo` maps the
-    enum and bool strings of rows that pass those checks to the decoded
-    members, for one reader pass."""
+    EVENT_FIELD_ORDER; mirrors parse_dump_row's contract. `verdicts` is
+    _event_verdict, memoized by a reader pass."""
     if "" in _event_required_values(row):
         return _first_empty(row, EVENT_FIELD_ORDER, _EVENT_REQUIRED_INDICES)
-    key = _event_verdict_key(row)
-    members = memo.get(key)
-    if members is None:
-        members, fault = _enum_verdict(_EVENT_ENUMS, key)
-        if fault is not None:
-            return fault
-        _remember(memo, key, members)
+    members, fault = verdicts(_event_verdict_key(row))
+    if fault is not None:
+        return fault
     content_type, visibility, automated_detection, automated_decision = members
     content_id, puid, _, created_text, moderated_text, _, categories, _, _, annotations, payload = row
 
@@ -185,7 +172,7 @@ def parse_export_row(memo: dict[tuple[str, ...], tuple], row: Sequence[str]) -> 
 def parse_event_row(raw: Mapping[str, str]) -> ModerationEvent | QuarantineEntry:
     """Validate one platform-export row given as a mapping of column name to
     string; mirrors validate_record's contract."""
-    parse = partial(parse_export_row, {})
+    parse = partial(parse_export_row, _event_verdict)
     return _parse_mapping(raw, EVENT_FIELD_ORDER, _EVENT_REQUIRED, _event_values, parse)
 
 
@@ -625,16 +612,6 @@ class VerificationFinding:
         }
 
 
-def _render(value: object) -> str:
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, date):
-        return value.isoformat()
-    return str(value)
-
-
 def sort_verification_findings(findings: list[VerificationFinding]) -> list[VerificationFinding]:
     findings.sort(
         key=lambda f: (
@@ -689,7 +666,7 @@ def verify_diff(linkage: Linkage, deadline_days: int = DEFAULT_DEADLINE_DAYS) ->
             expected = getattr(rec, name)
             filed_value = getattr(sor, name)
             if expected != filed_value:
-                diffs.append((name, _render(expected), _render(filed_value)))
+                diffs.append((name, render_cell(expected), render_cell(filed_value)))
         clean = True
         if diffs:
             clean = False

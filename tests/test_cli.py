@@ -420,10 +420,15 @@ class TestRunPersistence:
             "linkage": {"category_weight": "1/2", "decision_weight": 0.3, "threshold": "0.7", "max_day_distance": 1},
             "deadline_days": 999999999,
         }
+        taxonomy = faithful / "taxonomy.json"
+        args = [command, "--corpus", str(faithful / "dump")]
+        if command in ("profile", "verify"):  # the taxonomy named in the config file
+            doc["taxonomy"] = str(taxonomy)
+        else:
+            args += ["--taxonomy", str(taxonomy)]
         config.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "runs"
         own = {"replicate": "claims.json", "crosscheck": "claims.json", "verify": "export.csv"}.get(command)
-        args = [command, "--corpus", str(faithful / "dump"), "--taxonomy", str(faithful / "taxonomy.json")]
         if own:
             args += ["--export" if command == "verify" else "--claims", str(faithful / own)]
         assert run([*args, "--config", str(config), "--out", str(out)]) == 0
@@ -432,8 +437,9 @@ class TestRunPersistence:
         manifest = run_dir / "manifest.json"
         assert record["outputs"]["manifest.json"]["sha256"] == hashlib.sha256(manifest.read_bytes()).hexdigest()
         assert json.loads(manifest.read_text()) == record["manifest"]
-        expected = [config, *(faithful / "dump").glob("*.csv"), *([faithful / own] if own else [])]
-        assert len(expected) == 3 + bool(own)
+        expected = [config, taxonomy, *(faithful / "dump").glob("*.csv"), *([faithful / own] if own else [])]
+        assert len(expected) == 4 + bool(own)
+        assert len(record["input_digests"]) == len(expected)
         for path in expected:
             assert record["input_digests"][str(path)] == hashlib.sha256(path.read_bytes()).hexdigest(), path
         assert record["config"]["tolerance"]["absolute_floor"] == 0.0
@@ -632,6 +638,9 @@ class TestSettingTypes:
             ({"linkage": {"threshold": "0." + "1" * 51}}, "linkage.threshold must be a finite number or a fraction"),
             ({"deadline_days": 1000000000}, "deadline_days must be a non-negative integer <= 999999999"),
             ({"deadline_days": 7.0}, "deadline_days must be an integer"),
+            ({"deadline": 1}, "audit.json: unknown key 'deadline'"),
+            ({"tolerance": {"absolut_floor": 10000}}, "tolerance: unknown key 'absolut_floor'"),
+            ({"linkage": {"treshold": 0.1}}, "linkage: unknown key 'treshold'"),
         ],
         ids=[
             "linkage_list",
@@ -655,6 +664,9 @@ class TestSettingTypes:
             "long_fraction_string",
             "deadline_past_timedelta",
             "float_deadline",
+            "unknown_top_level_key",
+            "unknown_tolerance_key",
+            "unknown_linkage_key",
         ],
     )
     def test_config_section_of_the_wrong_type_exits_two(self, faithful, tmp_path, capsys, doc, fragment):
@@ -692,6 +704,12 @@ class TestSettingTypes:
                 {**SCENARIO, "injections": {"claim_perturbations": [{"claim_id": "examplehub-total", "delta": "x"}]}},
                 "delta must be a finite number",
             ),
+            ({**SCENARIO, "volumne": 150}, "scenario config: unknown key 'volumne'"),
+            ({**SCENARIO, "injections": {"drop_sor_rat": 0.05}}, "injections: unknown key 'drop_sor_rat'"),
+            (
+                {**SCENARIO, "injections": {"claim_perturbations": [{"claim_id": "examplehub-total", "delat": 5}]}},
+                "a claim perturbation: unknown key 'delat'",
+            ),
         ],
         ids=[
             "top_level_array",
@@ -704,6 +722,9 @@ class TestSettingTypes:
             "rate_string",
             "perturbation_string",
             "delta_string",
+            "unknown_top_level_key",
+            "unknown_injection_key",
+            "unknown_perturbation_key",
         ],
     )
     def test_scenario_of_the_wrong_type_exits_two(self, tmp_path, capsys, doc, fragment):

@@ -1,21 +1,26 @@
 from __future__ import annotations
 
 import csv
-from datetime import date, timedelta
+import random
+from datetime import date, datetime, timedelta, timezone
 
 import pytest
 
+from modaudit.aggregate import replicate_all
 from modaudit.ingest import (
+    CorpusManifest,
     IngestError,
     open_corpus,
     open_platform_export,
     write_dump,
     write_export,
 )
+from modaudit.parallel import parallel_replicate
 from modaudit.sor import FIELD_ORDER, QuarantineReason, default_taxonomy
 from modaudit.verify import EVENT_FIELD_ORDER
 
 from .conftest import make_record, make_row
+from .oracles import random_count_claim
 
 
 def write_rows(path, rows, header=FIELD_ORDER):
@@ -117,6 +122,41 @@ class TestOpenCorpus:
             ms.date_range,
         )
 
+    def test_manifest_of_three_files_is_the_same_serial_joined_and_parallel(self, tmp_path, taxonomy):
+        recs = [fix_dates(r) for r in records(9)]  # 2024-01-05 .. 2024-01-13
+        dump = tmp_path / "dump"
+        dump.mkdir()
+        # quarantined rows in the first and last file, dated outside the kept range
+        bad = [make_row(application_date=day, decision_type="BOGUS") for day in ("2024-01-01", "2024-02-01")]
+        for n, extra in enumerate(([bad[0]], [], [bad[1]])):
+            write_rows(dump / f"part-{n:05d}.csv", [r.to_row() for r in recs[3 * n : 3 * n + 3]] + extra)
+        with open(dump / "part-00002.csv", "a", encoding="utf-8") as fh:
+            fh.write("not,a,row\n")
+        expected = CorpusManifest(
+            files=("part-00000.csv", "part-00001.csv", "part-00002.csv"),
+            record_count=9,
+            quarantine_count=3,
+            date_range=(date(2024, 1, 5), date(2024, 1, 13)),
+        )
+
+        serial = open_corpus(dump, taxonomy)
+        assert list(serial) == recs
+        assert serial.manifest == expected
+
+        joined = open_corpus(dump, taxonomy)
+        parts = joined.split()
+        assert [r for part in parts for r in part] == recs
+        assert [p.manifest.quarantine_count for p in parts] == [1, 0, 2]
+        joined.join(parts)
+        assert joined.manifest == expected
+        assert joined.quarantine == serial.quarantine
+
+        parallel = open_corpus(dump, taxonomy)
+        claims = [random_count_claim(random.Random(3), "all")]
+        assert parallel_replicate(parallel, claims, 2) == replicate_all(claims, recs)
+        assert parallel.manifest == expected
+        assert parallel.quarantine == serial.quarantine
+
     def test_unreadable_file_aborts_naming_it(self, tmp_path, taxonomy):
         trap = tmp_path / "oops.csv"
         trap.mkdir()  # a directory with a .csv name: open() fails
@@ -186,6 +226,27 @@ class TestOpenPlatformExport:
         reader = open_platform_export(path)
         assert list(reader) == []
         assert reader.quarantine[0].reason is QuarantineReason.DATE_ORDER
+
+    def test_moderated_range_and_counts_cover_kept_events_only(self, tmp_path):
+        path = tmp_path / "export.csv"
+        rows = [
+            make_event_row(content_id="c-0", moderated_at="2024-01-12T08:00:00Z"),
+            # quarantined rows, moderated before and after every kept event
+            make_event_row(content_id="c-1", moderated_at="2024-01-11T00:00:00Z", content_type="BOGUS"),
+            make_event_row(content_id="c-2", moderated_at="2024-01-10T23:59:59Z"),
+            make_event_row(content_id="c-3", moderated_at="2024-01-13T07:00:00Z", content_created="2024-01-14"),
+            make_event_row(content_id="c-4", moderated_at="2024-01-11T10:30:00Z"),
+        ]
+        write_rows(path, rows, header=EVENT_FIELD_ORDER)
+        reader = open_platform_export(path)
+        assert reader.moderated_range is None
+        assert [e.content_id for e in reader] == ["c-0", "c-2", "c-4"]
+        assert (reader.event_count, reader.quarantine_count) == (3, 2)
+        assert reader.moderated_range == (
+            datetime(2024, 1, 10, 23, 59, 59, tzinfo=timezone.utc),
+            datetime(2024, 1, 12, 8, tzinfo=timezone.utc),
+        )
+        assert [e.reason for e in reader.quarantine] == [QuarantineReason.BAD_ENUM, QuarantineReason.DATE_ORDER]
 
     def test_caller_side_window_filter(self, tmp_path):
         path = tmp_path / "export.csv"

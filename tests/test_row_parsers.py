@@ -13,30 +13,42 @@ import csv
 import random
 import tempfile
 from dataclasses import replace
-from datetime import timezone
-from functools import partial
+from datetime import date, datetime, timezone
+from functools import lru_cache, partial
 from itertools import zip_longest
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modaudit.ingest import ExportReader, _stream_rows, open_corpus
+from modaudit import ingest
+from modaudit.ingest import CorpusManifest, ExportReader, _stream_rows, open_corpus
 from modaudit.sor import (
     FIELD_ORDER,
     VERDICT_MEMO_LIMIT,
     CategoryTaxonomy,
+    DecisionType,
     QuarantineEntry,
     QuarantineReason,
     SorRecord,
+    _dump_verdict,
     parse_dump_row,
+    render_cell,
     validate_record,
 )
-from modaudit.verify import EVENT_FIELD_ORDER, parse_event_row
+from modaudit.verify import (
+    EVENT_FIELD_ORDER,
+    _event_verdict,
+    _event_verdict_key,
+    parse_event_row,
+    parse_export_row,
+)
 
 from .conftest import make_row
 from .oracles import (
+    CODES,
     naive_parse_event_row,
     naive_validate_record,
     random_event,
@@ -293,17 +305,19 @@ class TestVerdictMemo:
         path = tmp_path / "part-00000.csv"
         write_csv(path, FIELD_ORDER, rows)
 
-        memo: dict = {}
+        verdicts = pass_verdicts(TAXONOMY)
         sizes, faults = [], []
 
         def sink(entry: QuarantineEntry) -> None:
-            sizes.append(len(memo))
+            sizes.append(verdicts.cache_info().currsize)
             faults.append((entry.reason, entry.field))
 
-        parse = partial(parse_dump_row, TAXONOMY, memo)
-        assert list(_stream_rows(path, FIELD_ORDER, parse, sink)) == []
+        parts: list[CorpusManifest] = []
+        assert list(stream_dump(path, verdicts, sink, parts)) == []
         assert faults == [(QuarantineReason.BAD_ENUM, "decision_type")] * n
-        assert max(sizes) <= VERDICT_MEMO_LIMIT < n
+        # faults are memoized too, and the least recently used leave first
+        assert max(sizes) == VERDICT_MEMO_LIMIT < n
+        assert parts == [CorpusManifest(("part-00000.csv",), 0, n, None)]
 
         reader = open_corpus(tmp_path, TAXONOMY)
         assert list(reader) == []
@@ -316,17 +330,91 @@ class TestVerdictMemo:
         path = tmp_path / "part-00000.csv"
         write_csv(path, FIELD_ORDER, rows)
 
-        memo: dict = {}
+        verdicts = pass_verdicts(CategoryTaxonomy(codes=codes))
         sizes = []
-        parse = partial(parse_dump_row, CategoryTaxonomy(codes=codes), memo)
-        for record in _stream_rows(path, FIELD_ORDER, parse, pytest.fail):
-            sizes.append(len(memo))
+        for record in stream_dump(path, verdicts, pytest.fail, []):
+            sizes.append(verdicts.cache_info().currsize)
             assert record.category == codes[len(sizes) - 1]
         assert len(sizes) == n and max(sizes) == VERDICT_MEMO_LIMIT
 
+    def test_every_reader_pass_builds_its_own_bounded_memo(self, tmp_path, monkeypatch):
+        built = []
+
+        def recording_lru_cache(maxsize):
+            def wrap(function):
+                built.append(lru_cache(maxsize=maxsize)(function))
+                return built[-1]
+
+            return wrap
+
+        monkeypatch.setattr(ingest, "lru_cache", recording_lru_cache)
+        write_csv(tmp_path / "part-00000.csv", FIELD_ORDER, [dump_row(decision_type="BAD_1"), dump_row()])
+        events = event_rows(5, 3)
+        write_csv(tmp_path / "export.txt", EVENT_FIELD_ORDER, events)
+        reader = open_corpus(tmp_path, TAXONOMY)
+        assert len(list(reader)) == len(list(reader)) == 1
+        list(ExportReader(tmp_path / "export.txt"))
+        # a fault and a pass in each dump pass, one entry per enum combination in the export
+        assert [(m.cache_info().maxsize, m.cache_info().currsize) for m in built] == [
+            (VERDICT_MEMO_LIMIT, 2),
+            (VERDICT_MEMO_LIMIT, 2),
+            (VERDICT_MEMO_LIMIT, len({_event_verdict_key(row) for row in events})),
+        ]
+
     def test_memo_of_a_valid_row_gives_equal_records(self):
-        memo: dict = {}
+        verdicts = pass_verdicts(TAXONOMY)
         row = dump_row()
-        first = parse_dump_row(TAXONOMY, memo, row)
-        second = parse_dump_row(TAXONOMY, memo, list(row))
-        assert isinstance(first, SorRecord) and first == second and len(memo) == 1
+        first = parse_dump_row(verdicts, row)
+        second = parse_dump_row(verdicts, list(row))
+        info = verdicts.cache_info()
+        assert isinstance(first, SorRecord) and first == second and (info.hits, info.currsize) == (1, 1)
+        assert first == parse_dump_row(partial(_dump_verdict, TAXONOMY), row)
+
+
+def pass_verdicts(taxonomy: CategoryTaxonomy):
+    """The verdict memo a dump reader builds for one pass."""
+    return lru_cache(maxsize=VERDICT_MEMO_LIMIT)(partial(_dump_verdict, taxonomy))
+
+
+def stream_dump(path: Path, verdicts, sink, manifests: list):
+    return _stream_rows(
+        path, FIELD_ORDER, partial(parse_dump_row, verdicts), attrgetter("application_date"), sink, manifests
+    )
+
+
+class TestRenderCell:
+    def test_random_records_round_trip_through_the_dump_parser(self):
+        rng = random.Random(41)
+        verdicts = partial(_dump_verdict, CategoryTaxonomy(codes=CODES))
+        for i in range(300):
+            record = random_record(rng, i)
+            row = record.to_row()
+            assert list(row) == list(FIELD_ORDER)
+            assert parse_dump_row(verdicts, list(row.values())) == record
+
+    def test_random_events_round_trip_through_the_export_parser(self):
+        rng = random.Random(42)
+        for i in range(300):
+            event = random_event(rng, i)
+            row = event.to_row()
+            assert list(row) == list(EVENT_FIELD_ORDER)
+            assert parse_export_row(_event_verdict, list(row.values())) == event
+
+    @pytest.mark.parametrize(
+        "value,text",
+        [
+            (None, ""),
+            ("", ""),
+            ("a;b", "a;b"),
+            (DecisionType.OTHER, "OTHER"),
+            (True, "true"),
+            (False, "false"),
+            (datetime(2024, 1, 2, 3, 4, 5, tzinfo=timezone.utc), "2024-01-02T03:04:05Z"),
+            (date(2024, 1, 2), "2024-01-02"),
+            (("hate_speech", "scam"), "hate_speech;scam"),
+            ((), ""),
+        ],
+        ids=["none", "empty", "text", "enum", "true", "false", "timestamp", "date", "tuple", "empty_tuple"],
+    )
+    def test_each_kind_of_field(self, value, text):
+        assert render_cell(value) == text
