@@ -23,7 +23,7 @@ from typing import Mapping
 
 from .aggregate import Period, PeriodError, Predicate, PredicateError
 from .htmltable import find_table, parse_tables, resolve_column
-from .sor import CategoryTaxonomy
+from .sor import CategoryTaxonomy, read_json
 
 
 class ClaimsError(ValueError):
@@ -376,10 +376,7 @@ def load_claims(path: str | Path) -> ClaimSet:
     """Load and fully validate a claims file. Any malformed claim aborts the
     load, naming the claim and field."""
     path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ClaimsError(f"{path}: not valid JSON: {exc}") from None
+    data = read_json(path, "claims file")
     if not isinstance(data, dict):
         raise ClaimsError(f"{path}: top level must be an object")
     return parse_claimset(data, source=str(path))
@@ -500,7 +497,7 @@ class ExtractionMapping:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExtractionMapping":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_dict(read_json(path, "extraction mapping"))
 
 
 def extract_html_claims(document: str, mapping: ExtractionMapping) -> ClaimSet:

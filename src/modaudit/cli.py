@@ -31,7 +31,14 @@ from .claims import ClaimsError, load_claims
 from .crosscheck import ToleranceSpec, replicate_claims, run_crosscheck
 from .ingest import ExportReader, IngestError, open_corpus, open_platform_export
 from .report import REPORT_FORMATS, Severity, meets_threshold, parse_severity, write_report
-from .sor import CategoryTaxonomy, TaxonomyError, default_taxonomy, informativeness_profile
+from .sor import (
+    CategoryTaxonomy,
+    JsonInputError,
+    TaxonomyError,
+    default_taxonomy,
+    informativeness_profile,
+    read_json,
+)
 from .synth import ScenarioConfig, ScenarioError, _integer, _known_keys, _number, generate
 from .verify import (
     DEFAULT_DEADLINE_DAYS,
@@ -105,11 +112,9 @@ def _resolve_config(args: argparse.Namespace) -> AppConfig:
     if config_path:
         path = Path(config_path)
         try:
-            file_data = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+            file_data = read_json(path, "config file")
+        except JsonInputError as exc:
+            raise ConfigError(str(exc)) from None
         if not isinstance(file_data, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
         for key, kind, what in (
@@ -127,9 +132,9 @@ def _resolve_config(args: argparse.Namespace) -> AppConfig:
         taxonomy_path = Path(taxonomy_arg)
         try:
             taxonomy = CategoryTaxonomy.from_file(taxonomy_path)
-        except OSError as exc:
-            raise InputError(f"cannot read taxonomy {taxonomy_path}: {exc}") from None
-        except (TaxonomyError, json.JSONDecodeError) as exc:
+        except JsonInputError as exc:
+            raise InputError(str(exc)) from None
+        except TaxonomyError as exc:
             raise InputError(f"bad taxonomy {taxonomy_path}: {exc}") from None
         extra_inputs.append(taxonomy_path)
     else:
@@ -313,9 +318,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _load_claimset(path: str) -> object:
     try:
         return load_claims(path)
-    except OSError as exc:
-        raise InputError(f"cannot read claims file {path}: {exc}") from None
-    except ClaimsError as exc:
+    except (ClaimsError, JsonInputError) as exc:
         raise InputError(str(exc)) from None
 
 
@@ -436,9 +439,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         if args.seed is not None:
             config = ScenarioConfig.from_dict({**config.to_dict(), "seed": args.seed})
         artifacts = generate(config, args.out)
-    except OSError as exc:
-        raise InputError(f"cannot read scenario file {args.scenario}: {exc}") from None
-    except (ScenarioError, json.JSONDecodeError, KeyError) as exc:
+    except JsonInputError as exc:
+        raise ConfigError(str(exc)) from None
+    except (ScenarioError, KeyError) as exc:
         raise ConfigError(f"bad scenario config: {exc}") from None
     print(
         f"scenario written: export={artifacts.export_path} dump={artifacts.dump_dir} "
@@ -450,11 +453,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     path = Path(args.findings)
     try:
-        rows = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InputError(f"cannot read findings file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"findings file {path} is not valid JSON: {exc}") from None
+        rows = read_json(path, "findings file")
+    except JsonInputError as exc:
+        raise InputError(str(exc)) from None
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise InputError(f"findings file {path} must hold a JSON array of objects")
     write_report(rows, args.format, sys.stdout)

@@ -29,6 +29,7 @@ from .sor import (
     SorRecord,
     _dump_verdict,
     parse_dump_row,
+    render_cell,
 )
 from .verify import EVENT_FIELD_ORDER, ModerationEvent, _event_verdict, parse_export_row
 
@@ -265,15 +266,15 @@ def open_platform_export(
 def _write_rows(
     path: Path, field_order: tuple[str, ...], items: Iterable[SorRecord | ModerationEvent]
 ) -> int:
-    """Write one CSV file: the header, then each item's `to_row()` in
-    `field_order`; returns the number of rows written."""
+    """Write one CSV file: the header `field_order`, which is the field order
+    of the items, then each item's fields through render_cell; returns the
+    number of rows written."""
     count = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(field_order)
         for item in items:
-            row = item.to_row()
-            writer.writerow([row[name] for name in field_order])
+            writer.writerow(map(render_cell, item))
             count += 1
     return count
 

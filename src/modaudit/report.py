@@ -15,7 +15,10 @@ import json
 from collections.abc import Mapping, Sequence
 from enum import Enum
 from json.encoder import encode_basestring
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
+
+if TYPE_CHECKING:
+    from .verify import VerificationFinding
 
 
 class Severity(str, Enum):
@@ -109,9 +112,41 @@ def _json_value(value: object, indent: str, keys: dict[str, str]) -> str:
     return _encode(value)
 
 
+def _verification_json(finding: VerificationFinding, prefixes: dict[tuple, str]) -> str:
+    """A verification finding exactly as _json_value renders its to_dict() at
+    nesting "  ": the text up to content_id, cached in `prefixes` per (kind,
+    severity), then the fields that vary, each string encoded alone."""
+    kind, severity, content_id, sor_uuid, mismatched, evidence = finding
+    prefix = prefixes.get((kind, severity))
+    if prefix is None:
+        prefix = prefixes[kind, severity] = (
+            f'{{\n    "kind": {encode_basestring(kind.value)},\n'
+            f'    "severity": {encode_basestring(severity.value)},\n    "content_id": '
+        )
+    fields = "[]"
+    if mismatched:
+        fields = (
+            "[\n"
+            + ",\n".join(
+                f'      {{\n        "field": {encode_basestring(name)},\n'
+                f'        "expected": {encode_basestring(expected)},\n'
+                f'        "filed": {encode_basestring(filed)}\n      }}'
+                for name, expected, filed in mismatched
+            )
+            + "\n    ]"
+        )
+    return (
+        f'{prefix}{"null" if content_id is None else encode_basestring(content_id)},\n'
+        f'    "sor_uuid": {"null" if sor_uuid is None else encode_basestring(sor_uuid)},\n'
+        f'    "mismatched_fields": {fields},\n    "evidence": {encode_basestring(evidence)}\n  }}'
+    )
+
+
 def write_report(findings: Sequence[object], format: str, fh: TextIO) -> None:
     """Write findings (objects with to_dict, or plain dicts) to an open text
-    stream in `format`, one finding per write after a fixed header.
+    stream in `format`, one finding per write after a fixed header. In JSON, a
+    VerificationFinding goes through _verification_json, anything else through
+    _json_value; both give json.dumps's bytes.
 
     Markdown makes two passes, so `findings` must be a sequence.
     """
@@ -119,10 +154,17 @@ def write_report(findings: Sequence[object], format: str, fh: TextIO) -> None:
         raise ValueError(f"unknown report format {format!r}; expected one of {REPORT_FORMATS}")
 
     if format == "json":
+        from .verify import VerificationFinding  # imported here: verify imports this module
+
         separator = "[\n  "
         keys: dict[str, str] = {}
+        prefixes: dict[tuple, str] = {}
         for finding in findings:
-            fh.write(separator + _json_value(_as_dict(finding), "  ", keys))
+            if finding.__class__ is VerificationFinding:
+                text = _verification_json(finding, prefixes)
+            else:
+                text = _json_value(_as_dict(finding), "  ", keys)
+            fh.write(separator + text)
             separator = ",\n  "
         fh.write("[]\n" if separator == "[\n  " else "\n]\n")
         return

@@ -17,7 +17,7 @@ from enum import Enum
 from functools import lru_cache, partial
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 _T = TypeVar("_T")
 
@@ -146,9 +146,9 @@ Verdict = tuple[tuple, None] | tuple[None, Fault]
 VERDICT_MEMO_LIMIT = 4096
 
 
-@dataclass(frozen=True, slots=True)
-class SorRecord:
-    """One moderation action as filed to the transparency database."""
+class SorRecord(NamedTuple):
+    """One moderation action as filed to the transparency database, its
+    fields in FIELD_ORDER."""
 
     uuid: str
     platform_name: str
@@ -170,7 +170,7 @@ class SorRecord:
 
     def to_row(self) -> dict[str, str]:
         """Render the record back into its CSV row form."""
-        return {name: render_cell(getattr(self, name)) for name in FIELD_ORDER}
+        return dict(zip(FIELD_ORDER, map(render_cell, self)))
 
 
 @dataclass(frozen=True)
@@ -200,6 +200,30 @@ class QuarantineEntry:
 
 class TaxonomyError(ValueError):
     pass
+
+
+class JsonInputError(ValueError):
+    """A JSON input file that cannot be read or decoded. The message is one
+    line that names the input and its file."""
+
+
+def read_json(path: str | Path, what: str) -> object:
+    """The JSON document in the UTF-8 file at `path`. Every way the file can
+    fail to yield a document, an OS error, a non-UTF-8 byte, malformed JSON or
+    nesting past the interpreter's recursion limit, raises JsonInputError;
+    `what` names the input in its message, e.g. "config file"."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise JsonInputError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise JsonInputError(f"{what} {path} is not valid UTF-8 (byte {exc.start})") from None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise JsonInputError(f"{what} {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise JsonInputError(f"{what} {path} nests too deeply to read") from None
 
 
 @dataclass(frozen=True)
@@ -253,8 +277,7 @@ class CategoryTaxonomy:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CategoryTaxonomy":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path, "taxonomy"))
 
     def to_dict(self) -> dict[str, object]:
         return {"codes": list(self.codes), "labels": dict(self.labels), "aliases": dict(self.aliases)}

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import random
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from datetime import date, datetime, time, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -33,6 +33,7 @@ from .sor import (
     DecisionType,
     SorRecord,
     SourceType,
+    read_json,
 )
 from .verify import ModerationEvent, VisibilityStatus, marker_token
 
@@ -204,7 +205,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScenarioConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_dict(read_json(path, "scenario file"))
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -244,7 +245,7 @@ class GroundTruth:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "GroundTruth":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = read_json(path, "ground truth")
         return cls(
             crosscheck=[(e["claim_id"], e["kind"]) for e in data.get("crosscheck", [])],
             verification=[
@@ -462,7 +463,7 @@ def generate(config: ScenarioConfig, out_dir: str | Path) -> ScenarioArtifacts:
             changes["created_at"] = record.created_at + timedelta(days=extra)
             ground_truth.verification.append((events[i].content_id, record.uuid, "late_submission"))
         if changes:
-            record = replace(record, **changes)
+            record = record._replace(**changes)
         published.append(record)
 
     n_phantom = _exact_count(inj.phantom_sor_rate, volume)
@@ -500,7 +501,7 @@ def generate(config: ScenarioConfig, out_dir: str | Path) -> ScenarioArtifacts:
         ground_truth.verification.append((None, uuid, "phantom_sor"))
 
     if inj.strip_puid:
-        published = [replace(r, puid=None) for r in published]
+        published = [r._replace(puid=None) for r in published]
 
     # Claims: exact aggregates of the published dump.
     total = 0

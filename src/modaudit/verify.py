@@ -16,8 +16,8 @@ from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 from .aggregate import Period
 from .report import SEVERITY_RANK, Severity
@@ -107,9 +107,9 @@ _event_verdict_key = itemgetter(*(EVENT_FIELD_ORDER.index(name) for name, _ in _
 _event_verdict = partial(_enum_verdict, _EVENT_ENUMS)
 
 
-@dataclass(frozen=True, slots=True)
-class ModerationEvent:
-    """Platform-side record of one enforcement action (or of untouched content)."""
+class ModerationEvent(NamedTuple):
+    """Platform-side record of one enforcement action (or of untouched
+    content), its fields in EVENT_FIELD_ORDER."""
 
     content_id: str
     puid: str | None
@@ -124,7 +124,7 @@ class ModerationEvent:
     payload: str | None
 
     def to_row(self) -> dict[str, str]:
-        return {name: render_cell(getattr(self, name)) for name in EVENT_FIELD_ORDER}
+        return dict(zip(EVENT_FIELD_ORDER, map(render_cell, self)))
 
 
 def parse_export_row(
@@ -258,8 +258,7 @@ CLASSIFIER_CONFIDENCE_FLOOR = 0.5
 DEFAULT_RECONSTRUCTED_GROUND = DecisionGround.INCOMPATIBLE_WITH_TERMS
 
 
-@dataclass(frozen=True, slots=True)
-class ReconstructedSor:
+class ReconstructedSor(NamedTuple):
     """Statement derived from an event: the fields an export can support."""
 
     content_id: str
@@ -587,11 +586,12 @@ UNDIFFED_FIELDS = (
     "created_at",
 )
 
+_diff_values = attrgetter(*DIFF_FIELDS)
+
 DEFAULT_DEADLINE_DAYS = 7
 
 
-@dataclass(frozen=True, slots=True)
-class VerificationFinding:
+class VerificationFinding(NamedTuple):
     kind: VerificationKind
     severity: Severity
     content_id: str | None = None
@@ -662,11 +662,12 @@ def verify_diff(linkage: Linkage, deadline_days: int = DEFAULT_DEADLINE_DAYS) ->
     deadline = timedelta(days=deadline_days)
     for rec, sor in linkage.pairs:
         diffs: list[tuple[str, str, str]] = []
-        for name in DIFF_FIELDS:
-            expected = getattr(rec, name)
-            filed_value = getattr(sor, name)
-            if expected != filed_value:
-                diffs.append((name, render_cell(expected), render_cell(filed_value)))
+        expected_values = _diff_values(rec)
+        filed_values = _diff_values(sor)
+        if expected_values != filed_values:
+            for name, expected, filed_value in zip(DIFF_FIELDS, expected_values, filed_values):
+                if expected != filed_value:
+                    diffs.append((name, render_cell(expected), render_cell(filed_value)))
         clean = True
         if diffs:
             clean = False

@@ -248,12 +248,8 @@ def test_c6_linkage_determinism_and_conservation(tmp_path):
     reconstructed = reconstruct(events, classifier, WINDOW)
     filed = list(open_corpus(artifacts.dump_dir, taxonomy))
     # strip puid from a third of each side so the fuzzy stage is exercised too
-    from dataclasses import replace
-
-    reconstructed = [
-        replace(r, puid=None) if i % 3 == 0 else r for i, r in enumerate(reconstructed)
-    ]
-    filed = [replace(f, puid=None) if i % 3 == 0 else f for i, f in enumerate(filed)]
+    reconstructed = [r._replace(puid=None) if i % 3 == 0 else r for i, r in enumerate(reconstructed)]
+    filed = [f._replace(puid=None) if i % 3 == 0 else f for i, f in enumerate(filed)]
 
     baseline = link(reconstructed, filed)
     base_pairs = {(r.content_id, f.uuid) for r, f in baseline.pairs}

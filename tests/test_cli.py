@@ -762,9 +762,17 @@ def corrupt(data: bytes, rng: random.Random) -> tuple[bytes, list[str]]:
     return data, changes
 
 
+JSON_DAMAGE = {
+    "byte_ff": (lambda data: data[: len(data) // 2] + b"\xff" + data[len(data) // 2 :], "is not valid UTF-8"),
+    "truncated": (lambda data: data[: len(data) // 2], "is not valid JSON"),
+    "nested": (lambda data: b"[" * 200_000, "nests too deeply"),
+}
+
+
 class TestByteCorruption:
-    """Damaged CSV bytes in either format end in a clean exit: a quarantined
-    row, a one-line error (2 or 3), or exit 1 only with findings to show."""
+    """Damaged bytes in any input end in a clean exit. A CSV file in either
+    format gives a quarantined row, a one-line error (2 or 3), or exit 1 only
+    with findings to show; a JSON file gives a one-line error naming it."""
 
     CASES = 60
 
@@ -817,3 +825,30 @@ class TestByteCorruption:
                 target.write_bytes(originals[target])
         # the cases reach clean runs, runs with findings and refused inputs
         assert codes["verify", 0] and codes["verify", 1] and codes["verify", 3], codes
+
+    @pytest.mark.parametrize("damage", sorted(JSON_DAMAGE))
+    @pytest.mark.parametrize(
+        "target,code", [("taxonomy", 3), ("config", 2), ("claims", 3), ("scenario", 2), ("report", 3)]
+    )
+    def test_damaged_json_input_is_a_one_line_error(self, scenario, tmp_path, capsys, target, code, damage):
+        path = tmp_path / f"{target}.json"
+        out = tmp_path / "out"
+        args = crosscheck_args(scenario, out)
+        if target in ("taxonomy", "claims"):
+            valid = (scenario / f"{target}.json").read_bytes()
+            args[args.index(f"--{target}") + 1] = str(path)
+        elif target == "config":
+            valid = json.dumps({"severity_threshold": "critical"}).encode()
+            args += ["--config", str(path)]
+        elif target == "scenario":
+            valid = (scenario / "scenario.json").read_bytes()
+            args = ["synth", "--scenario", str(path), "--out", str(out)]
+        else:
+            valid = json.dumps([{"severity": "warn", "kind": "mismatch", "evidence": "e"}]).encode()
+            args = ["report", str(path)]
+        damaged, message = JSON_DAMAGE[damage]
+        path.write_bytes(damaged(valid))
+        capsys.readouterr()
+        assert run(args) == code
+        assert_one_line_input_error(capsys, out, f"{path} {message}")
+        assert not out.exists()

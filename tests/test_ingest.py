@@ -10,14 +10,22 @@ from modaudit.aggregate import replicate_all
 from modaudit.ingest import (
     CorpusManifest,
     IngestError,
+    _stream_rows,
     open_corpus,
     open_platform_export,
     write_dump,
     write_export,
 )
 from modaudit.parallel import parallel_replicate
+from modaudit.report import Severity
 from modaudit.sor import FIELD_ORDER, QuarantineReason, default_taxonomy
-from modaudit.verify import EVENT_FIELD_ORDER
+from modaudit.verify import (
+    EVENT_FIELD_ORDER,
+    KeywordClassifier,
+    VerificationFinding,
+    VerificationKind,
+    reconstruct,
+)
 
 from .conftest import make_record, make_row
 from .oracles import random_count_claim
@@ -40,11 +48,9 @@ def records(n, **overrides):
 
 def fix_dates(record):
     # keep content <= application <= created when shifting application dates
-    from dataclasses import replace
     from datetime import datetime, timezone
 
-    return replace(
-        record,
+    return record._replace(
         content_date=record.application_date - timedelta(days=1),
         created_at=datetime(
             record.application_date.year,
@@ -300,6 +306,59 @@ class TestOneRowReader:
         path.write_text("foo,bar\n1,2\n", encoding="utf-8")
         with pytest.raises(IngestError, match="header"):
             list(open_reader(None))
+
+
+def one_record_of_each_type(tmp_path) -> dict[str, tuple]:
+    """A SorRecord, a ModerationEvent, a ReconstructedSor and a
+    VerificationFinding, by type name."""
+    path = tmp_path / "one-event.csv"
+    write_rows(path, [make_event_row()], header=EVENT_FIELD_ORDER)
+    (event,) = open_platform_export(path)
+    (rebuilt,) = reconstruct([event], KeywordClassifier.from_taxonomy(default_taxonomy()), None)
+    finding = VerificationFinding(VerificationKind.CONSISTENT, Severity.INFO, "c-1", "sor-1")
+    return {type(item).__name__: item for item in (make_record(), event, rebuilt, finding)}
+
+
+RECORD_TYPES = ("SorRecord", "ModerationEvent", "ReconstructedSor", "VerificationFinding")
+
+
+class TestRecordTuples:
+    """Records are named tuples, and a row fault is a plain (reason, field)
+    tuple: _stream_rows tells them apart by exact class."""
+
+    def stream(self, tmp_path, result):
+        path = tmp_path / "rows.csv"
+        path.write_text("column\nvalue\n", encoding="utf-8")
+        quarantined, manifests = [], []
+        got = list(
+            _stream_rows(path, ("column",), lambda row: result, lambda r: 0, quarantined.append, manifests)
+        )
+        (manifest,) = manifests
+        return got, quarantined, (manifest.record_count, manifest.quarantine_count)
+
+    @pytest.mark.parametrize("name", RECORD_TYPES)
+    def test_every_record_type_is_yielded_as_a_record(self, tmp_path, name):
+        record = one_record_of_each_type(tmp_path)[name]
+        got, quarantined, counts = self.stream(tmp_path, record)
+        assert got == [record] and got[0] is record
+        assert (quarantined, counts) == ([], (1, 0))
+
+    def test_a_fault_is_never_yielded_as_a_record(self, tmp_path):
+        got, quarantined, counts = self.stream(tmp_path, (QuarantineReason.BAD_DATE, "column"))
+        assert got == []
+        assert [(e.reason, e.field, e.raw_row) for e in quarantined] == [
+            (QuarantineReason.BAD_DATE, "column", {"column": "value"})
+        ]
+        assert counts == (0, 1)
+
+    @pytest.mark.parametrize("name", RECORD_TYPES)
+    def test_records_refuse_assignment_and_hash_by_value(self, tmp_path, name):
+        record = one_record_of_each_type(tmp_path)[name]
+        twin = type(record)(*record)
+        assert twin is not record and twin == record and hash(twin) == hash(record)
+        assert len({record, twin}) == 1
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], twin[0])
 
 
 class TestWriteDump:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from datetime import date
 
 import pytest
@@ -73,6 +74,31 @@ class TestDeterminism:
         assert files_a == files_b
         for rel in files_a:
             assert (a.out_dir / rel).read_bytes() == (b.out_dir / rel).read_bytes(), rel
+
+    @pytest.mark.parametrize(
+        "strip_puid,dump_digest",
+        [
+            (False, "6f07c72ca407aff7abdcab09b0dbdde1ba9afd8849be805fab69ffd162319eaa"),
+            (True, "f4b6f7ba7a0cf8b9debc064c3b97a2a9126f06f1bd8f2d4d2cb1627e2c592fe4"),
+        ],
+    )
+    def test_csv_files_keep_their_pinned_bytes(self, tmp_path, strip_puid, dump_digest):
+        # Pinned digests of the two CSV files of a fixed scenario: a change to
+        # either writer that moves one byte fails here.
+        inj = InjectionSpec(
+            drop_sor_rate=0.02,
+            phantom_sor_rate=0.02,
+            flip_automation_rate=0.02,
+            shift_category_rate=0.02,
+            late_filing_rate=0.02,
+            strip_puid=strip_puid,
+        )
+        art = generate(config(volume=200, seed=31, injections=inj), tmp_path)
+        digests = [
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (art.export_path, art.dump_dir / "part-00000.csv")
+        ]
+        assert digests == ["df34a1c1bc9c13b6b38f57802d438fb9336fa089356c4454420376cd03d344a6", dump_digest]
 
     def test_different_seeds_differ(self, tmp_path):
         a = generate(config(seed=1), tmp_path / "a")
