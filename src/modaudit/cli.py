@@ -23,17 +23,19 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .aggregate import Period
 from .claims import ClaimsError, load_claims
 from .crosscheck import ToleranceSpec, replicate_claims, run_crosscheck
 from .ingest import ExportReader, IngestError, open_corpus, open_platform_export
-from .report import REPORT_FORMATS, Severity, meets_threshold, parse_severity, write_report
+from .report import REPORT_FORMATS, Severity, emit_report, meets_threshold, parse_severity, write_report
 from .sor import (
     CategoryTaxonomy,
     JsonInputError,
+    SorRecord,
     TaxonomyError,
     default_taxonomy,
     informativeness_profile,
@@ -45,11 +47,16 @@ from .verify import (
     DIFF_FIELDS,
     UNDIFFED_FIELDS,
     KeywordClassifier,
+    Linkage,
     LinkageError,
     LinkConfig,
+    ReconstructedSor,
+    VerificationFinding,
     link,
+    pair_findings,
     reconstruct,
-    verify_diff,
+    sort_verification_findings,
+    unmatched_findings,
 )
 
 
@@ -392,6 +399,49 @@ def _hull_window(export_reader: ExportReader) -> Period:
     return Period(start=first.date(), end=end, field="application_date")
 
 
+def _released(items: list) -> Iterator:
+    """Yield `items` in order, dropping each from the list as it is yielded,
+    so that the list keeps none of them alive."""
+    for i, item in enumerate(items):
+        items[i] = None
+        yield item
+
+
+def _linked_findings(
+    reconstructed: Iterable[ReconstructedSor],
+    filed: Iterable[SorRecord],
+    link_config: LinkConfig,
+    deadline_days: int,
+) -> tuple[list[VerificationFinding], Linkage, dict[str, int]]:
+    """verify_diff(link(reconstructed, filed, link_config), deadline_days),
+    with each pair diffed as link makes it, so that `filed` streams and no pair
+    is kept. Also returns the linkage, its pairs left out, and the number of
+    pairs each stage made, as manifest.json records them.
+
+    Findings that tie on the sort key keep verify_diff's order: puid pairs
+    in puid order before fuzzy pairs in greedy order.
+    """
+    puid_found: list[VerificationFinding] = []
+    puids: list[str] = []  # the puid of each finding in puid_found
+    fuzzy_found: list[VerificationFinding] = []
+    pair_counts = {"puid_pairs": 0, "fuzzy_pairs": 0}
+
+    def diff(rec: ReconstructedSor, sor: SorRecord, by_puid: bool) -> None:
+        pair_counts["puid_pairs" if by_puid else "fuzzy_pairs"] += 1
+        found = pair_findings(rec, sor, deadline_days)
+        if by_puid:
+            puid_found.extend(found)
+            puids.extend([rec.puid] * len(found))
+        else:
+            fuzzy_found.extend(found)
+
+    linkage = link(reconstructed, filed, link_config, diff)
+    findings = unmatched_findings(linkage)
+    findings.extend(f for _, f in sorted(zip(puids, puid_found), key=itemgetter(0)))
+    findings.extend(fuzzy_found)
+    return sort_verification_findings(findings), linkage, pair_counts
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     window = _parse_window(args)
@@ -407,27 +457,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if window is None:
             window = _hull_window(export_reader)
 
+        # The dump streams through the puid join: each rebuilt item and filed
+        # record is dropped once its pair is diffed.
         corpus_reader = open_corpus(args.corpus, config.taxonomy, sink)
-        filed = [
+        filed = (
             r
             for r in corpus_reader
             if window.contains_date(r.application_date)
             and (not args.platform or r.platform_name == args.platform)
-        ]
-
-        linkage = link(reconstructed, filed, config.link)
-        # Fuzzy linkage never pairs two items that both carry a puid.
-        puid_pairs = sum(1 for rec, sor in linkage.pairs if rec.puid and sor.puid)
-        findings = verify_diff(linkage, config.deadline_days)
+        )
+        findings, linkage, pair_counts = _linked_findings(
+            _released(reconstructed), filed, config.link, config.deadline_days
+        )
+        pairs = sum(pair_counts.values())
         manifest = {
             "export": {"events": export_reader.event_count, "quarantined": export_reader.quarantine_count},
             "corpus": corpus_reader.manifest.to_dict(),
             "window": window.to_json(),
-            "reconstructed": len(reconstructed),
-            "filed_in_window": len(filed),
+            "reconstructed": pairs + len(linkage.unmatched_reconstructed),
+            "filed_in_window": pairs + len(linkage.unmatched_filed),
             "diffed_fields": list(DIFF_FIELDS),
             "undiffed_fields": list(UNDIFFED_FIELDS),
-            "linkage": {"puid_pairs": puid_pairs, "fuzzy_pairs": len(linkage.pairs) - puid_pairs},
+            "linkage": pair_counts,
         }
         run.track_inputs(Path(args.export), *corpus_reader.files)
         return _finish_with_findings(run, config, manifest, findings, args.format, "verify")
@@ -458,7 +509,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise InputError(str(exc)) from None
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise InputError(f"findings file {path} must hold a JSON array of objects")
-    write_report(rows, args.format, sys.stdout)
+    # Rendered whole before any of it is printed: the JSON renderer recurses
+    # once per nesting level, so a document nested near the parser's limit
+    # can fail part way.
+    try:
+        text = emit_report(rows, args.format)
+    except RecursionError:
+        raise InputError(f"findings file {path} nests too deeply to render as {args.format}") from None
+    sys.stdout.write(text)
     return 0
 
 

@@ -200,11 +200,15 @@ class ContentClassifier(Protocol):
     def classify_payload(self, payload: str) -> tuple[str, float]: ...
 
 
+_NO_HIT = ("other", 0.0)
+
+
 class KeywordClassifier:
     """Rule-based reference classifier: first category whose token list hits wins.
 
     Rules are checked in declaration order, so classification is deterministic.
-    No hit yields ('other', 0.0).
+    No hit yields ('other', 0.0). Each verdict is one tuple per rule, shared by
+    every payload the rule classifies.
     """
 
     requires_payload = True
@@ -214,8 +218,8 @@ class KeywordClassifier:
         rules: Mapping[str, Sequence[str]],
         supported_types: Iterable[ContentType] = (ContentType.TEXT,),
     ) -> None:
-        self.rules: list[tuple[str, tuple[str, ...]]] = [
-            (category, tuple(t.casefold() for t in tokens)) for category, tokens in rules.items()
+        self.rules: list[tuple[tuple[str, float], tuple[str, ...]]] = [
+            ((category, 1.0), tuple(t.casefold() for t in tokens)) for category, tokens in rules.items()
         ]
         self.supported_types = frozenset(supported_types)
 
@@ -228,10 +232,10 @@ class KeywordClassifier:
 
     def classify_payload(self, payload: str) -> tuple[str, float]:
         text = payload.casefold()
-        for category, tokens in self.rules:
+        for verdict, tokens in self.rules:
             if any(token in text for token in tokens):
-                return category, 1.0
-        return "other", 0.0
+                return verdict
+        return _NO_HIT
 
 
 def classify(event: ModerationEvent, classifier: ContentClassifier) -> tuple[str, float] | None:
@@ -379,43 +383,74 @@ class Linkage:
     unmatched_filed: list[SorRecord]
 
 
-def link(
-    reconstructed: Sequence[ReconstructedSor],
-    filed: Sequence[SorRecord],
-    config: LinkConfig | None = None,
-) -> Linkage:
-    """One-to-one pairing of rebuilt and filed statements.
+# Receives each pair as link makes it, with whether the puid stage made it.
+PairSink = Callable[[ReconstructedSor, SorRecord, bool], None]
 
-    puid matches first; the remainder is blocked by (content_type,
-    application_date) and greedily matched in descending score, then uuid,
-    then content_id, so the result is independent of input order.
+# What link's puid index holds, in place of a free rebuilt item's position,
+# for a puid that a filed statement has already carried.
+_FILED = -1
+
+
+def link(
+    reconstructed: Iterable[ReconstructedSor],
+    filed: Iterable[SorRecord],
+    config: LinkConfig | None = None,
+    sink: PairSink | None = None,
+) -> Linkage:
+    """One-to-one pairing of rebuilt and filed statements: a hash join on puid.
+
+    `reconstructed` is read first and indexed by puid; `filed` is then read
+    once, and a filed statement whose puid names a free rebuilt item is paired
+    on arrival. The remainder is blocked by (content_type, application_date)
+    and greedily matched in descending score, then uuid, then content_id, so
+    the result is independent of input order.
+
+    Without a sink, Linkage.pairs holds every pair, sorted by filed uuid with
+    the puid pairs first, in puid order. With one, Linkage.pairs stays empty
+    and each pair goes to sink(rec, sor, by_puid): a puid pair on arrival, in
+    filed order, after which link keeps no reference to either item; then,
+    once the fuzzy stage ends, the fuzzy pairs in greedy order.
     """
     config = config or LinkConfig()
 
-    rec_by_puid: dict[str, ReconstructedSor] = {}
-    for rec in reconstructed:
+    # Rebuilt items by position, None once paired; a free puid maps to its
+    # item's position.
+    slots: list[ReconstructedSor | None] = []
+    puid_index: dict[str, int] = {}
+    for i, rec in enumerate(reconstructed):
+        slots.append(rec)
         if rec.puid:
-            if rec.puid in rec_by_puid:
+            if rec.puid in puid_index:
                 raise LinkageError(f"duplicate puid {rec.puid!r} among reconstructed items")
-            rec_by_puid[rec.puid] = rec
-    filed_by_puid: dict[str, SorRecord] = {}
+            puid_index[rec.puid] = i
+
+    pairs: list[tuple[ReconstructedSor, SorRecord]] = []
+    if sink is None:
+
+        def sink(rec: ReconstructedSor, sor: SorRecord, by_puid: bool) -> None:
+            pairs.append((rec, sor))
+
+    rest_filed: list[SorRecord] = []
     for sor in filed:
-        if sor.puid:
-            if sor.puid in filed_by_puid:
-                raise LinkageError(f"duplicate puid {sor.puid!r} among filed statements")
-            filed_by_puid[sor.puid] = sor
+        puid = sor.puid
+        if puid:
+            i = puid_index.get(puid)
+            if i == _FILED:
+                raise LinkageError(f"duplicate puid {puid!r} among filed statements")
+            puid_index[puid] = _FILED
+            if i is not None:
+                rec, slots[i] = slots[i], None
+                sink(rec, sor, True)
+                continue
+        rest_filed.append(sor)
+    pairs.sort(key=lambda p: p[0].puid)  # the puid pairs, if no sink took them
 
-    shared = sorted(rec_by_puid.keys() & filed_by_puid.keys())
-    pairs: list[tuple[ReconstructedSor, SorRecord]] = [
-        (rec_by_puid[p], filed_by_puid[p]) for p in shared
-    ]
-    linked_rec = {id(r) for r, _ in pairs}
-    linked_filed = {id(f) for _, f in pairs}
-
-    rest_rec = [r for r in reconstructed if id(r) not in linked_rec]
-    rest_filed = [f for f in filed if id(f) not in linked_filed]
-
-    taken_rec, taken_filed = _fuzzy_link(rest_rec, rest_filed, config, pairs)
+    # Fuzzy pairs go to the sink once the fuzzy stage's queues are freed.
+    rest_rec = [r for r in slots if r is not None]
+    fuzzy_pairs: list[tuple[ReconstructedSor, SorRecord]] = []
+    taken_rec, taken_filed = _fuzzy_link(rest_rec, rest_filed, config, fuzzy_pairs)
+    for rec, sor in fuzzy_pairs:
+        sink(rec, sor, False)
 
     unmatched_rec = [r for i, r in enumerate(rest_rec) if not taken_rec[i]]
     unmatched_filed = [f for j, f in enumerate(rest_filed) if not taken_filed[j]]
@@ -624,92 +659,96 @@ def sort_verification_findings(findings: list[VerificationFinding]) -> list[Veri
     return findings
 
 
-def verify_diff(linkage: Linkage, deadline_days: int = DEFAULT_DEADLINE_DAYS) -> list[VerificationFinding]:
-    """Turn linkage output into typed findings.
+def unmatched_findings(linkage: Linkage) -> list[VerificationFinding]:
+    """One OMITTED_SOR finding per unmatched rebuilt item, then one
+    PHANTOM_SOR finding per unmatched filed statement, in linkage order."""
+    findings = [
+        VerificationFinding(
+            kind=VerificationKind.OMITTED_SOR,
+            severity=Severity.CRITICAL,
+            content_id=rec.content_id,
+            evidence=(
+                f"moderated content {rec.content_id} "
+                f"({rec.decision_type.value} on {rec.application_date.isoformat()}) "
+                "has no filed statement in the audited window"
+            ),
+        )
+        for rec in linkage.unmatched_reconstructed
+    ]
+    findings.extend(
+        VerificationFinding(
+            kind=VerificationKind.PHANTOM_SOR,
+            severity=Severity.CRITICAL,
+            sor_uuid=sor.uuid,
+            evidence=(
+                f"filed statement {sor.uuid} "
+                f"({sor.decision_type.value} on {sor.application_date.isoformat()}) "
+                "matches no platform-side moderation action"
+            ),
+        )
+        for sor in linkage.unmatched_filed
+    )
+    return findings
 
-    A matched pair can raise both a field divergence and a late-submission
-    finding; it is CONSISTENT only when neither fires.
-    """
+
+def pair_findings(rec: ReconstructedSor, sor: SorRecord, deadline_days: int) -> list[VerificationFinding]:
+    """The findings of one linked pair: a field divergence and a late
+    submission can both fire; the pair is CONSISTENT only when neither does."""
     findings: list[VerificationFinding] = []
-
-    for rec in linkage.unmatched_reconstructed:
+    expected_values = _diff_values(rec)
+    filed_values = _diff_values(sor)
+    if expected_values != filed_values:
+        diffs = tuple(
+            (name, render_cell(expected), render_cell(filed_value))
+            for name, expected, filed_value in zip(DIFF_FIELDS, expected_values, filed_values)
+            if expected != filed_value
+        )
+        fields = {d[0] for d in diffs}
+        severity = Severity.CRITICAL if "automated_decision" in fields else Severity.WARN
         findings.append(
             VerificationFinding(
-                kind=VerificationKind.OMITTED_SOR,
-                severity=Severity.CRITICAL,
+                kind=VerificationKind.FIELD_MISMATCH,
+                severity=severity,
                 content_id=rec.content_id,
+                sor_uuid=sor.uuid,
+                mismatched_fields=diffs,
                 evidence=(
-                    f"moderated content {rec.content_id} "
-                    f"({rec.decision_type.value} on {rec.application_date.isoformat()}) "
-                    "has no filed statement in the audited window"
+                    f"statement {sor.uuid} diverges from platform data for "
+                    f"{rec.content_id} on: " + ", ".join(sorted(fields))
                 ),
             )
         )
-    for sor in linkage.unmatched_filed:
+    lag = sor.created_at - rec.moderated_at
+    if lag > timedelta(days=deadline_days):
         findings.append(
             VerificationFinding(
-                kind=VerificationKind.PHANTOM_SOR,
-                severity=Severity.CRITICAL,
+                kind=VerificationKind.LATE_SUBMISSION,
+                severity=Severity.WARN,
+                content_id=rec.content_id,
                 sor_uuid=sor.uuid,
                 evidence=(
-                    f"filed statement {sor.uuid} "
-                    f"({sor.decision_type.value} on {sor.application_date.isoformat()}) "
-                    "matches no platform-side moderation action"
+                    f"statement {sor.uuid} was filed {lag / timedelta(days=1):.1f} days after the "
+                    f"action, past the {deadline_days}-day deadline"
                 ),
             )
         )
+    if not findings:
+        findings.append(
+            VerificationFinding(
+                kind=VerificationKind.CONSISTENT,
+                severity=Severity.INFO,
+                content_id=rec.content_id,
+                sor_uuid=sor.uuid,
+                evidence=f"statement {sor.uuid} is consistent with platform data for {rec.content_id}",
+            )
+        )
+    return findings
 
-    deadline = timedelta(days=deadline_days)
+
+def verify_diff(linkage: Linkage, deadline_days: int = DEFAULT_DEADLINE_DAYS) -> list[VerificationFinding]:
+    """Turn linkage output into typed findings: unmatched_findings, then
+    pair_findings of each pair in order, sorted."""
+    findings = unmatched_findings(linkage)
     for rec, sor in linkage.pairs:
-        diffs: list[tuple[str, str, str]] = []
-        expected_values = _diff_values(rec)
-        filed_values = _diff_values(sor)
-        if expected_values != filed_values:
-            for name, expected, filed_value in zip(DIFF_FIELDS, expected_values, filed_values):
-                if expected != filed_value:
-                    diffs.append((name, render_cell(expected), render_cell(filed_value)))
-        clean = True
-        if diffs:
-            clean = False
-            fields = {d[0] for d in diffs}
-            severity = Severity.CRITICAL if "automated_decision" in fields else Severity.WARN
-            findings.append(
-                VerificationFinding(
-                    kind=VerificationKind.FIELD_MISMATCH,
-                    severity=severity,
-                    content_id=rec.content_id,
-                    sor_uuid=sor.uuid,
-                    mismatched_fields=tuple(diffs),
-                    evidence=(
-                        f"statement {sor.uuid} diverges from platform data for "
-                        f"{rec.content_id} on: " + ", ".join(sorted(fields))
-                    ),
-                )
-            )
-        if sor.created_at - rec.moderated_at > deadline:
-            clean = False
-            lag_days = (sor.created_at - rec.moderated_at) / timedelta(days=1)
-            findings.append(
-                VerificationFinding(
-                    kind=VerificationKind.LATE_SUBMISSION,
-                    severity=Severity.WARN,
-                    content_id=rec.content_id,
-                    sor_uuid=sor.uuid,
-                    evidence=(
-                        f"statement {sor.uuid} was filed {lag_days:.1f} days after the "
-                        f"action, past the {deadline_days}-day deadline"
-                    ),
-                )
-            )
-        if clean:
-            findings.append(
-                VerificationFinding(
-                    kind=VerificationKind.CONSISTENT,
-                    severity=Severity.INFO,
-                    content_id=rec.content_id,
-                    sor_uuid=sor.uuid,
-                    evidence=f"statement {sor.uuid} is consistent with platform data for {rec.content_id}",
-                )
-            )
-
+        findings.extend(pair_findings(rec, sor, deadline_days))
     return sort_verification_findings(findings)

@@ -264,6 +264,19 @@ class TestInputErrors:
         assert run(verify_args(faithful, out)) == 3
         assert_one_line_input_error(capsys, out, "error: duplicate puid 'p-", side)
 
+    def test_duplicate_filed_puid_cuts_the_quarantine_log_short_at_its_row(self, faithful, tmp_path, capsys):
+        # The dump streams through the puid join, so the run stops at the
+        # duplicate's row and never reads the rows after it.
+        dump = faithful / "dump" / "part-00000.csv"
+        before = append_copy(dump, dump, {"uuid": ""})
+        append_copy(dump, dump, {"uuid": "dup-0000001"})
+        append_copy(dump, dump, {"uuid": ""})
+        out = tmp_path / "runs"
+        assert run(verify_args(faithful, out)) == 3
+        assert_one_line_input_error(capsys, out, "error: duplicate puid 'p-", "among filed statements")
+        log = (only_run_dir(out) / "quarantine.log").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["row_number"] for line in log] == [before]
+
     @pytest.mark.parametrize("value", ["BAD\xffBYTE", "x" * 131073], ids=["byte_ff", "long_field"])
     @pytest.mark.parametrize(
         "command", ["validate", "crosscheck", "crosscheck-parallel", "verify-dump", "verify-export"]
@@ -573,6 +586,31 @@ class TestOtherSubcommands:
             return
         assert code == 3
         assert_one_line_input_error(capsys, tmp_path, "must hold a JSON array of objects")
+
+    @pytest.mark.parametrize("depth", [500, 980])
+    def test_report_on_deep_nesting_is_an_input_error_in_json_only(self, tmp_path, depth):
+        # A fresh interpreter, as from a shell: under the test runner's deeper
+        # stack the JSON reader itself refuses 980 levels.
+        path = tmp_path / "findings.json"
+        path.write_text('[{"a": ' + "[" * depth + "]" * depth + "}]", encoding="utf-8")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+
+        def report(fmt: str) -> subprocess.CompletedProcess:
+            return subprocess.run(
+                [sys.executable, "-m", "modaudit.cli", "report", str(path), "--format", fmt],
+                env={"PYTHONPATH": src},
+                capture_output=True,
+                text=True,
+            )
+
+        rendered = report("json")
+        assert (rendered.returncode, rendered.stdout) == (3, "")
+        assert rendered.stderr == f"error: findings file {path} nests too deeply to render as json\n"
+        rendered = report("csv")
+        assert (rendered.returncode, rendered.stdout.splitlines()[1:]) == (0, [",,,,,,,,,,"])
+        rendered = report("markdown")
+        assert rendered.returncode == 0
+        assert rendered.stdout.startswith("# Audit findings\n\n1 finding(s)")
 
     def test_config_file_with_flag_precedence(self, injected, tmp_path):
         # config file loosens tolerance enough to absorb the +500 perturbation

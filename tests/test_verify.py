@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modaudit.aggregate import Period
+from modaudit.cli import _linked_findings
 from modaudit.report import Severity
 from modaudit.sor import AutomatedDecision, ContentType, DecisionType
 from modaudit.verify import (
@@ -75,6 +76,13 @@ class TestClassify:
     def test_rule_order_breaks_ties(self):
         clf = KeywordClassifier({"misinformation": ["viral"], "nudity": ["viral"]})
         assert clf.classify_payload("going viral") == ("misinformation", 1.0)
+
+    def test_payloads_of_one_category_share_one_verdict(self, classifier):
+        first = classifier.classify_payload(f"clip {marker_token('nudity')}")
+        second = classifier.classify_payload(f"{marker_token('nudity')} again, other words")
+        assert first == second == ("nudity", 1.0)
+        assert first is second
+        assert classifier.classify_payload("plain") is classifier.classify_payload("other plain")
 
 
 class TestReconstruct:
@@ -206,6 +214,22 @@ class TestLink:
         rec = rebuild([make_event()], taxonomy)
         with pytest.raises(LinkageError):
             link(rec, [filed_record(uuid="a"), filed_record(uuid="b")])
+
+    @pytest.mark.parametrize("puid", ["p-0000001", "p-unrebuilt"], ids=["paired", "filed_only"])
+    def test_duplicate_filed_puid_in_a_stream_is_found_at_its_second_copy(self, taxonomy, puid):
+        rec = rebuild([make_event()], taxonomy)
+        read = []
+
+        def filed():
+            for uuid in ("a", "b", "c"):
+                read.append(uuid)
+                yield filed_record(uuid=uuid, puid=puid)
+
+        paired = []
+        with pytest.raises(LinkageError, match=f"^duplicate puid '{puid}' among filed statements$"):
+            link(rec, filed(), sink=lambda r, f, by_puid: paired.append(f.uuid))
+        assert read == ["a", "b"]
+        assert paired == (["a"] if puid == "p-0000001" else [])
 
     def test_items_with_differing_puids_never_fuzzy_match(self, taxonomy):
         # both sides carry puids; identities are known to differ
@@ -388,6 +412,54 @@ class TestLinkMatchesNaiveOracle:
             id(r) for r in want.unmatched_reconstructed
         ]
         assert [id(f) for f in got.unmatched_filed] == [id(f) for f in want.unmatched_filed]
+
+
+def linkage_ids(linkage):
+    return (
+        [(id(r), id(f)) for r, f in linkage.pairs],
+        [id(r) for r in linkage.unmatched_reconstructed],
+        [id(f) for f in linkage.unmatched_filed],
+    )
+
+
+class TestStreamedLink:
+    """link over one-shot iterators, and the CLI's composition of link with a
+    pair sink, against the list route and the naive oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_dense_link_inputs(), st.integers(0, 7))
+    def test_cli_composition_gives_the_oracles_findings_in_order(self, inputs, deadline_days):
+        rebuilt, filed, config = inputs
+        findings, _, _ = _linked_findings(iter(rebuilt), iter(filed), config, deadline_days)
+        assert findings == verify_diff(naive_link(rebuilt, filed, config), deadline_days)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_dense_link_inputs())
+    def test_one_shot_generators_link_like_lists(self, inputs):
+        rebuilt, filed, config = inputs
+        streamed = link((r for r in rebuilt), (f for f in filed), config)
+        assert linkage_ids(streamed) == linkage_ids(link(rebuilt, filed, config))
+
+    def test_findings_that_tie_on_the_sort_key_keep_puid_then_fuzzy_order(self, taxonomy):
+        # Three pairs of content c-0 with statement sor-0, each a WARN field
+        # mismatch: two by puid, filed against puid order, and one fuzzy.
+        rebuilt = rebuild(
+            [
+                make_event(content_id="c-0", puid="p-2"),
+                make_event(content_id="c-0", puid="p-1"),
+                make_event(content_id="c-0", puid=None),
+            ],
+            taxonomy,
+        )
+        filed = [
+            filed_record(uuid="sor-0", puid="p-2", category="nudity"),
+            filed_record(uuid="sor-0", puid="p-1", category="misinformation"),
+            filed_record(uuid="sor-0", puid=None, content_date=date(2024, 1, 9)),
+        ]
+        findings, _, pair_counts = _linked_findings(iter(rebuilt), iter(filed), LinkConfig(), 7)
+        assert findings == verify_diff(naive_link(rebuilt, filed))
+        assert [f.mismatched_fields[0][2] for f in findings] == ["misinformation", "nudity", "2024-01-09"]
+        assert pair_counts == {"puid_pairs": 2, "fuzzy_pairs": 1}
 
 
 class TestStrippedPuidRecall:
