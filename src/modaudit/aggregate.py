@@ -78,7 +78,9 @@ class Predicate:
     conjuncts: tuple[tuple[str, frozenset], ...] = ()
 
     @classmethod
-    def parse(cls, raw: Mapping[str, object]) -> "Predicate":
+    def parse(cls, raw: object) -> "Predicate":
+        if not isinstance(raw, Mapping):
+            raise PredicateError("must be a JSON object")
         conjuncts: list[tuple[str, frozenset]] = []
         for attr in sorted(raw):
             if attr not in FILTERABLE_ATTRIBUTES:
@@ -90,10 +92,6 @@ class Predicate:
             parsed = frozenset(_parse_literal(attr, v) for v in values)
             conjuncts.append((attr, parsed))
         return cls(conjuncts=tuple(conjuncts))
-
-    @property
-    def is_true(self) -> bool:
-        return not self.conjuncts
 
     def matches(self, record: SorRecord) -> bool:
         for attr, allowed in self.conjuncts:

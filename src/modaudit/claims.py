@@ -308,6 +308,15 @@ def _claim_value(raw: object, claim_id: str, metric: Metric) -> tuple[int | Frac
     return value, precision, text
 
 
+def _claim_predicate(entry: Mapping[str, object], name: str, claim_id: str) -> Predicate:
+    """The predicate in field `name`; absent or null is the true predicate."""
+    raw = entry.get(name)
+    try:
+        return Predicate.parse({} if raw is None else raw)
+    except PredicateError as exc:
+        raise ClaimsError(f"claim {claim_id}: field {name}: {exc}") from None
+
+
 def parse_claimset(data: Mapping[str, object], source: str = "<claims>") -> ClaimSet:
     platform = data.get("platform")
     if not isinstance(platform, str) or not platform:
@@ -330,16 +339,10 @@ def parse_claimset(data: Mapping[str, object], source: str = "<claims>") -> Clai
             metric = Metric(str(entry.get("metric", "")).lower())
         except ValueError:
             raise ClaimsError(f"claim {claim_id}: field metric: must be count or share") from None
-        try:
-            predicate = Predicate.parse(entry.get("predicate", {}) or {})
-        except PredicateError as exc:
-            raise ClaimsError(f"claim {claim_id}: field predicate: {exc}") from None
+        predicate = _claim_predicate(entry, "predicate", claim_id)
         denominator = None
         if metric is Metric.SHARE:
-            try:
-                denominator = Predicate.parse(entry.get("denominator_predicate", {}) or {})
-            except PredicateError as exc:
-                raise ClaimsError(f"claim {claim_id}: field denominator_predicate: {exc}") from None
+            denominator = _claim_predicate(entry, "denominator_predicate", claim_id)
         elif "denominator_predicate" in entry:
             raise ClaimsError(f"claim {claim_id}: field denominator_predicate: only valid for share")
         period_raw = entry.get("period")

@@ -23,7 +23,6 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -417,28 +416,16 @@ def _linked_findings(
     with each pair diffed as link makes it, so that `filed` streams and no pair
     is kept. Also returns the linkage, its pairs left out, and the number of
     pairs each stage made, as manifest.json records them.
-
-    Findings that tie on the sort key keep verify_diff's order: puid pairs
-    in puid order before fuzzy pairs in greedy order.
     """
-    puid_found: list[VerificationFinding] = []
-    puids: list[str] = []  # the puid of each finding in puid_found
-    fuzzy_found: list[VerificationFinding] = []
+    findings: list[VerificationFinding] = []
     pair_counts = {"puid_pairs": 0, "fuzzy_pairs": 0}
 
     def diff(rec: ReconstructedSor, sor: SorRecord, by_puid: bool) -> None:
         pair_counts["puid_pairs" if by_puid else "fuzzy_pairs"] += 1
-        found = pair_findings(rec, sor, deadline_days)
-        if by_puid:
-            puid_found.extend(found)
-            puids.extend([rec.puid] * len(found))
-        else:
-            fuzzy_found.extend(found)
+        findings.extend(pair_findings(rec, sor, deadline_days))
 
     linkage = link(reconstructed, filed, link_config, diff)
-    findings = unmatched_findings(linkage)
-    findings.extend(f for _, f in sorted(zip(puids, puid_found), key=itemgetter(0)))
-    findings.extend(fuzzy_found)
+    findings.extend(unmatched_findings(linkage))
     return sort_verification_findings(findings), linkage, pair_counts
 
 

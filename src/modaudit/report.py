@@ -81,41 +81,11 @@ def _csv_cell(value: object) -> str:
     return str(value)
 
 
-# The C encoder: json.dumps with indent set falls back to the pure-Python
-# one, whose nested closures form a reference cycle per call, left for the
-# cyclic garbage collector.
-_encode = json.JSONEncoder(ensure_ascii=False).encode
-
-
-def _json_value(value: object, indent: str, keys: dict[str, str]) -> str:
-    """`value` exactly as json.dumps(..., indent=2, ensure_ascii=False) renders
-    it at nesting `indent`; `keys` caches each rendered string key."""
-    if isinstance(value, dict) and value:
-        inner = indent + "  "
-        items = []
-        for key, item in value.items():
-            rendered = keys.get(key)
-            if rendered is None:
-                # json renders int, float, bool and None keys as their literals, quoted
-                rendered = _encode(key if isinstance(key, str) else _encode(key)) + ": "
-                if isinstance(key, str):
-                    keys[key] = rendered
-            if type(item) is str:  # most values; saves a call each
-                items.append(inner + rendered + encode_basestring(item))
-            else:
-                items.append(inner + rendered + _json_value(item, inner, keys))
-        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)) and value:
-        inner = indent + "  "
-        items = [inner + _json_value(item, inner, keys) for item in value]
-        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
-    return _encode(value)
-
-
 def _verification_json(finding: VerificationFinding, prefixes: dict[tuple, str]) -> str:
-    """A verification finding exactly as _json_value renders its to_dict() at
-    nesting "  ": the text up to content_id, cached in `prefixes` per (kind,
-    severity), then the fields that vary, each string encoded alone."""
+    """A verification finding exactly as json.dumps(..., indent=2,
+    ensure_ascii=False) renders its to_dict() one level deep: the text up to
+    content_id, cached in `prefixes` per (kind, severity), then the fields
+    that vary, each string encoded alone."""
     kind, severity, content_id, sor_uuid, mismatched, evidence = finding
     prefix = prefixes.get((kind, severity))
     if prefix is None:
@@ -146,7 +116,7 @@ def write_report(findings: Sequence[object], format: str, fh: TextIO) -> None:
     """Write findings (objects with to_dict, or plain dicts) to an open text
     stream in `format`, one finding per write after a fixed header. In JSON, a
     VerificationFinding goes through _verification_json, anything else through
-    _json_value; both give json.dumps's bytes.
+    json.dumps; both give the bytes of json.dumps on the whole list.
 
     Markdown makes two passes, so `findings` must be a sequence.
     """
@@ -157,13 +127,13 @@ def write_report(findings: Sequence[object], format: str, fh: TextIO) -> None:
         from .verify import VerificationFinding  # imported here: verify imports this module
 
         separator = "[\n  "
-        keys: dict[str, str] = {}
         prefixes: dict[tuple, str] = {}
         for finding in findings:
             if finding.__class__ is VerificationFinding:
                 text = _verification_json(finding, prefixes)
             else:
-                text = _json_value(_as_dict(finding), "  ", keys)
+                # Structural newlines are the only raw newlines json emits.
+                text = json.dumps(_as_dict(finding), indent=2, ensure_ascii=False).replace("\n", "\n  ")
             fh.write(separator + text)
             separator = ",\n  "
         fh.write("[]\n" if separator == "[\n  " else "\n]\n")

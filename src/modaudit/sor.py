@@ -265,7 +265,9 @@ class CategoryTaxonomy:
         return self._folded.get(label.casefold())  # type: ignore[attr-defined]
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "CategoryTaxonomy":
+    def from_dict(cls, data: object) -> "CategoryTaxonomy":
+        if not isinstance(data, dict):
+            raise TaxonomyError("taxonomy must be a JSON object")
         codes = data.get("codes")
         if not isinstance(codes, list) or not all(isinstance(c, str) for c in codes):
             raise TaxonomyError("taxonomy 'codes' must be a list of strings")
@@ -273,6 +275,10 @@ class CategoryTaxonomy:
         aliases = data.get("aliases", {})
         if not isinstance(labels, dict) or not isinstance(aliases, dict):
             raise TaxonomyError("taxonomy 'labels' and 'aliases' must be objects")
+        for section, mapping in (("labels", labels), ("aliases", aliases)):
+            for name, value in mapping.items():
+                if not isinstance(value, str):
+                    raise TaxonomyError(f"taxonomy {section} value for {name!r} must be a string")
         return cls(codes=tuple(codes), labels=dict(labels), aliases=dict(aliases))
 
     @classmethod

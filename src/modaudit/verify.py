@@ -403,13 +403,13 @@ def link(
     once, and a filed statement whose puid names a free rebuilt item is paired
     on arrival. The remainder is blocked by (content_type, application_date)
     and greedily matched in descending score, then uuid, then content_id, so
-    the result is independent of input order.
+    which items pair does not depend on input order.
 
-    Without a sink, Linkage.pairs holds every pair, sorted by filed uuid with
-    the puid pairs first, in puid order. With one, Linkage.pairs stays empty
-    and each pair goes to sink(rec, sor, by_puid): a puid pair on arrival, in
-    filed order, after which link keeps no reference to either item; then,
-    once the fuzzy stage ends, the fuzzy pairs in greedy order.
+    Pairs come as they are made, the puid pairs in filed order and then the
+    fuzzy pairs in greedy order: into Linkage.pairs, or with a sink into
+    sink(rec, sor, by_puid), a puid pair on arrival (link then keeps no
+    reference to either item) and the fuzzy pairs once the fuzzy stage ends.
+    The unmatched lists keep their input order.
     """
     config = config or LinkConfig()
 
@@ -443,7 +443,6 @@ def link(
                 sink(rec, sor, True)
                 continue
         rest_filed.append(sor)
-    pairs.sort(key=lambda p: p[0].puid)  # the puid pairs, if no sink took them
 
     # Fuzzy pairs go to the sink once the fuzzy stage's queues are freed.
     rest_rec = [r for r in slots if r is not None]
@@ -454,10 +453,6 @@ def link(
 
     unmatched_rec = [r for i, r in enumerate(rest_rec) if not taken_rec[i]]
     unmatched_filed = [f for j, f in enumerate(rest_filed) if not taken_filed[j]]
-
-    pairs.sort(key=lambda p: p[1].uuid)
-    unmatched_rec.sort(key=lambda r: r.content_id)
-    unmatched_filed.sort(key=lambda f: f.uuid)
     return Linkage(pairs=pairs, unmatched_reconstructed=unmatched_rec, unmatched_filed=unmatched_filed)
 
 
@@ -648,15 +643,19 @@ class VerificationFinding(NamedTuple):
 
 
 def sort_verification_findings(findings: list[VerificationFinding]) -> list[VerificationFinding]:
-    findings.sort(
-        key=lambda f: (
-            SEVERITY_RANK[f.severity],
-            _VKIND_RANK[f.kind],
-            f.content_id or "",
-            f.sor_uuid or "",
-        )
-    )
+    """Sort in place and return the list, on a key over each finding's own
+    fields that ties only equal findings: the result ignores input order."""
+    findings.sort(key=_finding_key)
     return findings
+
+
+def _finding_key(f: VerificationFinding) -> tuple:
+    # Severity, kind and which ids are None in one int, then the ids, then the
+    # finding itself, compared only when all before it tie, and so never a
+    # None with a string. Every finding's key is held during the sort, so the
+    # key keeps four slots.
+    rank = SEVERITY_RANK[f.severity] * len(_VKIND_RANK) + _VKIND_RANK[f.kind]
+    return rank * 4 + (f.content_id is None) * 2 + (f.sor_uuid is None), f.content_id or "", f.sor_uuid or "", f
 
 
 def unmatched_findings(linkage: Linkage) -> list[VerificationFinding]:

@@ -421,9 +421,9 @@ def naive_link(
 
     One-to-one pairing of rebuilt and filed statements.
 
-    puid matches first; the remainder is blocked by (content_type,
-    application_date) and greedily matched in descending score with a total
-    tie-break, so the result is independent of input order.
+    puid matches first, in filed order; the remainder is blocked by
+    (content_type, application_date) and greedily matched in descending score
+    with a total tie-break, so which items pair is independent of input order.
     """
     config = config or LinkConfig()
 
@@ -440,9 +440,8 @@ def naive_link(
                 raise LinkageError(f"duplicate puid {sor.puid!r} among filed statements")
             filed_by_puid[sor.puid] = sor
 
-    shared = sorted(rec_by_puid.keys() & filed_by_puid.keys())
     pairs: list[tuple[ReconstructedSor, SorRecord]] = [
-        (rec_by_puid[p], filed_by_puid[p]) for p in shared
+        (rec_by_puid[p], sor) for p, sor in filed_by_puid.items() if p in rec_by_puid
     ]
     linked_rec = {id(r) for r, _ in pairs}
     linked_filed = {id(f) for _, f in pairs}
@@ -478,10 +477,6 @@ def naive_link(
 
     unmatched_rec = [r for r in rest_rec if id(r) not in taken_rec]
     unmatched_filed = [f for f in rest_filed if id(f) not in taken_filed]
-
-    pairs.sort(key=lambda p: p[1].uuid)
-    unmatched_rec.sort(key=lambda r: r.content_id)
-    unmatched_filed.sort(key=lambda f: f.uuid)
     return Linkage(pairs=pairs, unmatched_reconstructed=unmatched_rec, unmatched_filed=unmatched_filed)
 
 

@@ -185,6 +185,11 @@ class TestLoadClaims:
         with pytest.raises(ClaimsError, match="denominator"):
             load_claims(path)
 
+    def test_null_predicates_are_true(self):
+        entry = count_entry(metric="share", value="50%", predicate=None, denominator_predicate=None)
+        claim = parse_claimset(claims_doc([entry])).claims[0]
+        assert claim.predicate == claim.denominator_predicate == Predicate.parse({})
+
     def test_exhaustive_must_be_a_boolean(self):
         # the string "false" is truthy: taken as a flag it would switch coverage findings on
         with pytest.raises(ClaimsError, match="'exhaustive' must be true or false"):

@@ -401,6 +401,26 @@ class TestRunPersistence:
         assert record["manifest"]["linkage"] == {"puid_pairs": 0, "fuzzy_pairs": len(pairs)}
         assert len(pairs) > 0
 
+    @pytest.mark.parametrize("strip_puid", [False, True], ids=["puid", "no_puid"])
+    def test_verify_findings_do_not_depend_on_row_order(self, tmp_path, strip_puid):
+        doc = {**SCENARIO, "injections": {"strip_puid": strip_puid}}
+        scen = tmp_path / "scen"
+        assert run(["synth", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(scen)]) == 0
+        run(verify_args(scen, tmp_path / "filed-order"))
+        rng = random.Random(7)
+        for path in (scen / "export.csv", scen / "dump" / "part-00000.csv"):
+            with open(path, newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            rng.shuffle(rows)
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        run(verify_args(scen, tmp_path / "shuffled"))
+        written = [
+            (only_run_dir(tmp_path / side) / "findings.json").read_bytes() for side in ("filed-order", "shuffled")
+        ]
+        assert written[0] == written[1]
+        assert b'"consistent"' in written[0]
+
     def test_run_json_carries_metrics_that_findings_do_not(self, injected, tmp_path):
         with open(injected / "export.csv", "a", encoding="utf-8") as fh:
             fh.write("not,a,row\n")
@@ -588,29 +608,51 @@ class TestOtherSubcommands:
         assert_one_line_input_error(capsys, tmp_path, "must hold a JSON array of objects")
 
     @pytest.mark.parametrize("depth", [500, 980])
-    def test_report_on_deep_nesting_is_an_input_error_in_json_only(self, tmp_path, depth):
+    def test_report_renders_deep_nesting_in_every_format(self, tmp_path, depth):
         # A fresh interpreter, as from a shell: under the test runner's deeper
         # stack the JSON reader itself refuses 980 levels.
         path = tmp_path / "findings.json"
         path.write_text('[{"a": ' + "[" * depth + "]" * depth + "}]", encoding="utf-8")
         src = str(Path(__file__).resolve().parent.parent / "src")
 
-        def report(fmt: str) -> subprocess.CompletedProcess:
+        def fresh(*args: str) -> subprocess.CompletedProcess:
             return subprocess.run(
-                [sys.executable, "-m", "modaudit.cli", "report", str(path), "--format", fmt],
-                env={"PYTHONPATH": src},
-                capture_output=True,
-                text=True,
+                [sys.executable, *args], env={"PYTHONPATH": src}, capture_output=True, text=True
             )
 
+        def report(fmt: str) -> subprocess.CompletedProcess:
+            return fresh("-m", "modaudit.cli", "report", str(path), "--format", fmt)
+
+        dumped = fresh(
+            "-c",
+            "import json, sys; doc = json.load(open(sys.argv[1], encoding='utf-8')); "
+            "sys.stdout.write(json.dumps(doc, indent=2, ensure_ascii=False) + '\\n')",
+            str(path),
+        )
+        assert dumped.returncode == 0, dumped.stderr
         rendered = report("json")
-        assert (rendered.returncode, rendered.stdout) == (3, "")
-        assert rendered.stderr == f"error: findings file {path} nests too deeply to render as json\n"
+        assert (rendered.returncode, rendered.stderr) == (0, "")
+        assert rendered.stdout == dumped.stdout
         rendered = report("csv")
         assert (rendered.returncode, rendered.stdout.splitlines()[1:]) == (0, [",,,,,,,,,,"])
         rendered = report("markdown")
         assert rendered.returncode == 0
         assert rendered.stdout.startswith("# Audit findings\n\n1 finding(s)")
+
+    def test_report_that_runs_out_of_stack_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        # A document within a few frames of the reader's limit can still fail
+        # in the renderer; the report is then one error line and no output.
+        path = tmp_path / "findings.json"
+        path.write_text('[{"a": 1}]', encoding="utf-8")
+
+        def overflow(rows, fmt):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("modaudit.cli.emit_report", overflow)
+        assert run(["report", str(path), "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: findings file {path} nests too deeply to render as json\n"
 
     def test_config_file_with_flag_precedence(self, injected, tmp_path):
         # config file loosens tolerance enough to absorb the +500 perturbation
@@ -725,6 +767,39 @@ class TestSettingTypes:
         args[4] = str(claims)
         assert run(args) == 3
         assert_one_line_input_error(capsys, out, "'exhaustive' must be true or false")
+
+    @pytest.mark.parametrize("value", [5, True, 0, False, "", [], "category"])
+    @pytest.mark.parametrize("field", ["predicate", "denominator_predicate"])
+    def test_claim_predicate_that_is_not_an_object_exits_three(self, faithful, tmp_path, capsys, field, value):
+        doc = json.loads((faithful / "claims.json").read_text())
+        (share,) = [claim for claim in doc["claims"] if claim["metric"] == "share"]
+        share[field] = value
+        claims = faithful / "bad-predicate.json"
+        claims.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "runs"
+        args = crosscheck_args(faithful, out)
+        args[4] = str(claims)
+        assert run(args) == 3
+        assert_one_line_input_error(capsys, out, f"claim {share['claim_id']}: field {field}: must be a JSON object")
+
+    @pytest.mark.parametrize(
+        "doc,fragment",
+        [
+            ({"codes": ["hate_speech"], "aliases": {"x": ["hate_speech"]}}, "aliases value for 'x' must be a string"),
+            ({"codes": ["hate_speech"], "aliases": {"x": {"y": 1}}}, "aliases value for 'x' must be a string"),
+            ({"codes": ["hate_speech"], "aliases": {"x": 5}}, "aliases value for 'x' must be a string"),
+            ({"codes": ["hate_speech"], "labels": {"hate_speech": [1]}}, "labels value for 'hate_speech'"),
+            (["hate_speech"], "taxonomy must be a JSON object"),
+        ],
+        ids=["alias_list", "alias_object", "alias_number", "label_list", "not_an_object"],
+    )
+    def test_taxonomy_of_the_wrong_type_exits_three(self, faithful, tmp_path, capsys, doc, fragment):
+        taxonomy = tmp_path / "taxonomy.json"
+        taxonomy.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "runs"
+        args = ["validate", "--corpus", str(faithful / "dump"), "--taxonomy", str(taxonomy), "--out", str(out)]
+        assert run(args) == 3
+        assert_one_line_input_error(capsys, out, f"error: bad taxonomy {taxonomy}: ", fragment)
 
     @pytest.mark.parametrize(
         "doc,fragment",

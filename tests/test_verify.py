@@ -19,17 +19,20 @@ from modaudit.verify import (
     LinkConfig,
     ModerationEvent,
     ReconstructedSor,
+    VerificationFinding,
     VerificationKind,
     VisibilityStatus,
     classify,
     link,
     marker_token,
     reconstruct,
+    sort_verification_findings,
     verify_diff,
 )
 
 from .conftest import make_record
 from .oracles import _pair_score, naive_link
+from .test_report import FINDING_OBJECTS
 
 WINDOW = Period(start=date(2024, 1, 1), end=date(2024, 2, 1))
 UTC = timezone.utc
@@ -440,24 +443,29 @@ class TestStreamedLink:
         streamed = link((r for r in rebuilt), (f for f in filed), config)
         assert linkage_ids(streamed) == linkage_ids(link(rebuilt, filed, config))
 
-    def test_findings_that_tie_on_the_sort_key_keep_puid_then_fuzzy_order(self, taxonomy):
+    @pytest.mark.parametrize(
+        "order", [(0, 1, 2), (1, 0, 2), (2, 1, 0), (1, 2, 0)], ids=["filed", "swapped", "reversed", "rotated"]
+    )
+    def test_findings_sort_by_content_not_by_pair_origin(self, taxonomy, order):
         # Three pairs of content c-0 with statement sor-0, each a WARN field
-        # mismatch: two by puid, filed against puid order, and one fuzzy.
+        # mismatch: two by puid and one fuzzy. By puid, p-1's comes first;
+        # by content, "misinformation" sorts before "nudity".
         rebuilt = rebuild(
             [
-                make_event(content_id="c-0", puid="p-2"),
                 make_event(content_id="c-0", puid="p-1"),
+                make_event(content_id="c-0", puid="p-2"),
                 make_event(content_id="c-0", puid=None),
             ],
             taxonomy,
         )
         filed = [
-            filed_record(uuid="sor-0", puid="p-2", category="nudity"),
-            filed_record(uuid="sor-0", puid="p-1", category="misinformation"),
+            filed_record(uuid="sor-0", puid="p-1", category="nudity"),
+            filed_record(uuid="sor-0", puid="p-2", category="misinformation"),
             filed_record(uuid="sor-0", puid=None, content_date=date(2024, 1, 9)),
         ]
-        findings, _, pair_counts = _linked_findings(iter(rebuilt), iter(filed), LinkConfig(), 7)
-        assert findings == verify_diff(naive_link(rebuilt, filed))
+        arrived = [filed[i] for i in order]
+        findings, _, pair_counts = _linked_findings(iter(rebuilt), iter(arrived), LinkConfig(), 7)
+        assert findings == verify_diff(naive_link(rebuilt, arrived))
         assert [f.mismatched_fields[0][2] for f in findings] == ["misinformation", "nudity", "2024-01-09"]
         assert pair_counts == {"puid_pairs": 2, "fuzzy_pairs": 1}
 
@@ -505,7 +513,25 @@ class TestStrippedPuidRecall:
         assert phantom == {"sor-phantom"}
 
 
+@st.composite
+def findings_with_near_twins(draw):
+    """Findings, some of them copies of another with one field redrawn, so
+    that findings which differ in a single field are common."""
+    found = draw(st.lists(FINDING_OBJECTS, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 4))):
+        twin = draw(st.sampled_from(found))
+        name = draw(st.sampled_from(VerificationFinding._fields))
+        found.append(twin._replace(**{name: getattr(draw(FINDING_OBJECTS), name)}))
+    return found
+
+
 class TestVerifyDiff:
+    @settings(max_examples=300, deadline=None)
+    @given(findings_with_near_twins().flatmap(lambda found: st.tuples(st.just(found), st.permutations(found))))
+    def test_sorted_findings_do_not_depend_on_their_order(self, lists):
+        found, shuffled = lists
+        assert sort_verification_findings(list(shuffled)) == sort_verification_findings(list(found))
+
     def test_moderated_without_filing_is_omitted(self, taxonomy):
         rec = rebuild([make_event()], taxonomy)
         findings = verify_diff(link(rec, []))
