@@ -54,6 +54,7 @@ from .verify import (
     VerificationKind,
     classify,
     link,
+    link_outcomes,
     reconstruct,
     verify_diff,
 )

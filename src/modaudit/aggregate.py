@@ -172,8 +172,14 @@ class Period:
     def contains_date(self, d: date) -> bool:
         return self.start <= d < self.end
 
-    def intersects(self, lo: date, hi: date) -> bool:
-        """Overlap with the closed date range [lo, hi]."""
+    def meets_coverage(self, lo: date, hi: date) -> bool:
+        """Whether a record with its application date in [lo, hi] can fall in
+        the period. A record is refused unless content_date <= application_date
+        <= created_at, so content dates reach below lo and creation dates above hi."""
+        if self.field == "content_date":
+            return self.start <= hi
+        if self.field == "created_at":
+            return lo < self.end
         return self.start <= hi and lo < self.end
 
     def to_json(self) -> dict[str, str]:

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterator, Mapping, Sequence, TextIO
 
 from .aggregate import Period
 from .claims import ClaimsError, load_claims
@@ -34,7 +34,6 @@ from .report import REPORT_FORMATS, Severity, emit_report, meets_threshold, pars
 from .sor import (
     CategoryTaxonomy,
     JsonInputError,
-    SorRecord,
     TaxonomyError,
     default_taxonomy,
     informativeness_profile,
@@ -46,16 +45,11 @@ from .verify import (
     DIFF_FIELDS,
     UNDIFFED_FIELDS,
     KeywordClassifier,
-    Linkage,
     LinkageError,
     LinkConfig,
-    ReconstructedSor,
-    VerificationFinding,
-    link,
-    pair_findings,
+    link_outcomes,
     reconstruct,
-    sort_verification_findings,
-    unmatched_findings,
+    verify_diff,
 )
 
 
@@ -406,29 +400,6 @@ def _released(items: list) -> Iterator:
         yield item
 
 
-def _linked_findings(
-    reconstructed: Iterable[ReconstructedSor],
-    filed: Iterable[SorRecord],
-    link_config: LinkConfig,
-    deadline_days: int,
-) -> tuple[list[VerificationFinding], Linkage, dict[str, int]]:
-    """verify_diff(link(reconstructed, filed, link_config), deadline_days),
-    with each pair diffed as link makes it, so that `filed` streams and no pair
-    is kept. Also returns the linkage, its pairs left out, and the number of
-    pairs each stage made, as manifest.json records them.
-    """
-    findings: list[VerificationFinding] = []
-    pair_counts = {"puid_pairs": 0, "fuzzy_pairs": 0}
-
-    def diff(rec: ReconstructedSor, sor: SorRecord, by_puid: bool) -> None:
-        pair_counts["puid_pairs" if by_puid else "fuzzy_pairs"] += 1
-        findings.extend(pair_findings(rec, sor, deadline_days))
-
-    linkage = link(reconstructed, filed, link_config, diff)
-    findings.extend(unmatched_findings(linkage))
-    return sort_verification_findings(findings), linkage, pair_counts
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     window = _parse_window(args)
@@ -453,19 +424,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             if window.contains_date(r.application_date)
             and (not args.platform or r.platform_name == args.platform)
         )
-        findings, linkage, pair_counts = _linked_findings(
-            _released(reconstructed), filed, config.link, config.deadline_days
-        )
-        pairs = sum(pair_counts.values())
+        outcomes = link_outcomes(_released(reconstructed), filed, config.link)
+        findings = verify_diff(outcomes, config.deadline_days)
         manifest = {
             "export": {"events": export_reader.event_count, "quarantined": export_reader.quarantine_count},
             "corpus": corpus_reader.manifest.to_dict(),
             "window": window.to_json(),
-            "reconstructed": pairs + len(linkage.unmatched_reconstructed),
-            "filed_in_window": pairs + len(linkage.unmatched_filed),
+            "reconstructed": outcomes.reconstructed_count,
+            "filed_in_window": outcomes.filed_count,
             "diffed_fields": list(DIFF_FIELDS),
             "undiffed_fields": list(UNDIFFED_FIELDS),
-            "linkage": pair_counts,
+            "linkage": {"puid_pairs": outcomes.puid_pairs, "fuzzy_pairs": outcomes.fuzzy_pairs},
         }
         run.track_inputs(Path(args.export), *corpus_reader.files)
         return _finish_with_findings(run, config, manifest, findings, args.format, "verify")

@@ -261,8 +261,8 @@ def finalize_results(
     coverage: tuple[date, date] | None,
 ) -> list[AggregateResult]:
     """Complete a replication result set: unresolvable-category claims get an
-    UNREPLICABLE marker, and claims whose period misses the corpus coverage
-    entirely are downgraded to UNREPLICABLE with a period-gap note."""
+    UNREPLICABLE marker, and claims whose period no record of the corpus can
+    fall in (Period.meets_coverage) are downgraded with a period-gap note."""
     by_id = {r.claim_id: r for r in results}
     final: list[AggregateResult] = []
     for claim in resolved:
@@ -275,7 +275,7 @@ def finalize_results(
             )
             continue
         result = by_id[claim.claim_id]
-        if coverage is not None and not claim.period.intersects(*coverage):
+        if coverage is not None and not claim.period.meets_coverage(*coverage):
             result = AggregateResult.unreplicable(
                 claim.claim_id,
                 (

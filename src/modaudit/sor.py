@@ -209,9 +209,9 @@ class JsonInputError(ValueError):
 
 def read_json(path: str | Path, what: str) -> object:
     """The JSON document in the UTF-8 file at `path`. Every way the file can
-    fail to yield a document, an OS error, a non-UTF-8 byte, malformed JSON or
-    nesting past the interpreter's recursion limit, raises JsonInputError;
-    `what` names the input in its message, e.g. "config file"."""
+    fail to yield a document, an OS error, a non-UTF-8 byte, malformed JSON,
+    nesting past the recursion limit or an integer past the digit limit,
+    raises JsonInputError; `what` names the input in its message, e.g. "config file"."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -224,6 +224,8 @@ def read_json(path: str | Path, what: str) -> object:
         raise JsonInputError(f"{what} {path} is not valid JSON: {exc}") from None
     except RecursionError:
         raise JsonInputError(f"{what} {path} nests too deeply to read") from None
+    except ValueError:
+        raise JsonInputError(f"{what} {path} holds an integer too long to read") from None
 
 
 @dataclass(frozen=True)

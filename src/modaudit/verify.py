@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import partial
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 from .aggregate import Period
 from .report import SEVERITY_RANK, Severity
@@ -376,84 +376,106 @@ class LinkConfig:
         return score
 
 
+# A linkage outcome: a pair, (rec, None) for an unmatched rebuilt item or (None, sor) for an unmatched statement.
+Outcome = tuple[ReconstructedSor | None, SorRecord | None]
+
+
 @dataclass
 class Linkage:
     pairs: list[tuple[ReconstructedSor, SorRecord]]
     unmatched_reconstructed: list[ReconstructedSor]
     unmatched_filed: list[SorRecord]
 
+    def __iter__(self) -> Iterator[Outcome]:
+        """The outcomes in link_outcomes order."""
+        yield from self.pairs
+        for rec in self.unmatched_reconstructed:
+            yield rec, None
+        for sor in self.unmatched_filed:
+            yield None, sor
 
-# Receives each pair as link makes it, with whether the puid stage made it.
-PairSink = Callable[[ReconstructedSor, SorRecord, bool], None]
 
-# What link's puid index holds, in place of a free rebuilt item's position,
-# for a puid that a filed statement has already carried.
+# What the puid index holds, in place of a free rebuilt item's position, for a
+# puid that a filed statement has already carried.
 _FILED = -1
 
 
-def link(
-    reconstructed: Iterable[ReconstructedSor],
-    filed: Iterable[SorRecord],
-    config: LinkConfig | None = None,
-    sink: PairSink | None = None,
-) -> Linkage:
-    """One-to-one pairing of rebuilt and filed statements: a hash join on puid.
+class link_outcomes:  # noqa: N801 - called and iterated like a generator function
+    """One-to-one pairing of rebuilt and filed statements, as a stream of
+    outcomes to be read once.
 
-    `reconstructed` is read first and indexed by puid; `filed` is then read
-    once, and a filed statement whose puid names a free rebuilt item is paired
-    on arrival. The remainder is blocked by (content_type, application_date)
-    and greedily matched in descending score, then uuid, then content_id, so
-    which items pair does not depend on input order.
+    The puid stage is a hash join: `reconstructed` is read first and indexed
+    by puid; `filed` is then read once, and a filed statement whose puid names
+    a free rebuilt item comes out as (rec, sor) on arrival, so that the stream
+    keeps no reference to either. The remainder is blocked by (content_type, application_date) and
+    greedily matched in descending score, then uuid, then content_id, so which
+    items pair does not depend on input order. The fuzzy pairs come out in
+    greedy order, then (rec, None) for each unmatched rebuilt item and
+    (None, sor) for each unmatched filed statement, in input order. Each
+    rebuilt item and filed statement comes out exactly once.
 
-    Pairs come as they are made, the puid pairs in filed order and then the
-    fuzzy pairs in greedy order: into Linkage.pairs, or with a sink into
-    sink(rec, sor, by_puid), a puid pair on arrival (link then keeps no
-    reference to either item) and the fuzzy pairs once the fuzzy stage ends.
-    The unmatched lists keep their input order.
+    Once the stream ends, `reconstructed_count` and `filed_count` count the
+    items read, and `puid_pairs` and `fuzzy_pairs` the pairs each stage made:
+    it is a class rather than a generator function so that these can be read.
     """
-    config = config or LinkConfig()
 
-    # Rebuilt items by position, None once paired; a free puid maps to its
-    # item's position.
-    slots: list[ReconstructedSor | None] = []
-    puid_index: dict[str, int] = {}
-    for i, rec in enumerate(reconstructed):
-        slots.append(rec)
-        if rec.puid:
-            if rec.puid in puid_index:
-                raise LinkageError(f"duplicate puid {rec.puid!r} among reconstructed items")
-            puid_index[rec.puid] = i
+    def __init__(
+        self, reconstructed: Iterable[ReconstructedSor], filed: Iterable[SorRecord], config: LinkConfig | None = None
+    ) -> None:
+        self._inputs = reconstructed, filed, config or LinkConfig()
+        self.reconstructed_count = self.filed_count = self.puid_pairs = self.fuzzy_pairs = 0
 
-    pairs: list[tuple[ReconstructedSor, SorRecord]] = []
-    if sink is None:
+    def __iter__(self) -> Iterator[Outcome]:
+        reconstructed, filed, config = self._inputs
+        # Rebuilt items by position, None once paired; a free puid maps to
+        # its item's position.
+        slots: list[ReconstructedSor | None] = []
+        puid_index: dict[str, int] = {}
+        for i, rec in enumerate(reconstructed):
+            slots.append(rec)
+            if rec.puid:
+                if rec.puid in puid_index:
+                    raise LinkageError(f"duplicate puid {rec.puid!r} among reconstructed items")
+                puid_index[rec.puid] = i
 
-        def sink(rec: ReconstructedSor, sor: SorRecord, by_puid: bool) -> None:
-            pairs.append((rec, sor))
+        rest_filed: list[SorRecord] = []
+        for sor in filed:
+            puid = sor.puid
+            if puid:
+                i = puid_index.get(puid)
+                if i == _FILED:
+                    raise LinkageError(f"duplicate puid {puid!r} among filed statements")
+                puid_index[puid] = _FILED
+                if i is not None:
+                    rec, slots[i] = slots[i], None
+                    yield rec, sor
+                    continue
+            rest_filed.append(sor)
 
-    rest_filed: list[SorRecord] = []
-    for sor in filed:
-        puid = sor.puid
-        if puid:
-            i = puid_index.get(puid)
-            if i == _FILED:
-                raise LinkageError(f"duplicate puid {puid!r} among filed statements")
-            puid_index[puid] = _FILED
-            if i is not None:
-                rec, slots[i] = slots[i], None
-                sink(rec, sor, True)
-                continue
-        rest_filed.append(sor)
+        rest_rec = [r for r in slots if r is not None]
+        outcomes = _fuzzy_link(rest_rec, rest_filed, config)
+        self.reconstructed_count = len(slots)
+        self.puid_pairs = len(slots) - len(rest_rec)
+        self.filed_count = self.puid_pairs + len(rest_filed)
+        # Each item of the fuzzy stage comes out once, a pair's two in one outcome.
+        self.fuzzy_pairs = len(rest_rec) + len(rest_filed) - len(outcomes)
+        yield from outcomes
 
-    # Fuzzy pairs go to the sink once the fuzzy stage's queues are freed.
-    rest_rec = [r for r in slots if r is not None]
-    fuzzy_pairs: list[tuple[ReconstructedSor, SorRecord]] = []
-    taken_rec, taken_filed = _fuzzy_link(rest_rec, rest_filed, config, fuzzy_pairs)
-    for rec, sor in fuzzy_pairs:
-        sink(rec, sor, False)
 
-    unmatched_rec = [r for i, r in enumerate(rest_rec) if not taken_rec[i]]
-    unmatched_filed = [f for j, f in enumerate(rest_filed) if not taken_filed[j]]
-    return Linkage(pairs=pairs, unmatched_reconstructed=unmatched_rec, unmatched_filed=unmatched_filed)
+def link(
+    reconstructed: Iterable[ReconstructedSor], filed: Iterable[SorRecord], config: LinkConfig | None = None
+) -> Linkage:
+    """link_outcomes collected into a Linkage: the puid pairs in filed order,
+    then the fuzzy pairs in greedy order; the unmatched lists in input order."""
+    linkage = Linkage([], [], [])
+    for rec, sor in link_outcomes(reconstructed, filed, config):
+        if sor is None:
+            linkage.unmatched_reconstructed.append(rec)
+        elif rec is None:
+            linkage.unmatched_filed.append(sor)
+        else:
+            linkage.pairs.append((rec, sor))
+    return linkage
 
 
 # A queue of free rebuilt items, as (content_id, position) in descending
@@ -462,13 +484,10 @@ _Queue = list[tuple[str, int]]
 
 
 def _fuzzy_link(
-    rest_rec: list[ReconstructedSor],
-    rest_filed: list[SorRecord],
-    config: LinkConfig,
-    pairs: list[tuple[ReconstructedSor, SorRecord]],
-) -> tuple[bytearray, bytearray]:
-    """Greedy fuzzy pairing; appends to `pairs` and returns the taken flags of
-    `rest_rec` and `rest_filed` by position.
+    rest_rec: list[ReconstructedSor], rest_filed: list[SorRecord], config: LinkConfig
+) -> list[Outcome]:
+    """Greedy fuzzy pairing: the pairs in greedy order, then (rec, None) for
+    each unpaired item of `rest_rec` and (None, sor) for each of `rest_filed`.
 
     The result is the greedy walk over every above-threshold pair in the order
     (score desc, uuid, content_id, filed position, rebuilt position), without
@@ -541,6 +560,7 @@ def _fuzzy_link(
 
     taken_rec = bytearray(len(rest_rec))
     taken_filed = bytearray(len(rest_filed))
+    outcomes: list[Outcome] = []
 
     def free_head(tier_queues: list[_Queue]) -> tuple[str, int] | None:
         best = None
@@ -577,8 +597,10 @@ def _fuzzy_link(
                 continue
             taken_rec[i] = 1
             taken_filed[j] = 1
-            pairs.append((rest_rec[i], rest_filed[j]))
-    return taken_rec, taken_filed
+            outcomes.append((rest_rec[i], rest_filed[j]))
+    outcomes.extend((r, None) for i, r in enumerate(rest_rec) if not taken_rec[i])
+    outcomes.extend((None, f) for j, f in enumerate(rest_filed) if not taken_filed[j])
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -658,41 +680,39 @@ def _finding_key(f: VerificationFinding) -> tuple:
     return rank * 4 + (f.content_id is None) * 2 + (f.sor_uuid is None), f.content_id or "", f.sor_uuid or "", f
 
 
-def unmatched_findings(linkage: Linkage) -> list[VerificationFinding]:
-    """One OMITTED_SOR finding per unmatched rebuilt item, then one
-    PHANTOM_SOR finding per unmatched filed statement, in linkage order."""
-    findings = [
-        VerificationFinding(
-            kind=VerificationKind.OMITTED_SOR,
-            severity=Severity.CRITICAL,
-            content_id=rec.content_id,
-            evidence=(
-                f"moderated content {rec.content_id} "
-                f"({rec.decision_type.value} on {rec.application_date.isoformat()}) "
-                "has no filed statement in the audited window"
-            ),
-        )
-        for rec in linkage.unmatched_reconstructed
-    ]
-    findings.extend(
-        VerificationFinding(
-            kind=VerificationKind.PHANTOM_SOR,
-            severity=Severity.CRITICAL,
-            sor_uuid=sor.uuid,
-            evidence=(
-                f"filed statement {sor.uuid} "
-                f"({sor.decision_type.value} on {sor.application_date.isoformat()}) "
-                "matches no platform-side moderation action"
-            ),
-        )
-        for sor in linkage.unmatched_filed
-    )
-    return findings
-
-
-def pair_findings(rec: ReconstructedSor, sor: SorRecord, deadline_days: int) -> list[VerificationFinding]:
-    """The findings of one linked pair: a field divergence and a late
-    submission can both fire; the pair is CONSISTENT only when neither does."""
+def outcome_findings(
+    rec: ReconstructedSor | None, sor: SorRecord | None, deadline_days: int
+) -> list[VerificationFinding]:
+    """The findings of one linkage outcome. An unmatched rebuilt item is an
+    OMITTED_SOR and an unmatched filed statement a PHANTOM_SOR. In a pair, a
+    field divergence and a late submission can both fire; the pair is
+    CONSISTENT only when neither does."""
+    if sor is None:
+        return [
+            VerificationFinding(
+                kind=VerificationKind.OMITTED_SOR,
+                severity=Severity.CRITICAL,
+                content_id=rec.content_id,
+                evidence=(
+                    f"moderated content {rec.content_id} "
+                    f"({rec.decision_type.value} on {rec.application_date.isoformat()}) "
+                    "has no filed statement in the audited window"
+                ),
+            )
+        ]
+    if rec is None:
+        return [
+            VerificationFinding(
+                kind=VerificationKind.PHANTOM_SOR,
+                severity=Severity.CRITICAL,
+                sor_uuid=sor.uuid,
+                evidence=(
+                    f"filed statement {sor.uuid} "
+                    f"({sor.decision_type.value} on {sor.application_date.isoformat()}) "
+                    "matches no platform-side moderation action"
+                ),
+            )
+        ]
     findings: list[VerificationFinding] = []
     expected_values = _diff_values(rec)
     filed_values = _diff_values(sor)
@@ -744,10 +764,10 @@ def pair_findings(rec: ReconstructedSor, sor: SorRecord, deadline_days: int) -> 
     return findings
 
 
-def verify_diff(linkage: Linkage, deadline_days: int = DEFAULT_DEADLINE_DAYS) -> list[VerificationFinding]:
-    """Turn linkage output into typed findings: unmatched_findings, then
-    pair_findings of each pair in order, sorted."""
-    findings = unmatched_findings(linkage)
-    for rec, sor in linkage.pairs:
-        findings.extend(pair_findings(rec, sor, deadline_days))
+def verify_diff(outcomes: Iterable[Outcome], deadline_days: int = DEFAULT_DEADLINE_DAYS) -> list[VerificationFinding]:
+    """The sorted findings of linkage outcomes (link_outcomes, or a Linkage),
+    read once."""
+    findings: list[VerificationFinding] = []
+    for rec, sor in outcomes:
+        findings.extend(outcome_findings(rec, sor, deadline_days))
     return sort_verification_findings(findings)

@@ -879,6 +879,7 @@ JSON_DAMAGE = {
     "byte_ff": (lambda data: data[: len(data) // 2] + b"\xff" + data[len(data) // 2 :], "is not valid UTF-8"),
     "truncated": (lambda data: data[: len(data) // 2], "is not valid JSON"),
     "nested": (lambda data: b"[" * 200_000, "nests too deeply"),
+    "long_integer": (lambda data: b"[" + b"1" * 5_000 + b"]", "holds an integer too long to read"),
 }
 
 

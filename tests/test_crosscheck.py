@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from datetime import date
+from datetime import date, datetime, time, timedelta, timezone
 from fractions import Fraction
 
 import pytest
@@ -22,6 +22,7 @@ from modaudit.crosscheck import (
 from modaudit.report import Severity, emit_report
 
 from .conftest import make_record
+from .oracles import naive_replicate
 
 JAN = Period(start=date(2024, 1, 1), end=date(2024, 2, 1))
 
@@ -265,6 +266,42 @@ class TestRunCrosscheck:
         assert findings[0].kind is FindingKind.UNREPLICABLE
         assert "period gap" in findings[0].evidence
         assert results[0].status is ResultStatus.UNREPLICABLE
+
+    @pytest.mark.parametrize(
+        "field,start,end,gap",
+        [
+            ("content_date", date(2023, 12, 10), date(2023, 12, 31), False),
+            ("content_date", date(2024, 1, 17), date(2024, 2, 1), True),
+            ("created_at", date(2024, 2, 1), date(2024, 3, 1), False),
+            ("created_at", date(2023, 12, 1), date(2024, 1, 12), True),
+        ],
+        ids=["content_before_coverage", "content_after_coverage", "created_after_coverage", "created_before_coverage"],
+    )
+    def test_period_gap_is_judged_on_the_period_field(self, taxonomy, field, start, end, gap):
+        # Application dates span [Jan 12, Jan 16]; a record is valid only when
+        # content_date <= application_date <= created_at, so content dates may
+        # lie before that range and creation dates after it.
+        records = []
+        for k in range(15):
+            applied = date(2024, 1, 12) + timedelta(days=k % 5)
+            records.append(
+                make_record(
+                    uuid=f"sor-{k}",
+                    content_date=date(2023, 12, 1) + timedelta(days=3 * k),
+                    application_date=applied,
+                    created_at=datetime.combine(applied + timedelta(days=2 * k), time(9), tzinfo=timezone.utc),
+                )
+            )
+        c = claim("c", "5", period=Period(start=start, end=end, field=field))
+        _, results = run_crosscheck(
+            ClaimSet(claims=(c,)), records, taxonomy, coverage=(date(2024, 1, 12), date(2024, 1, 16))
+        )
+        if gap:
+            assert results[0].status is ResultStatus.UNREPLICABLE
+            assert "period gap" in results[0].note
+        else:
+            assert results[0].status is ResultStatus.OK
+            assert results[0].computed_value == naive_replicate(c, records) > 0
 
     def test_unresolvable_category_flows_to_unreplicable_finding(self, taxonomy):
         c = claim("mystery", "5", predicate={"category": "Jaywalking"})

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modaudit.aggregate import Period
-from modaudit.cli import _linked_findings
 from modaudit.report import Severity
 from modaudit.sor import AutomatedDecision, ContentType, DecisionType
 from modaudit.verify import (
@@ -24,6 +23,7 @@ from modaudit.verify import (
     VisibilityStatus,
     classify,
     link,
+    link_outcomes,
     marker_token,
     reconstruct,
     sort_verification_findings,
@@ -228,11 +228,14 @@ class TestLink:
                 read.append(uuid)
                 yield filed_record(uuid=uuid, puid=puid)
 
-        paired = []
+        stream = iter(link_outcomes(rec, filed()))
+        if puid == "p-0000001":
+            # the puid pair comes out as "a" arrives, before "b" is read
+            rebuilt, sor = next(stream)
+            assert (rebuilt, sor.uuid, read) == (rec[0], "a", ["a"])
         with pytest.raises(LinkageError, match=f"^duplicate puid '{puid}' among filed statements$"):
-            link(rec, filed(), sink=lambda r, f, by_puid: paired.append(f.uuid))
+            next(stream)
         assert read == ["a", "b"]
-        assert paired == (["a"] if puid == "p-0000001" else [])
 
     def test_items_with_differing_puids_never_fuzzy_match(self, taxonomy):
         # both sides carry puids; identities are known to differ
@@ -416,6 +419,17 @@ class TestLinkMatchesNaiveOracle:
         ]
         assert [id(f) for f in got.unmatched_filed] == [id(f) for f in want.unmatched_filed]
 
+        # The stream: each rebuilt item and each statement in exactly one
+        # outcome, and stage counts that agree with the oracle's pairs.
+        outcomes = link_outcomes(iter(rebuilt), iter(filed), config)
+        streamed = list(outcomes)
+        assert sorted(id(r) for r, _ in streamed if r is not None) == sorted(map(id, rebuilt))
+        assert sorted(id(f) for _, f in streamed if f is not None) == sorted(map(id, filed))
+        by_puid = sum(1 for r, f in want.pairs if r.puid and r.puid == f.puid)
+        assert (outcomes.puid_pairs, outcomes.fuzzy_pairs) == (by_puid, len(want.pairs) - by_puid)
+        assert outcomes.reconstructed_count == len(want.pairs) + len(want.unmatched_reconstructed)
+        assert outcomes.filed_count == len(want.pairs) + len(want.unmatched_filed)
+
 
 def linkage_ids(linkage):
     return (
@@ -426,14 +440,14 @@ def linkage_ids(linkage):
 
 
 class TestStreamedLink:
-    """link over one-shot iterators, and the CLI's composition of link with a
-    pair sink, against the list route and the naive oracle."""
+    """link_outcomes over one-shot iterators, with verify_diff as the CLI runs
+    them, against the list route and the naive oracle."""
 
     @settings(max_examples=300, deadline=None)
     @given(tie_dense_link_inputs(), st.integers(0, 7))
     def test_cli_composition_gives_the_oracles_findings_in_order(self, inputs, deadline_days):
         rebuilt, filed, config = inputs
-        findings, _, _ = _linked_findings(iter(rebuilt), iter(filed), config, deadline_days)
+        findings = verify_diff(link_outcomes(iter(rebuilt), iter(filed), config), deadline_days)
         assert findings == verify_diff(naive_link(rebuilt, filed, config), deadline_days)
 
     @settings(max_examples=300, deadline=None)
@@ -442,6 +456,7 @@ class TestStreamedLink:
         rebuilt, filed, config = inputs
         streamed = link((r for r in rebuilt), (f for f in filed), config)
         assert linkage_ids(streamed) == linkage_ids(link(rebuilt, filed, config))
+        assert list(streamed) == list(link_outcomes(rebuilt, filed, config))
 
     @pytest.mark.parametrize(
         "order", [(0, 1, 2), (1, 0, 2), (2, 1, 0), (1, 2, 0)], ids=["filed", "swapped", "reversed", "rotated"]
@@ -464,10 +479,11 @@ class TestStreamedLink:
             filed_record(uuid="sor-0", puid=None, content_date=date(2024, 1, 9)),
         ]
         arrived = [filed[i] for i in order]
-        findings, _, pair_counts = _linked_findings(iter(rebuilt), iter(arrived), LinkConfig(), 7)
+        outcomes = link_outcomes(iter(rebuilt), iter(arrived))
+        findings = verify_diff(outcomes, 7)
         assert findings == verify_diff(naive_link(rebuilt, arrived))
         assert [f.mismatched_fields[0][2] for f in findings] == ["misinformation", "nudity", "2024-01-09"]
-        assert pair_counts == {"puid_pairs": 2, "fuzzy_pairs": 1}
+        assert (outcomes.puid_pairs, outcomes.fuzzy_pairs) == (2, 1)
 
 
 class TestStrippedPuidRecall:
