@@ -118,8 +118,8 @@ class Predicate:
         return out
 
     def replace_values(self, attr: str, mapper) -> "Predicate":
-        """Predicate with attr's literals rewritten through mapper (raises KeyError
-        via mapper for unmappable values)."""
+        """Predicate with attr's literals rewritten through mapper; callers
+        check first that mapper maps every literal."""
         conjuncts = []
         for name, allowed in self.conjuncts:
             if name == attr:

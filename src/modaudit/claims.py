@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -126,7 +126,10 @@ def parse_number(text: str) -> tuple[int | Fraction, Precision]:
     mantissa = raw.replace(",", "")
     int_part, point, frac_part = mantissa.partition(".")
     digits = (int_part or "0") + frac_part
-    value: int | Fraction = Fraction(int(digits), 10 ** len(frac_part))
+    try:
+        value: int | Fraction = Fraction(int(digits), 10 ** len(frac_part))
+    except ValueError:  # the interpreter's limit on converting long digit strings
+        raise NumberFormatError(f"value of {len(digits)} digits is too long to read") from None
     value *= Fraction(10) ** power
     if percent:
         value /= 100
@@ -417,45 +420,28 @@ def resolve_categories(
     """Rewrite category literals in claim predicates through taxonomy aliases.
 
     Claims whose labels do not resolve are kept as-is and returned in the
-    second element (claim_id -> offending label); downstream they become
-    UNREPLICABLE findings rather than load failures.
+    second element (claim_id -> the least offending label in sorted order,
+    so the finding does not depend on set iteration order); downstream they
+    become UNREPLICABLE findings rather than load failures.
     """
     resolved: list[Claim] = []
     unresolvable: dict[str, str] = {}
     for claim in claimset.claims:
-        bad_label: str | None = None
-
-        def mapper(label: object) -> str:
-            nonlocal bad_label
-            code = taxonomy.resolve(str(label))
-            if code is None:
-                bad_label = str(label)
-                raise KeyError(label)
-            return code
-
-        try:
-            predicate = claim.predicate.replace_values("category", mapper)
-            denominator = (
-                claim.denominator_predicate.replace_values("category", mapper)
-                if claim.denominator_predicate is not None
-                else None
-            )
-        except KeyError:
-            unresolvable[claim.claim_id] = bad_label or ""
+        denominator = claim.denominator_predicate
+        predicates = [claim.predicate, denominator or Predicate()]
+        labels = {v for p in predicates for attr, allowed in p.conjuncts if attr == "category" for v in allowed}
+        unknown = [label for label in labels if taxonomy.resolve(label) is None]
+        if unknown:
+            unresolvable[claim.claim_id] = min(unknown)
             resolved.append(claim)
             continue
         resolved.append(
-            Claim(
-                claim_id=claim.claim_id,
-                platform_name=claim.platform_name,
-                metric=claim.metric,
-                predicate=predicate,
-                denominator_predicate=denominator,
-                period=claim.period,
-                reported_value=claim.reported_value,
-                precision=claim.precision,
-                source_locator=claim.source_locator,
-                value_text=claim.value_text,
+            replace(
+                claim,
+                predicate=claim.predicate.replace_values("category", taxonomy.resolve),
+                denominator_predicate=None
+                if denominator is None
+                else denominator.replace_values("category", taxonomy.resolve),
             )
         )
     return ClaimSet(claims=tuple(resolved), exhaustive=claimset.exhaustive), unresolvable

@@ -149,6 +149,9 @@ def _resolve_config(args: argparse.Namespace) -> AppConfig:
             raise ValueError(f"deadline_days must be a non-negative integer <= 999999999, got {deadline_days}")
         threshold_text = getattr(args, "severity_threshold", None) or file_data.get("severity_threshold", "warn")
         threshold = parse_severity(str(threshold_text))
+        parallel = getattr(args, "parallel", 1)
+        if parallel < 1:
+            raise ValueError(f"--parallel must be at least 1, got {parallel}")
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -159,7 +162,7 @@ def _resolve_config(args: argparse.Namespace) -> AppConfig:
         link=link_config,
         deadline_days=deadline_days,
         severity_threshold=threshold,
-        parallel=max(1, int(getattr(args, "parallel", 1) or 1)),
+        parallel=parallel,
         extra_inputs=extra_inputs,
     )
 
@@ -379,9 +382,9 @@ def _parse_window(args: argparse.Namespace) -> Period | None:
 
 def _hull_window(export_reader: ExportReader) -> Period:
     """The whole days that hold every moderation time of a pass over the export."""
-    if export_reader.moderated_range is None:
+    if export_reader.manifest.date_range is None:
         raise InputError("export holds no events and no window was given")
-    first, last = export_reader.moderated_range
+    first, last = export_reader.manifest.date_range
     try:
         end = last.date() + timedelta(days=1)
     except OverflowError:

@@ -9,15 +9,14 @@ identical sequences.
 
 from __future__ import annotations
 
-import copy
 import csv
 from dataclasses import dataclass
-from datetime import date, datetime
+from datetime import date
 from functools import lru_cache, partial
 from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Generator, Generic, Iterable, Iterator, Sequence, TypeVar
 
 from .sor import (
     FIELD_ORDER,
@@ -95,18 +94,16 @@ def _stream_rows(
     parse: Callable[[list[str]], _T | Fault],
     key: Callable[[_T], date],
     on_quarantine: Callable[[QuarantineEntry], None],
-    manifests: list[CorpusManifest],
-) -> Iterator[_T]:
-    """Stream the parsed rows of one CSV file whose header is `field_order`.
+) -> Generator[_T, None, CorpusManifest]:
+    """Stream the parsed rows of one CSV file whose header is `field_order`,
+    and return the file's manifest once it is read through: the rows kept and
+    quarantined, and the least and greatest `key` of the kept records.
 
     `parse` gets each row of the right width as its list of strings and
     returns a record or a (reason, field) fault. Rows of the wrong width and
     rows `parse` rejects go to the sink as entries located by file name and
-    line; only these rows become a column-name dict. Once the file is read
-    through, its manifest goes onto `manifests`: the rows kept and
-    quarantined, and the least and greatest `key` of the kept records. An
-    unreadable file, a wrong header, non-UTF-8 bytes or malformed CSV raise
-    IngestError.
+    line; only these rows become a column-name dict. An unreadable file, a
+    wrong header, non-UTF-8 bytes or malformed CSV raise IngestError.
     """
     name = path.name
     n_fields = len(field_order)
@@ -144,43 +141,44 @@ def _stream_rows(
     except csv.Error as exc:
         raise IngestError(f"{path}: line {reader.line_num}: malformed CSV ({exc})") from None
     date_range = None if least is None else (least, greatest)
-    manifests.append(CorpusManifest((name,), kept, quarantined, date_range))  # type: ignore[arg-type]
+    return CorpusManifest((name,), kept, quarantined, date_range)  # type: ignore[arg-type]
 
 
-class CorpusReader:
-    """Iterable over every valid SoR record in a dump directory.
+class CorpusReader(Generic[_T]):
+    """Iterable over the valid records of CSV files of one format, in order.
 
-    Iterating runs one full streaming pass; the manifest is available once a
+    Each pass parses rows with `parse` and a fresh bounded memo of `verdict`,
+    and dates the kept records by `key`. The manifest is available once a
     pass has completed, here or in per-file parts (`split`, `join`).
     Quarantined rows go to `on_quarantine` when given, otherwise they collect
-    on `.quarantine`.
+    on `.quarantine`. `open_corpus` and `open_platform_export` build readers
+    of the two formats.
     """
 
     def __init__(
         self,
-        path: str | Path,
-        taxonomy: CategoryTaxonomy,
+        files: Sequence[Path],
+        field_order: tuple[str, ...],
+        parse: Callable[[Callable, list[str]], _T | Fault],
+        verdict: Callable,
+        key: Callable[[_T], date],
         on_quarantine: Callable[[QuarantineEntry], None] | None = None,
     ) -> None:
-        self.root = Path(path)
-        if not self.root.is_dir():
-            raise IngestError(f"{self.root}: corpus path is not a directory")
-        self.taxonomy = taxonomy
-        # every .csv entry is claimed corpus content; unreadable ones abort loudly
-        self.files = sorted(p for p in self.root.iterdir() if p.suffix == ".csv")
+        self.files = list(files)
+        self._format = (field_order, parse, verdict, key)
         self._sink = on_quarantine
         self.quarantine: list[QuarantineEntry] = []
         self._manifest: CorpusManifest | None = None
 
-    def __iter__(self) -> Iterator[SorRecord]:
+    def __iter__(self) -> Iterator[_T]:
         self._manifest = None
         self.quarantine = []
         sink = self._sink or self.quarantine.append
-        verdicts = lru_cache(maxsize=VERDICT_MEMO_LIMIT)(partial(_dump_verdict, self.taxonomy))
-        parse = partial(parse_dump_row, verdicts)
+        field_order, parse, verdict, key = self._format
+        parse_row = partial(parse, lru_cache(maxsize=VERDICT_MEMO_LIMIT)(verdict))
         parts: list[CorpusManifest] = []
         for path in self.files:
-            yield from _stream_rows(path, FIELD_ORDER, parse, _application_date, sink, parts)
+            parts.append((yield from _stream_rows(path, field_order, parse_row, key, sink)))
         self._manifest = CorpusManifest.merge(parts)
 
     @property
@@ -189,17 +187,12 @@ class CorpusReader:
             raise RuntimeError("manifest is available after a complete pass over the corpus")
         return self._manifest
 
-    def split(self) -> list["CorpusReader"]:
+    def split(self) -> list["CorpusReader[_T]"]:
         """One reader per file, without a sink, for passes made in other
         processes; `join` takes their outcome back."""
-        parts = []
-        for path in self.files:
-            part = copy.copy(self)
-            part.files, part._sink, part.quarantine, part._manifest = [path], None, [], None
-            parts.append(part)
-        return parts
+        return [type(self)([path], *self._format) for path in self.files]
 
-    def join(self, parts: Sequence["CorpusReader"]) -> None:
+    def join(self, parts: Sequence["CorpusReader[_T]"]) -> None:
         """Take over the quarantine entries and manifests of split parts that
         have each made a pass, as if this reader had made the pass itself."""
         self.quarantine = []
@@ -214,48 +207,37 @@ def open_corpus(
     path: str | Path,
     taxonomy: CategoryTaxonomy,
     on_quarantine: Callable[[QuarantineEntry], None] | None = None,
-) -> CorpusReader:
-    return CorpusReader(path, taxonomy, on_quarantine)
+) -> CorpusReader[SorRecord]:
+    root = Path(path)
+    if not root.is_dir():
+        raise IngestError(f"{root}: corpus path is not a directory")
+    # every .csv entry is claimed corpus content; unreadable ones abort loudly
+    files = sorted(p for p in root.iterdir() if p.suffix == ".csv")
+    verdict = partial(_dump_verdict, taxonomy)
+    return CorpusReader(files, FIELD_ORDER, parse_dump_row, verdict, _application_date, on_quarantine)
 
 
-class ExportReader:
-    """Iterable over the moderation events of one platform-export file.
+class ExportReader(CorpusReader[ModerationEvent]):
+    """A reader of one platform-export file; its manifest's date range is the
+    earliest and latest moderation time."""
 
-    A complete pass sets the counts of events and quarantined rows, and the
-    earliest and latest moderation time (None without events).
-    """
+    @property
+    def event_count(self) -> int:
+        return self.manifest.record_count
 
-    def __init__(
-        self,
-        path: str | Path,
-        on_quarantine: Callable[[QuarantineEntry], None] | None = None,
-    ) -> None:
-        self.path = Path(path)
-        if not self.path.is_file():
-            raise IngestError(f"{self.path}: export path is not a file")
-        self._sink = on_quarantine
-        self.quarantine: list[QuarantineEntry] = []
-        self.event_count = 0
-        self.quarantine_count = 0
-        self.moderated_range: tuple[datetime, datetime] | None = None
-
-    def __iter__(self) -> Iterator[ModerationEvent]:
-        self.quarantine = []
-        sink = self._sink or self.quarantine.append
-        parse = partial(parse_export_row, lru_cache(maxsize=VERDICT_MEMO_LIMIT)(_event_verdict))
-        parts: list[CorpusManifest] = []
-        yield from _stream_rows(self.path, EVENT_FIELD_ORDER, parse, _moderated_at, sink, parts)
-        (manifest,) = parts
-        self.event_count = manifest.record_count
-        self.quarantine_count = manifest.quarantine_count
-        self.moderated_range = manifest.date_range  # type: ignore[assignment]
+    @property
+    def quarantine_count(self) -> int:
+        return self.manifest.quarantine_count
 
 
 def open_platform_export(
     path: str | Path,
     on_quarantine: Callable[[QuarantineEntry], None] | None = None,
 ) -> ExportReader:
-    return ExportReader(path, on_quarantine)
+    path = Path(path)
+    if not path.is_file():
+        raise IngestError(f"{path}: export path is not a file")
+    return ExportReader([path], EVENT_FIELD_ORDER, parse_export_row, _event_verdict, _moderated_at, on_quarantine)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ machine-readable reason.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from enum import Enum
@@ -207,6 +208,27 @@ class JsonInputError(ValueError):
     line that names the input and its file."""
 
 
+def _parse_on_fresh_stack(text: str) -> object:
+    """json.loads run on a new thread, which starts with an empty stack, so
+    the nesting it reads does not depend on how deep the caller is; its error
+    is raised here."""
+    outcome: list[object] = []
+
+    def parse() -> None:
+        try:
+            outcome.append(json.loads(text))
+        except Exception as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=parse)
+    thread.start()
+    thread.join()
+    (result,) = outcome
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def read_json(path: str | Path, what: str) -> object:
     """The JSON document in the UTF-8 file at `path`. Every way the file can
     fail to yield a document, an OS error, a non-UTF-8 byte, malformed JSON,
@@ -219,7 +241,7 @@ def read_json(path: str | Path, what: str) -> object:
     except UnicodeDecodeError as exc:
         raise JsonInputError(f"{what} {path} is not valid UTF-8 (byte {exc.start})") from None
     try:
-        return json.loads(text)
+        return _parse_on_fresh_stack(text)
     except json.JSONDecodeError as exc:
         raise JsonInputError(f"{what} {path} is not valid JSON: {exc}") from None
     except RecursionError:

@@ -63,6 +63,11 @@ class TestParseNumber:
         with pytest.raises(NumberFormatError):
             parse_number(text)
 
+    @pytest.mark.parametrize("text,digits", [("9" * 5000, 5000), ("1." + "0" * 5000, 5001)], ids=["integer", "decimal"])
+    def test_digits_past_the_interpreters_limit_are_a_format_error(self, text, digits):
+        with pytest.raises(NumberFormatError, match=f"^value of {digits} digits is too long to read$"):
+            parse_number(text)
+
     @pytest.mark.parametrize(
         "mantissa,expected",
         [("1200000", 2), ("1.20", 3), ("0.050", 2), ("1020000", 3), ("100.", 3), ("0", 1)],

@@ -222,6 +222,14 @@ class TestExitCodes:
         assert run(args) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["replicate", "crosscheck"])
+    def test_parallel_below_one_is_a_config_error(self, faithful, tmp_path, capsys, command, value):
+        out = tmp_path / "runs"
+        assert run([command, *crosscheck_args(faithful, out, "--parallel", value)[1:]]) == 2
+        assert_one_line_input_error(capsys, out, f"--parallel must be at least 1, got {value}")
+        assert not out.exists()
+
     def test_bad_scenario_config_is_config_error(self, tmp_path):
         scen = write_scenario(tmp_path, {"seed": 1})
         assert run(["synth", "--scenario", str(scen), "--out", str(tmp_path / "x")]) == 2
@@ -421,6 +429,24 @@ class TestRunPersistence:
         assert written[0] == written[1]
         assert b'"consistent"' in written[0]
 
+    def test_unknown_label_finding_does_not_depend_on_the_hash_seed(self, faithful, tmp_path):
+        doc = json.loads((faithful / "claims.json").read_text())
+        labels = ["zzz_one", "aaa_two", "mmm_three", "qqq_four"]
+        doc["claims"][0]["predicate"] = {"category": labels}
+        claims = faithful / "unknown-labels.json"
+        claims.write_text(json.dumps(doc), encoding="utf-8")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = set()
+        for seed in "123456":
+            out = tmp_path / f"runs-{seed}"
+            args = crosscheck_args(faithful, out)
+            args[4] = str(claims)
+            env = {"PYTHONPATH": src, "PYTHONHASHSEED": seed}
+            subprocess.run([sys.executable, "-m", "modaudit.cli", *args], env=env, capture_output=True, check=False)
+            outputs.add((only_run_dir(out) / "findings.json").read_bytes())
+        (findings,) = outputs
+        assert [label for label in labels if label.encode() in findings] == ["aaa_two"]
+
     def test_run_json_carries_metrics_that_findings_do_not(self, injected, tmp_path):
         with open(injected / "export.csv", "a", encoding="utf-8") as fh:
             fh.write("not,a,row\n")
@@ -610,7 +636,7 @@ class TestOtherSubcommands:
     @pytest.mark.parametrize("depth", [500, 980])
     def test_report_renders_deep_nesting_in_every_format(self, tmp_path, depth):
         # A fresh interpreter, as from a shell: under the test runner's deeper
-        # stack the JSON reader itself refuses 980 levels.
+        # stack the json renderer runs out of stack at 980 levels.
         path = tmp_path / "findings.json"
         path.write_text('[{"a": ' + "[" * depth + "]" * depth + "}]", encoding="utf-8")
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -756,6 +782,20 @@ class TestSettingTypes:
         assert run(verify_args(faithful, out, "--config", str(config))) == 2
         assert_one_line_input_error(capsys, out, fragment)
         assert not out.exists()
+
+    @pytest.mark.parametrize("value,digits", [("9" * 5000, 5000), ("1." + "0" * 5000, 5001)], ids=["integer", "decimal"])
+    @pytest.mark.parametrize("command", ["replicate", "crosscheck"])
+    def test_claim_value_past_the_digit_limit_exits_three(self, faithful, tmp_path, capsys, command, value, digits):
+        doc = json.loads((faithful / "claims.json").read_text())
+        doc["claims"][0]["value"] = value
+        claims = faithful / "long-value.json"
+        claims.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "runs"
+        args = crosscheck_args(faithful, out)
+        args[4] = str(claims)
+        assert run([command, *args[1:]]) == 3
+        claim_id = doc["claims"][0]["claim_id"]
+        assert_one_line_input_error(capsys, out, f"claim {claim_id}: field value: value of {digits} digits is too long")
 
     def test_claims_exhaustive_must_be_a_boolean(self, faithful, tmp_path, capsys):
         doc = json.loads((faithful / "claims.json").read_text())

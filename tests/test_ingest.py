@@ -245,10 +245,11 @@ class TestOpenPlatformExport:
         ]
         write_rows(path, rows, header=EVENT_FIELD_ORDER)
         reader = open_platform_export(path)
-        assert reader.moderated_range is None
+        with pytest.raises(RuntimeError, match="complete pass"):
+            reader.event_count
         assert [e.content_id for e in reader] == ["c-0", "c-2", "c-4"]
         assert (reader.event_count, reader.quarantine_count) == (3, 2)
-        assert reader.moderated_range == (
+        assert reader.manifest.date_range == (
             datetime(2024, 1, 10, 23, 59, 59, tzinfo=timezone.utc),
             datetime(2024, 1, 12, 8, tzinfo=timezone.utc),
         )
@@ -330,9 +331,12 @@ class TestRecordTuples:
         path = tmp_path / "rows.csv"
         path.write_text("column\nvalue\n", encoding="utf-8")
         quarantined, manifests = [], []
-        got = list(
-            _stream_rows(path, ("column",), lambda row: result, lambda r: 0, quarantined.append, manifests)
-        )
+
+        def rows():
+            manifest = yield from _stream_rows(path, ("column",), lambda row: result, lambda r: 0, quarantined.append)
+            manifests.append(manifest)
+
+        got = list(rows())
         (manifest,) = manifests
         return got, quarantined, (manifest.record_count, manifest.quarantine_count)
 

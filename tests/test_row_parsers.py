@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modaudit import ingest
-from modaudit.ingest import CorpusManifest, ExportReader, _stream_rows, open_corpus
+from modaudit.ingest import CorpusManifest, _stream_rows, open_corpus, open_platform_export
 from modaudit.sor import (
     FIELD_ORDER,
     VERDICT_MEMO_LIMIT,
@@ -173,7 +173,7 @@ def read_export(rows: list[list[str]]):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "export.csv"
         write_csv(path, EVENT_FIELD_ORDER, rows)
-        reader = ExportReader(path)
+        reader = open_platform_export(path)
         return list(reader), reader.quarantine
 
 
@@ -365,7 +365,7 @@ class TestVerdictMemo:
         write_csv(tmp_path / "export.txt", EVENT_FIELD_ORDER, events)
         reader = open_corpus(tmp_path, TAXONOMY)
         assert len(list(reader)) == len(list(reader)) == 1
-        list(ExportReader(tmp_path / "export.txt"))
+        list(open_platform_export(tmp_path / "export.txt"))
         # a fault and a pass in each dump pass, one entry per enum combination in the export
         assert [(m.cache_info().maxsize, m.cache_info().currsize) for m in built] == [
             (VERDICT_MEMO_LIMIT, 2),
@@ -389,9 +389,9 @@ def pass_verdicts(taxonomy: CategoryTaxonomy):
 
 
 def stream_dump(path: Path, verdicts, sink, manifests: list):
-    return _stream_rows(
-        path, FIELD_ORDER, partial(parse_dump_row, verdicts), attrgetter("application_date"), sink, manifests
-    )
+    """The records of one dump file; its manifest goes onto `manifests`."""
+    parse = partial(parse_dump_row, verdicts)
+    manifests.append((yield from _stream_rows(path, FIELD_ORDER, parse, attrgetter("application_date"), sink)))
 
 
 class TestRenderCell:

@@ -15,6 +15,7 @@ from modaudit.sor import (
     TaxonomyError,
     default_taxonomy,
     informativeness_profile,
+    read_json,
     validate_record,
 )
 from modaudit.verify import parse_event_row
@@ -194,3 +195,21 @@ class TestInformativenessProfile:
     def test_report_dict_shape(self):
         d = informativeness_profile([make_record()]).to_dict()
         assert d["puid"] == {"filled": 0, "applicable": 1, "rate": 0.0}
+
+
+def at_depth(frames: int, call):
+    """The value of `call()`, called `frames` Python frames deeper than here."""
+    return call() if frames == 0 else at_depth(frames - 1, call)
+
+
+class TestReadJson:
+    @pytest.mark.parametrize("frames", [0, 100, 300])
+    def test_nesting_it_reads_does_not_depend_on_the_callers_depth(self, tmp_path, frames):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 980 + "]" * 980, encoding="utf-8")
+        doc = at_depth(frames, lambda: read_json(path, "findings file"))
+        depth = 1
+        while doc:
+            (doc,) = doc
+            depth += 1
+        assert (depth, doc) == (980, [])
