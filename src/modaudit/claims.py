@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Mapping
 
 from .aggregate import Period, PeriodError, Predicate, PredicateError
-from .htmltable import find_table, parse_tables, resolve_column
 from .sor import CategoryTaxonomy, read_json
 
 
@@ -149,7 +148,8 @@ def floor_log10(value: int | Fraction) -> int:
     """Exact floor(log10(value)) for positive rationals."""
     if value <= 0:
         raise ValueError("floor_log10 needs a positive value")
-    estimate = math.floor(math.log10(float(value))) if float(value) > 0 else 0
+    # log10 takes ints of any size, so the estimate needs no float of the value.
+    estimate = math.floor(math.log10(value.numerator) - math.log10(value.denominator))
     while Fraction(10) ** estimate > value:
         estimate -= 1
     while Fraction(10) ** (estimate + 1) <= value:
@@ -493,6 +493,9 @@ def extract_html_claims(document: str, mapping: ExtractionMapping) -> ClaimSet:
     """One claim per data row of the mapped table. Cell values pass through the
     number-normalization rules; category labels stay raw until taxonomy
     resolution."""
+    # imported here: html.parser is needed only to read an HTML report
+    from .htmltable import find_table, parse_tables, resolve_column
+
     tables = parse_tables(document)
     table = find_table(tables, mapping.table_selector)
     table_label = table.ident or f"table{tables.index(table)}"

@@ -7,6 +7,9 @@ byte-identical across runs over identical inputs.
 
 Exit codes: 0 completed with no findings at or above the severity threshold,
 1 completed with such findings, 2 usage or config error, 3 input error.
+
+Each subcommand imports the pipeline modules it runs inside its own function,
+so that an invocation loads, and without bytecode compiles, only those.
 """
 
 from __future__ import annotations
@@ -27,10 +30,9 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence, TextIO
 
 from .aggregate import Period
-from .claims import ClaimsError, load_claims
-from .crosscheck import ToleranceSpec, replicate_claims, run_crosscheck
 from .ingest import ExportReader, IngestError, open_corpus, open_platform_export
 from .report import REPORT_FORMATS, Severity, emit_report, meets_threshold, parse_severity, write_report
+from .settings import DEFAULT_DEADLINE_DAYS, LinkConfig, ToleranceSpec, _integer, _known_keys, _number
 from .sor import (
     CategoryTaxonomy,
     JsonInputError,
@@ -38,18 +40,6 @@ from .sor import (
     default_taxonomy,
     informativeness_profile,
     read_json,
-)
-from .synth import ScenarioConfig, ScenarioError, _integer, _known_keys, _number, generate
-from .verify import (
-    DEFAULT_DEADLINE_DAYS,
-    DIFF_FIELDS,
-    UNDIFFED_FIELDS,
-    KeywordClassifier,
-    LinkageError,
-    LinkConfig,
-    link_outcomes,
-    reconstruct,
-    verify_diff,
 )
 
 
@@ -319,6 +309,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _load_claimset(path: str) -> object:
+    from .claims import ClaimsError, load_claims
+
     try:
         return load_claims(path)
     except (ClaimsError, JsonInputError) as exc:
@@ -326,6 +318,8 @@ def _load_claimset(path: str) -> object:
 
 
 def _cmd_replicate(args: argparse.Namespace) -> int:
+    from .crosscheck import replicate_claims
+
     config = _resolve_config(args)
     claimset = _load_claimset(args.claims)
     with RunDir(args.out, ["replicate", str(args.corpus), str(args.claims)]) as run:
@@ -356,6 +350,8 @@ def _finish_with_findings(run: RunDir, config: AppConfig, manifest: dict, findin
 
 
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
+    from .crosscheck import run_crosscheck
+
     config = _resolve_config(args)
     claimset = _load_claimset(args.claims)
     with RunDir(args.out, ["crosscheck", str(args.corpus), str(args.claims)]) as run:
@@ -404,6 +400,16 @@ def _released(items: list) -> Iterator:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import (
+        DIFF_FIELDS,
+        UNDIFFED_FIELDS,
+        KeywordClassifier,
+        LinkageError,
+        link_outcomes,
+        reconstruct,
+        verify_diff,
+    )
+
     config = _resolve_config(args)
     window = _parse_window(args)
     with RunDir(args.out, ["verify", str(args.export), str(args.corpus)]) as run:
@@ -428,7 +434,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             and (not args.platform or r.platform_name == args.platform)
         )
         outcomes = link_outcomes(_released(reconstructed), filed, config.link)
-        findings = verify_diff(outcomes, config.deadline_days)
+        try:
+            findings = verify_diff(outcomes, config.deadline_days)
+        except LinkageError as exc:
+            raise InputError(str(exc)) from None
         manifest = {
             "export": {"events": export_reader.event_count, "quarantined": export_reader.quarantine_count},
             "corpus": corpus_reader.manifest.to_dict(),
@@ -444,6 +453,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import ScenarioConfig, ScenarioError, generate
+
     try:
         config = ScenarioConfig.from_file(args.scenario)
         if args.seed is not None:
@@ -565,7 +576,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InputError, IngestError, LinkageError, OSError) as exc:
+    except (InputError, IngestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -14,37 +14,15 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .aggregate import AggregateResult, CellTally, ResultStatus
-from .claims import Claim, ClaimSet, Metric, Precision, floor_log10, resolve_categories
+from .claims import Claim, ClaimSet, Metric, Precision, floor_log10, resolve_categories, round_to_sig
 from .parallel import parallel_replicate
 from .report import SEVERITY_RANK, Severity
+from .settings import ToleranceSpec
 from .sor import CategoryTaxonomy, SorRecord
 
 
 class PipelineError(RuntimeError):
     """Wiring bug: the results handed to cross_check do not cover the claims."""
-
-
-@dataclass(frozen=True)
-class ToleranceSpec:
-    """How much slack a reported value gets before it counts as a mismatch.
-
-    rounding_aware grants ROUNDED(d) values half a unit in their last
-    significant digit; approximate_relative replaces relative for hedged
-    values.
-    """
-
-    absolute_floor: float = 0.0
-    relative: float = 0.0
-    rounding_aware: bool = True
-    approximate_relative: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.absolute_floor < 0 or self.relative < 0 or self.approximate_relative < 0:
-            raise ValueError("tolerance fields must be non-negative")
-        if self.approximate_relative < self.relative:
-            raise ValueError("approximate_relative must be at least relative")
-        if not isinstance(self.rounding_aware, bool):
-            raise ValueError("rounding_aware must be true or false")
 
 
 def tolerance_bound(
@@ -60,6 +38,31 @@ def tolerance_bound(
         half_ulp = Fraction(1, 2) * Fraction(10) ** (floor_log10(v) - (precision.digits or 1) + 1)
         bound = max(bound, half_ulp)
     return bound
+
+
+def _plain(x: int | Fraction | None) -> int | float | None:
+    """`x` as a JSON number: an int when whole, else the nearest float. Past
+    the float range, where no float holds it, the nearest int."""
+    if isinstance(x, Fraction):
+        if x.denominator == 1:
+            return int(x)
+        try:
+            return float(x)
+        except OverflowError:
+            return round(x)
+    return x
+
+
+def _g(x: Fraction) -> str:
+    """`x` as f"{float(x):g}" writes it, for values past the float range too:
+    six significant digits, trailing zeros dropped."""
+    try:
+        return f"{float(x):g}"
+    except OverflowError:
+        digits, k = round_to_sig(x, 6)
+        text = str(digits).rstrip("0")
+        mantissa = text[0] + ("." + text[1:] if len(text) > 1 else "")
+        return f"{mantissa}e+{k + 5}"
 
 
 class FindingKind(str, Enum):
@@ -85,20 +88,13 @@ class Finding:
     evidence: str = ""
 
     def to_dict(self) -> dict[str, object]:
-        def num(x: int | Fraction | None) -> object:
-            if x is None:
-                return None
-            if isinstance(x, Fraction):
-                return int(x) if x.denominator == 1 else float(x)
-            return x
-
         return {
             "kind": self.kind.value,
             "severity": self.severity.value,
             "claim_id": self.claim_id,
-            "reported_value": num(self.reported_value),
-            "computed_value": num(self.computed_value),
-            "deviation": num(self.deviation),
+            "reported_value": _plain(self.reported_value),
+            "computed_value": _plain(self.computed_value),
+            "deviation": _plain(self.deviation),
             "relative_deviation": None
             if self.relative_deviation is None
             else float(self.relative_deviation),
@@ -159,7 +155,7 @@ def _check_one(claim: Claim, result: AggregateResult, spec: ToleranceSpec) -> Fi
             relative_deviation=relative,
             evidence=(
                 f"reported {claim.value_text} agrees with computed {result.computed_value} "
-                f"within tolerance {float(bound):g} [{locator}]"
+                f"within tolerance {_g(bound)} [{locator}]"
             ),
         )
 
@@ -194,8 +190,7 @@ def _check_one(claim: Claim, result: AggregateResult, spec: ToleranceSpec) -> Fi
         relative_deviation=relative,
         evidence=(
             f"reported {claim.value_text} vs computed "
-            f"{float(computed) if computed.denominator != 1 else int(computed)}; "
-            f"deviation {float(deviation):g} exceeds tolerance {float(bound):g} [{locator}]"
+            f"{_plain(computed)}; deviation {_g(deviation)} exceeds tolerance {_g(bound)} [{locator}]"
         ),
     )
 

@@ -16,7 +16,7 @@ from functools import lru_cache, partial
 from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Generator, Generic, Iterable, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Generator, Generic, Iterable, Iterator, Sequence, TypeVar
 
 from .sor import (
     FIELD_ORDER,
@@ -30,7 +30,9 @@ from .sor import (
     parse_dump_row,
     render_cell,
 )
-from .verify import EVENT_FIELD_ORDER, ModerationEvent, _event_verdict, parse_export_row
+
+if TYPE_CHECKING:
+    from .verify import ModerationEvent
 
 _T = TypeVar("_T")
 _application_date = attrgetter("application_date")
@@ -217,7 +219,7 @@ def open_corpus(
     return CorpusReader(files, FIELD_ORDER, parse_dump_row, verdict, _application_date, on_quarantine)
 
 
-class ExportReader(CorpusReader[ModerationEvent]):
+class ExportReader(CorpusReader["ModerationEvent"]):
     """A reader of one platform-export file; its manifest's date range is the
     earliest and latest moderation time."""
 
@@ -234,6 +236,9 @@ def open_platform_export(
     path: str | Path,
     on_quarantine: Callable[[QuarantineEntry], None] | None = None,
 ) -> ExportReader:
+    # imported here, so that a run that reads only dumps never loads verify
+    from .verify import EVENT_FIELD_ORDER, _event_verdict, parse_export_row
+
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"{path}: export path is not a file")
@@ -281,4 +286,6 @@ def write_dump(
 
 def write_export(events: Iterable[ModerationEvent], path: str | Path) -> int:
     """Write one platform-export CSV file; returns the number of rows."""
+    from .verify import EVENT_FIELD_ORDER
+
     return _write_rows(Path(path), EVENT_FIELD_ORDER, events)

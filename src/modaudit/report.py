@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from collections.abc import Mapping, Sequence
 from enum import Enum
 from json.encoder import encode_basestring
@@ -124,12 +125,14 @@ def write_report(findings: Sequence[object], format: str, fh: TextIO) -> None:
         raise ValueError(f"unknown report format {format!r}; expected one of {REPORT_FORMATS}")
 
     if format == "json":
-        from .verify import VerificationFinding  # imported here: verify imports this module
-
+        # A VerificationFinding can exist only once verify is loaded, so a
+        # run that has not loaded it (a cross-check) need not load it here.
+        verify = sys.modules.get(f"{__package__}.verify")
+        verification = None if verify is None else verify.VerificationFinding
         separator = "[\n  "
         prefixes: dict[tuple, str] = {}
         for finding in findings:
-            if finding.__class__ is VerificationFinding:
+            if finding.__class__ is verification:
                 text = _verification_json(finding, prefixes)
             else:
                 # Structural newlines are the only raw newlines json emits.

@@ -14,17 +14,17 @@ from __future__ import annotations
 
 import json
 import random
-import sys
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime, time, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .aggregate import Period, PeriodError
 from .claims import parse_number, percent_text
 from .crosscheck import ToleranceSpec, tolerance_bound
 from .ingest import write_dump, write_export
+from .settings import SettingError as ScenarioError, _integer, _known_keys, _number
 from .sor import (
     AutomatedDecision,
     CategoryTaxonomy,
@@ -38,34 +38,9 @@ from .sor import (
 from .verify import ModerationEvent, VisibilityStatus, marker_token
 
 
-class ScenarioError(ValueError):
-    pass
-
-
 def _object(value: object, name: str) -> Mapping[str, object]:
     if not isinstance(value, Mapping):
         raise ScenarioError(f"{name} must be a JSON object, got {value!r}")
-    return value
-
-
-def _known_keys(data: Mapping[str, object], known: Iterable[str], name: str) -> None:
-    """Refuse a key of `data` outside `known`: a misspelt setting would
-    otherwise leave its default in force without a word."""
-    unknown = sorted(set(data).difference(known))
-    if unknown:
-        raise ScenarioError(f"{name}: unknown key {unknown[0]!r}")
-
-
-def _integer(value: object, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _number(value: object, name: str) -> float:
-    # The magnitude test refuses NaN, the infinities and integers that no float holds.
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-        raise ScenarioError(f"{name} must be a finite number, got {value!r}")
     return value
 
 

@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Protocol, 
 
 from .aggregate import Period
 from .report import SEVERITY_RANK, Severity
+from .settings import DEFAULT_DEADLINE_DAYS, LinkConfig
 from .sor import (
     _AUTOMATED_DECISIONS,
     _BOOLS,
@@ -347,35 +348,6 @@ class LinkageError(ValueError):
     """Corpus defect that makes linkage meaningless (duplicate puid)."""
 
 
-@dataclass(frozen=True)
-class LinkConfig:
-    """Fuzzy-pairing weights and acceptance threshold, exact rationals."""
-
-    category_weight: Fraction = Fraction(1, 2)
-    decision_weight: Fraction = Fraction(3, 10)
-    time_weight: Fraction = Fraction(1, 5)
-    threshold: Fraction = Fraction(7, 10)
-    max_day_distance: int = 3
-
-    def __post_init__(self) -> None:
-        if min(self.category_weight, self.decision_weight, self.time_weight, self.threshold) < 0:
-            raise ValueError("linkage weights and threshold must be non-negative")
-        if self.max_day_distance < 1:
-            raise ValueError("max_day_distance must be at least 1")
-
-    def score(self, category_equal: bool, decision_equal: bool, day_distance: int) -> Fraction:
-        """Score of a rebuilt/filed pair from its feature comparison; the day
-        distance is clamped at max_day_distance."""
-        score = Fraction(0)
-        if category_equal:
-            score += self.category_weight
-        if decision_equal:
-            score += self.decision_weight
-        clamped = min(day_distance, self.max_day_distance)
-        score += self.time_weight * (1 - Fraction(clamped, self.max_day_distance))
-        return score
-
-
 # A linkage outcome: a pair, (rec, None) for an unmatched rebuilt item or (None, sor) for an unmatched statement.
 Outcome = tuple[ReconstructedSor | None, SorRecord | None]
 
@@ -639,8 +611,6 @@ UNDIFFED_FIELDS = (
 )
 
 _diff_values = attrgetter(*DIFF_FIELDS)
-
-DEFAULT_DEADLINE_DAYS = 7
 
 
 class VerificationFinding(NamedTuple):

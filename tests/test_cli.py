@@ -13,8 +13,18 @@ from pathlib import Path
 
 import pytest
 
+import modaudit
 from modaudit.cli import RunDir, run
 from modaudit.sor import QuarantineEntry, QuarantineReason
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def fresh_env(**extra: str) -> dict[str, str]:
+    """The whole environment of a fresh interpreter: the package on its path,
+    and no bytecode written into the source tree."""
+    return {"PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1", **extra}
+
 
 SCENARIO = {
     "seed": 13,
@@ -435,13 +445,12 @@ class TestRunPersistence:
         doc["claims"][0]["predicate"] = {"category": labels}
         claims = faithful / "unknown-labels.json"
         claims.write_text(json.dumps(doc), encoding="utf-8")
-        src = str(Path(__file__).resolve().parent.parent / "src")
         outputs = set()
         for seed in "123456":
             out = tmp_path / f"runs-{seed}"
             args = crosscheck_args(faithful, out)
             args[4] = str(claims)
-            env = {"PYTHONPATH": src, "PYTHONHASHSEED": seed}
+            env = fresh_env(PYTHONHASHSEED=seed)
             subprocess.run([sys.executable, "-m", "modaudit.cli", *args], env=env, capture_output=True, check=False)
             outputs.add((only_run_dir(out) / "findings.json").read_bytes())
         (findings,) = outputs
@@ -512,11 +521,65 @@ class TestStartup:
     def test_cli_import_leaves_multiprocessing_out(self):
         # only --parallel needs it; every other invocation skips its import cost
         code = "import sys, modaudit.cli; print('multiprocessing' in sys.modules)"
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True, check=True
-        )
+        out = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True, text=True, check=True)
         assert out.stdout == "False\n"
+
+    # Modules that one subcommand runs and another should never load.
+    WATCHED = (
+        "html.parser",
+        "modaudit.claims",
+        "modaudit.crosscheck",
+        "modaudit.htmltable",
+        "modaudit.parallel",
+        "modaudit.synth",
+        "modaudit.verify",
+    )
+
+    # Runs the CLI on the probe's arguments and requires exit code 0.
+    RUN = "import sys\nfrom modaudit.cli import run\nassert run(sys.argv[1:]) == 0"
+
+    def loaded(self, code: str, *args: str) -> list[str]:
+        """The WATCHED modules that a fresh interpreter has loaded after
+        running `code` with `args` as sys.argv[1:], as its last line of output."""
+        probe = f"{code}\nimport sys\nprint(*[m for m in {self.WATCHED!r} if m in sys.modules])"
+        out = subprocess.run(
+            [sys.executable, "-c", probe, *args], env=fresh_env(), capture_output=True, text=True, check=True
+        )
+        return out.stdout.splitlines()[-1].split()
+
+    def test_cli_import_loads_no_pipeline_module(self):
+        assert self.loaded("import modaudit.cli") == []
+
+    def test_verify_loads_only_its_own_pipeline(self, tmp_path):
+        from modaudit.sor import FIELD_ORDER
+        from modaudit.verify import EVENT_FIELD_ORDER
+
+        (tmp_path / "dump").mkdir()
+        (tmp_path / "dump" / "part-00000.csv").write_text(",".join(FIELD_ORDER) + "\n", encoding="utf-8")
+        (tmp_path / "export.csv").write_text(",".join(EVENT_FIELD_ORDER) + "\n", encoding="utf-8")
+        args = ["verify", "--corpus", str(tmp_path / "dump"), "--export", str(tmp_path / "export.csv")]
+        args += ["--window-start", "2024-01-01", "--window-end", "2024-02-01", "--out", str(tmp_path / "runs")]
+        assert self.loaded(self.RUN, *args) == ["modaudit.verify"]
+
+    def test_crosscheck_loads_neither_verify_nor_synth(self, faithful, tmp_path):
+        loaded = self.loaded(self.RUN, *crosscheck_args(faithful, tmp_path / "runs"))
+        assert loaded == ["modaudit.claims", "modaudit.crosscheck", "modaudit.parallel"]
+
+    def test_package_names_are_their_submodules_objects(self):
+        assert len(modaudit.__all__) == 50
+        for name in modaudit.__all__:
+            value = getattr(modaudit, name)
+            assert getattr(sys.modules[value.__module__], name) is value, name
+        assert set(modaudit.__all__) <= set(dir(modaudit))
+        namespace: dict[str, object] = {}
+        exec("from modaudit import *", namespace)
+        assert all(namespace[name] is getattr(modaudit, name) for name in modaudit.__all__)
+
+    def test_unknown_package_name_is_an_attribute_error_that_loads_nothing(self):
+        code = "import modaudit\ntry:\n    modaudit.no_such_name\nexcept AttributeError:\n    pass"
+        assert self.loaded(code) == []
+        with pytest.raises(AttributeError, match="module 'modaudit' has no attribute 'no_such_name'"):
+            modaudit.no_such_name
 
 
 class TestOtherSubcommands:
@@ -639,12 +702,9 @@ class TestOtherSubcommands:
         # stack the json renderer runs out of stack at 980 levels.
         path = tmp_path / "findings.json"
         path.write_text('[{"a": ' + "[" * depth + "]" * depth + "}]", encoding="utf-8")
-        src = str(Path(__file__).resolve().parent.parent / "src")
 
         def fresh(*args: str) -> subprocess.CompletedProcess:
-            return subprocess.run(
-                [sys.executable, *args], env={"PYTHONPATH": src}, capture_output=True, text=True
-            )
+            return subprocess.run([sys.executable, *args], env=fresh_env(), capture_output=True, text=True)
 
         def report(fmt: str) -> subprocess.CompletedProcess:
             return fresh("-m", "modaudit.cli", "report", str(path), "--format", fmt)
@@ -796,6 +856,38 @@ class TestSettingTypes:
         assert run([command, *args[1:]]) == 3
         claim_id = doc["claims"][0]["claim_id"]
         assert_one_line_input_error(capsys, out, f"claim {claim_id}: field value: value of {digits} digits is too long")
+
+    @pytest.mark.parametrize(
+        "value,deviation",
+        [
+            ("1" + "0" * 309, "1e+309"),
+            ("9" * 400, "1e+400"),
+            ("~1" + "0" * 309, "1e+309"),
+            ("1" + "0" * 309 + ".5", "1e+309"),
+            ("12345675" + "0" * 305 + "K", "1.23457e+315"),
+        ],
+        ids=["power_of_ten", "nines", "approximate", "decimal", "suffix"],
+    )
+    @pytest.mark.parametrize("command", ["replicate", "crosscheck"])
+    def test_claim_value_past_the_float_range_is_checked(self, faithful, tmp_path, command, value, deviation):
+        doc = json.loads((faithful / "claims.json").read_text())
+        doc["claims"][0]["value"] = value
+        claims = faithful / "huge-value.json"
+        claims.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "runs"
+        args = crosscheck_args(faithful, out)
+        args[4] = str(claims)
+        claim_id = doc["claims"][0]["claim_id"]
+        if command == "replicate":
+            assert run(["replicate", *args[1:]]) == 0
+            results = json.loads((only_run_dir(out) / "results.json").read_text())
+            assert claim_id in {r["claim_id"] for r in results}
+            return
+        assert run(args) == 1
+        findings = json.loads((only_run_dir(out) / "findings.json").read_text())
+        (finding,) = [f for f in findings if f["claim_id"] == claim_id]
+        assert (finding["kind"], finding["severity"]) == ("mismatch", "critical")
+        assert f"deviation {deviation} exceeds tolerance" in finding["evidence"]
 
     def test_claims_exhaustive_must_be_a_boolean(self, faithful, tmp_path, capsys):
         doc = json.loads((faithful / "claims.json").read_text())
