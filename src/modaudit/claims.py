@@ -12,9 +12,9 @@ Precision classification drives the tolerance policy downstream:
 
 from __future__ import annotations
 
-import json
 import math
 import re
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .aggregate import Period, PeriodError, Predicate, PredicateError
-from .sor import CategoryTaxonomy, read_json
+from .sor import CategoryTaxonomy, json_text, read_json
 
 
 class ClaimsError(ValueError):
@@ -125,10 +125,14 @@ def parse_number(text: str) -> tuple[int | Fraction, Precision]:
     mantissa = raw.replace(",", "")
     int_part, point, frac_part = mantissa.partition(".")
     digits = (int_part or "0") + frac_part
-    try:
-        value: int | Fraction = Fraction(int(digits), 10 ** len(frac_part))
-    except ValueError:  # the interpreter's limit on converting long digit strings
-        raise NumberFormatError(f"value of {len(digits)} digits is too long to read") from None
+    # The interpreter's limit on converting digit strings binds the digits
+    # read here and the integer digits the suffix's power adds to them. The
+    # limit came in 3.10.7; before it, and at 0, there is none.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    length = max(len(digits), len(int_part) + power)
+    if limit and length > limit:
+        raise NumberFormatError(f"value of {length} digits is too long to read")
+    value: int | Fraction = Fraction(int(digits), 10 ** len(frac_part))
     value *= Fraction(10) ** power
     if percent:
         value /= 100
@@ -157,16 +161,6 @@ def floor_log10(value: int | Fraction) -> int:
     return estimate
 
 
-def _round_half_even(q: Fraction) -> int:
-    whole, rem = divmod(q.numerator, q.denominator)
-    frac = Fraction(rem, q.denominator)
-    if frac > Fraction(1, 2):
-        return whole + 1
-    if frac < Fraction(1, 2):
-        return whole
-    return whole if whole % 2 == 0 else whole + 1
-
-
 def _decimal_text(digits: int, exponent: int) -> str:
     """Render digits * 10**exponent as plain decimal text, keeping trailing
     zeros that the digit string carries."""
@@ -186,7 +180,7 @@ def round_to_sig(value: Fraction, digits: int) -> tuple[int, int]:
     """
     exp = floor_log10(value)
     k = exp - digits + 1
-    scaled = _round_half_even(value / Fraction(10) ** k)
+    scaled = round(value / Fraction(10) ** k)  # a Fraction rounds half to even
     if scaled >= 10**digits:  # rounded across a power boundary
         scaled //= 10
         k += 1
@@ -409,9 +403,7 @@ def claimset_to_dict(claimset: ClaimSet) -> dict[str, object]:
 
 
 def save_claims(claimset: ClaimSet, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(claimset_to_dict(claimset), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(json_text(claimset_to_dict(claimset)), encoding="utf-8")
 
 
 def resolve_categories(

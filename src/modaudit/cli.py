@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import re
 import resource
 import secrets
@@ -39,6 +38,7 @@ from .sor import (
     TaxonomyError,
     default_taxonomy,
     informativeness_profile,
+    json_text,
     read_json,
 )
 
@@ -171,10 +171,6 @@ def _config_snapshot(config: AppConfig) -> dict[str, object]:
     }
 
 
-def _json_text(document: object) -> str:
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -244,7 +240,7 @@ class RunDir:
         """Write manifest.json, then run.json: the resolved config, a digest of
         every input (the config file included) and of every output, and the
         run's metrics. run.json is the last file written."""
-        self.write("manifest.json", _json_text(manifest))
+        self.write("manifest.json", json_text(manifest))
         self.close()
         record = {
             "run_id": self.run_id,
@@ -264,7 +260,7 @@ class RunDir:
                 "quarantine_by_file": dict(self.quarantine_by_file),
             },
         }
-        (self.path / "run.json").write_text(_json_text(record), encoding="utf-8")
+        (self.path / "run.json").write_text(json_text(record), encoding="utf-8")
 
 
 def _finding_counts(findings) -> dict[str, int]:
@@ -301,7 +297,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         reader = open_corpus(args.corpus, config.taxonomy, run.quarantine_sink())
         profile = informativeness_profile(reader)
         manifest = reader.manifest.to_dict()
-        run.write("profile.json", _json_text(profile.to_dict()))
+        run.write("profile.json", json_text(profile.to_dict()))
         run.track_inputs(*reader.files)
         run.finish(config, manifest, _finding_counts(()))
         print(f"profiled {manifest['record_count']} record(s) -> {run.path}")
@@ -328,7 +324,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         _resolved, results, _tally = replicate_claims(
             claimset, reader, config.taxonomy, workers=config.parallel
         )
-        run.write("results.json", _json_text([r.to_dict() for r in results]))
+        run.write("results.json", json_text([r.to_dict() for r in results]))
         run.track_inputs(*reader.files, Path(args.claims))
         run.finish(config, reader.manifest.to_dict(), _finding_counts(()))
         print(f"replicated {len(results)} claim(s) -> {run.path}")

@@ -116,82 +116,50 @@ def sort_findings(findings: list[Finding]) -> list[Finding]:
 
 
 def _check_one(claim: Claim, result: AggregateResult, spec: ToleranceSpec) -> Finding:
-    locator = claim.source_locator
+    deviation = relative = None
     if result.status is ResultStatus.UNREPLICABLE:
-        return Finding(
-            kind=FindingKind.UNREPLICABLE,
-            severity=Severity.WARN,
-            claim_id=claim.claim_id,
-            reported_value=claim.reported_value,
-            evidence=f"claim {claim.claim_id} could not be replicated: {result.note} [{locator}]",
-        )
-    if result.status is ResultStatus.UNDEFINED:
-        return Finding(
-            kind=FindingKind.UNREPLICABLE,
-            severity=Severity.WARN,
-            claim_id=claim.claim_id,
-            reported_value=claim.reported_value,
-            evidence=(
-                f"claim {claim.claim_id} share is undefined: "
-                f"denominator matched no records [{locator}]"
-            ),
-        )
-
-    reported = Fraction(claim.reported_value)
-    computed = Fraction(result.computed_value)  # type: ignore[arg-type]
-    deviation = abs(reported - computed)
-    bound = tolerance_bound(claim.reported_value, claim.precision, spec)
-    largest = max(reported, computed)
-    relative = None if largest == 0 else deviation / largest
-
-    if deviation <= bound:
-        return Finding(
-            kind=FindingKind.MATCH,
-            severity=Severity.INFO,
-            claim_id=claim.claim_id,
-            reported_value=claim.reported_value,
-            computed_value=result.computed_value,
-            deviation=deviation,
-            relative_deviation=relative,
-            evidence=(
+        kind, severity = FindingKind.UNREPLICABLE, Severity.WARN
+        evidence = f"claim {claim.claim_id} could not be replicated: {result.note}"
+    elif result.status is ResultStatus.UNDEFINED:
+        kind, severity = FindingKind.UNREPLICABLE, Severity.WARN
+        evidence = f"claim {claim.claim_id} share is undefined: denominator matched no records"
+    else:
+        reported = Fraction(claim.reported_value)
+        computed = Fraction(result.computed_value)  # type: ignore[arg-type]
+        deviation = abs(reported - computed)
+        bound = tolerance_bound(claim.reported_value, claim.precision, spec)
+        largest = max(reported, computed)
+        relative = None if largest == 0 else deviation / largest
+        if deviation <= bound:
+            kind, severity = FindingKind.MATCH, Severity.INFO
+            evidence = (
                 f"reported {claim.value_text} agrees with computed {result.computed_value} "
-                f"within tolerance {_g(bound)} [{locator}]"
-            ),
-        )
-
-    if claim.metric is Metric.COUNT and computed == 0 and reported > 0:
-        return Finding(
-            kind=FindingKind.MISSING_IN_DB,
-            severity=Severity.CRITICAL,
-            claim_id=claim.claim_id,
-            reported_value=claim.reported_value,
-            computed_value=result.computed_value,
-            deviation=deviation,
-            relative_deviation=relative,
-            evidence=(
-                f"report states {claim.value_text} but the database holds no matching "
-                f"records at all [{locator}]"
-            ),
-        )
-
-    zero_vs_nonzero = (reported == 0) != (computed == 0)
-    severity = (
-        Severity.CRITICAL
-        if zero_vs_nonzero or (relative is not None and relative > Fraction(1, 2))
-        else Severity.WARN
-    )
+                f"within tolerance {_g(bound)}"
+            )
+        elif claim.metric is Metric.COUNT and computed == 0 and reported > 0:
+            kind, severity = FindingKind.MISSING_IN_DB, Severity.CRITICAL
+            evidence = f"report states {claim.value_text} but the database holds no matching records at all"
+        else:
+            zero_vs_nonzero = (reported == 0) != (computed == 0)
+            kind = FindingKind.MISMATCH
+            severity = (
+                Severity.CRITICAL
+                if zero_vs_nonzero or (relative is not None and relative > Fraction(1, 2))
+                else Severity.WARN
+            )
+            evidence = (
+                f"reported {claim.value_text} vs computed "
+                f"{_plain(computed)}; deviation {_g(deviation)} exceeds tolerance {_g(bound)}"
+            )
     return Finding(
-        kind=FindingKind.MISMATCH,
+        kind=kind,
         severity=severity,
         claim_id=claim.claim_id,
         reported_value=claim.reported_value,
         computed_value=result.computed_value,
         deviation=deviation,
         relative_deviation=relative,
-        evidence=(
-            f"reported {claim.value_text} vs computed "
-            f"{_plain(computed)}; deviation {_g(deviation)} exceeds tolerance {_g(bound)} [{locator}]"
-        ),
+        evidence=f"{evidence} [{claim.source_locator}]",
     )
 
 

@@ -18,9 +18,7 @@ from enum import Enum
 from functools import lru_cache, partial
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
-
-_T = TypeVar("_T")
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 
 class DecisionType(str, Enum):
@@ -229,6 +227,12 @@ def _parse_on_fresh_stack(text: str) -> object:
     return result
 
 
+def json_text(document: object) -> str:
+    """`document` as the JSON files this package writes hold it, findings
+    aside: indented by two, keys sorted, one trailing newline."""
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
 def read_json(path: str | Path, what: str) -> object:
     """The JSON document in the UTF-8 file at `path`. Every way the file can
     fail to yield a document, an OS error, a non-UTF-8 byte, malformed JSON,
@@ -421,30 +425,6 @@ def _first_empty(row: Sequence[str], field_order: tuple[str, ...], indices: tupl
     return QuarantineReason.MISSING_FIELD, field_order[i]
 
 
-def _parse_mapping(
-    raw: Mapping[str, str],
-    field_order: tuple[str, ...],
-    required: frozenset[str],
-    values: Callable[[Mapping[str, str]], tuple[str, ...]],
-    parse: Callable[[tuple[str, ...]], _T | Fault],
-) -> _T | QuarantineEntry:
-    """Run a positional parser over a row given as a mapping; `values` picks
-    the mapping's strings in `field_order`. A lacking column is MISSING_FIELD
-    at the first column in `field_order` that is lacking or empty although
-    `required`."""
-    try:
-        row = values(raw)
-    except KeyError:
-        name = next(n for n in field_order if raw.get(n) is None or (raw[n] == "" and n in required))
-        result: _T | Fault = (QuarantineReason.MISSING_FIELD, name)
-    else:
-        result = parse(row)
-    if result.__class__ is tuple:
-        reason, field_name = result  # type: ignore[misc]
-        return QuarantineEntry(reason=reason, field=field_name, raw_row=dict(raw))
-    return result  # type: ignore[return-value]
-
-
 def _dump_verdict(taxonomy: CategoryTaxonomy, key: tuple[str, ...]) -> Verdict:
     """The verdict on a dump row's enum, bool and category strings, in
     _verdict_key order."""
@@ -545,21 +525,34 @@ def validate_record(
 ) -> SorRecord | QuarantineEntry:
     """Validate one raw dump row given as a mapping of column name to string.
     Total and deterministic: always returns exactly one of SorRecord or
-    QuarantineEntry, never raises on data.
+    QuarantineEntry, never raises on data. A lacking column is MISSING_FIELD
+    at the first column in FIELD_ORDER that is lacking, or empty although
+    required.
     """
-    parse = partial(parse_dump_row, partial(_dump_verdict, taxonomy))
-    return _parse_mapping(raw, FIELD_ORDER, _REQUIRED, _row_values, parse)
+    try:
+        row = _row_values(raw)
+    except KeyError:
+        name = next(n for n in FIELD_ORDER if raw.get(n) is None or (raw[n] == "" and n in _REQUIRED))
+        result: SorRecord | Fault = (QuarantineReason.MISSING_FIELD, name)
+    else:
+        result = parse_dump_row(partial(_dump_verdict, taxonomy), row)
+    if isinstance(result, SorRecord):
+        return result
+    reason, field_name = result
+    return QuarantineEntry(reason=reason, field=field_name, raw_row=dict(raw))
 
 
 # Optional and conditionally required attributes whose fill rates quantify how
-# informative a corpus is; AttributeFillReport.add decides when each applies.
-PROFILE_ATTRIBUTES: tuple[str, ...] = (
-    "decision_ground_reference_url",
-    "illegal_content_explanation",
-    "decision_type_other",
-    "content_type_other",
-    "puid",
-)
+# informative a corpus is, each with the (field, value) a record must carry for
+# it to apply; None where it applies to every record.
+_FILL_CONDITIONS: dict[str, tuple[str, Enum] | None] = {
+    "decision_ground_reference_url": None,
+    "illegal_content_explanation": ("decision_ground", DecisionGround.ILLEGAL_CONTENT),
+    "decision_type_other": ("decision_type", DecisionType.OTHER),
+    "content_type_other": ("content_type", ContentType.OTHER),
+    "puid": None,
+}
+PROFILE_ATTRIBUTES: tuple[str, ...] = tuple(_FILL_CONDITIONS)
 
 
 @dataclass
@@ -586,30 +579,12 @@ class AttributeFillReport:
         return cls(stats={name: FillStat() for name in PROFILE_ATTRIBUTES})
 
     def add(self, record: SorRecord) -> None:
-        s = self.stats
-        st = s["decision_ground_reference_url"]
-        st.applicable += 1
-        if record.decision_ground_reference_url:
-            st.filled += 1
-        st = s["puid"]
-        st.applicable += 1
-        if record.puid:
-            st.filled += 1
-        if record.decision_ground is DecisionGround.ILLEGAL_CONTENT:
-            st = s["illegal_content_explanation"]
-            st.applicable += 1
-            if record.illegal_content_explanation:
-                st.filled += 1
-        if record.decision_type is DecisionType.OTHER:
-            st = s["decision_type_other"]
-            st.applicable += 1
-            if record.decision_type_other:
-                st.filled += 1
-        if record.content_type is ContentType.OTHER:
-            st = s["content_type_other"]
-            st.applicable += 1
-            if record.content_type_other:
-                st.filled += 1
+        for name, condition in _FILL_CONDITIONS.items():
+            if condition is None or getattr(record, condition[0]) is condition[1]:
+                st = self.stats[name]
+                st.applicable += 1
+                if getattr(record, name):
+                    st.filled += 1
 
     def to_dict(self) -> dict[str, dict[str, object]]:
         return {

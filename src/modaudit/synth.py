@@ -12,7 +12,6 @@ perturbations do.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime, time, timedelta, timezone
@@ -33,6 +32,7 @@ from .sor import (
     DecisionType,
     SorRecord,
     SourceType,
+    json_text,
     read_json,
 )
 from .verify import ModerationEvent, VisibilityStatus, marker_token
@@ -539,16 +539,10 @@ def generate(config: ScenarioConfig, out_dir: str | Path) -> ScenarioArtifacts:
     write_export(events, export_path)
     write_dump(published, dump_dir)
     claims_doc = {"platform": platform, "exhaustive": True, "claims": claims_entries}
-    claims_path.write_text(json.dumps(claims_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    taxonomy_path.write_text(
-        json.dumps(taxonomy.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    ground_truth_path.write_text(
-        json.dumps(ground_truth.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (out / "scenario.json").write_text(
-        json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    claims_path.write_text(json_text(claims_doc), encoding="utf-8")
+    taxonomy_path.write_text(json_text(taxonomy.to_dict()), encoding="utf-8")
+    ground_truth_path.write_text(json_text(ground_truth.to_dict()), encoding="utf-8")
+    (out / "scenario.json").write_text(json_text(config.to_dict()), encoding="utf-8")
 
     return ScenarioArtifacts(
         out_dir=out,

@@ -32,14 +32,12 @@ from .sor import (
     DecisionGround,
     DecisionType,
     Fault,
-    QuarantineEntry,
     QuarantineReason,
     SorRecord,
     Verdict,
     _enum_verdict,
     _first_empty,
     _parse_date_memo,
-    _parse_mapping,
     parse_timestamp,
     render_cell,
 )
@@ -102,7 +100,6 @@ _EVENT_ENUMS = (
 )
 _EVENT_REQUIRED_INDICES = tuple(i for i, name in enumerate(EVENT_FIELD_ORDER) if name in _EVENT_REQUIRED)
 _event_required_values = itemgetter(*_EVENT_REQUIRED_INDICES)
-_event_values = itemgetter(*EVENT_FIELD_ORDER)
 _event_verdict_key = itemgetter(*(EVENT_FIELD_ORDER.index(name) for name, _ in _EVENT_ENUMS))
 # The verdict on an export row's enum and bool strings, in _event_verdict_key order.
 _event_verdict = partial(_enum_verdict, _EVENT_ENUMS)
@@ -168,13 +165,6 @@ def parse_export_row(
         tuple(a for a in annotations.split(";") if a),
         payload or None,
     )
-
-
-def parse_event_row(raw: Mapping[str, str]) -> ModerationEvent | QuarantineEntry:
-    """Validate one platform-export row given as a mapping of column name to
-    string; mirrors validate_record's contract."""
-    parse = partial(parse_export_row, _event_verdict)
-    return _parse_mapping(raw, EVENT_FIELD_ORDER, _EVENT_REQUIRED, _event_values, parse)
 
 
 # ---------------------------------------------------------------------------

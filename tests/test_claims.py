@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from datetime import date
+from decimal import ROUND_05UP, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from modaudit.claims import (
     parse_number,
     percent_text,
     resolve_categories,
+    round_to_sig,
     save_claims,
     significant_digits,
 )
@@ -115,6 +117,55 @@ class TestFormatValue:
         assert percent_text(Fraction(47, 50)) == "94.00%"
         assert percent_text(Fraction(1, 3)) == "33.33%"
         assert parse_number(percent_text(Fraction(1, 3)))[0] == Fraction(3333, 10000)
+        # exact ties go to the even neighbour, across a power of ten too
+        assert percent_text(Fraction(12345, 1_000_000)) == "1.234%"
+        assert percent_text(Fraction(12355, 1_000_000)) == "1.236%"
+        assert percent_text(Fraction(99995, 100_000)) == "100.0%"
+
+
+def decimal_round(value: Fraction, digits: int) -> Decimal:
+    """`value` rounded half to even to `digits` significant digits by the
+    decimal module, its coefficient exactly `digits` digits long. The quotient
+    is first taken to extra digits with ROUND_05UP, which keeps a value that is
+    not a tie from reading as one in the second rounding."""
+    wide = Context(prec=digits + 10, rounding=ROUND_05UP)
+    narrow = Context(prec=digits, rounding=ROUND_HALF_EVEN)
+    rounded = narrow.plus(wide.divide(Decimal(value.numerator), Decimal(value.denominator)))
+    return rounded.quantize(Decimal(1).scaleb(rounded.adjusted() - digits + 1), context=narrow)
+
+
+def ties(digits: int):
+    """Rationals whose first dropped digit, at `digits` significant digits, is
+    an exact half: m.5 times a power of ten, m of `digits` digits."""
+    return st.builds(
+        lambda m, shift: Fraction(2 * m + 1, 2) * Fraction(10) ** shift,
+        st.integers(10 ** (digits - 1), 10**digits - 1),
+        st.integers(-12, 12),
+    )
+
+
+RATIONALS = st.builds(Fraction, st.integers(1, 10**15), st.integers(1, 10**15))
+# (value, digits): a random positive rational or an exact tie at `digits`
+ROUNDING_CASES = st.integers(1, 12).flatmap(lambda d: st.tuples(st.one_of(RATIONALS, ties(d)), st.just(d)))
+
+
+class TestRoundingMatchesDecimal:
+    @given(ROUNDING_CASES)
+    def test_round_to_sig(self, case):
+        value, digits = case
+        mantissa, k = round_to_sig(value, digits)
+        assert Decimal(mantissa).scaleb(k).as_tuple() == decimal_round(value, digits).as_tuple()
+
+    @given(ROUNDING_CASES)
+    def test_percent_text(self, case):
+        value, digits = case
+        text = percent_text(value / 100, digits)
+        expected = decimal_round(value, digits)
+        assert text.endswith("%")
+        written = Decimal(text[:-1])
+        # plain decimal text: the same value, to the same last digit, or to the units
+        assert written == expected
+        assert written.as_tuple().exponent == min(expected.as_tuple().exponent, 0)
 
 
 def claims_doc(entries, platform="examplehub", exhaustive=False):

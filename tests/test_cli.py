@@ -843,7 +843,11 @@ class TestSettingTypes:
         assert_one_line_input_error(capsys, out, fragment)
         assert not out.exists()
 
-    @pytest.mark.parametrize("value,digits", [("9" * 5000, 5000), ("1." + "0" * 5000, 5001)], ids=["integer", "decimal"])
+    @pytest.mark.parametrize(
+        "value,digits",
+        [("9" * 5000, 5000), ("1." + "0" * 5000, 5001), ("9" * 4300 + "B", 4309)],
+        ids=["integer", "decimal", "suffix"],
+    )
     @pytest.mark.parametrize("command", ["replicate", "crosscheck"])
     def test_claim_value_past_the_digit_limit_exits_three(self, faithful, tmp_path, capsys, command, value, digits):
         doc = json.loads((faithful / "claims.json").read_text())

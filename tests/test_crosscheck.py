@@ -183,6 +183,79 @@ class TestCrossCheck:
         findings = run_pair(claim("s", "10%", metric=Metric.SHARE), result)
         assert findings[0].kind is FindingKind.UNREPLICABLE
 
+    @pytest.mark.parametrize(
+        "c,result,expected",
+        [
+            (
+                claim("c", "10"),
+                AggregateResult.unreplicable("c", "category label 'X' is not in the taxonomy"),
+                Finding(
+                    FindingKind.UNREPLICABLE,
+                    Severity.WARN,
+                    "c",
+                    10,
+                    evidence="claim c could not be replicated: category label 'X' is not in the taxonomy [report:c]",
+                ),
+            ),
+            (
+                claim("s", "10%", metric=Metric.SHARE),
+                AggregateResult("s", None, 0, 0, ResultStatus.UNDEFINED, "share denominator matched no records"),
+                Finding(
+                    FindingKind.UNREPLICABLE,
+                    Severity.WARN,
+                    "s",
+                    Fraction(1, 10),
+                    evidence="claim s share is undefined: denominator matched no records [report:s]",
+                ),
+            ),
+            (
+                claim("c", "1,200,000"),
+                count_result("c", 1180000),
+                Finding(
+                    FindingKind.MATCH,
+                    Severity.INFO,
+                    "c",
+                    1200000,
+                    1180000,
+                    Fraction(20000),
+                    Fraction(1, 60),
+                    "reported 1,200,000 agrees with computed 1180000 within tolerance 50000 [report:c]",
+                ),
+            ),
+            (
+                claim("c", "1,500"),
+                count_result("c", 0),
+                Finding(
+                    FindingKind.MISSING_IN_DB,
+                    Severity.CRITICAL,
+                    "c",
+                    1500,
+                    0,
+                    Fraction(1500),
+                    Fraction(1),
+                    "report states 1,500 but the database holds no matching records at all [report:c]",
+                ),
+            ),
+            (
+                claim("s", "12.5%", metric=Metric.SHARE),
+                share_result("s", 1, 3),
+                Finding(
+                    FindingKind.MISMATCH,
+                    Severity.CRITICAL,
+                    "s",
+                    Fraction(1, 8),
+                    Fraction(1, 3),
+                    Fraction(5, 24),
+                    Fraction(5, 8),
+                    "reported 12.5% vs computed 0.3333333333333333; deviation 0.208333 exceeds tolerance 0.0005 [report:s]",
+                ),
+            ),
+        ],
+        ids=["unreplicable", "undefined", "match", "missing_in_db", "mismatch"],
+    )
+    def test_each_kind_of_finding_in_full(self, c, result, expected):
+        assert run_pair(c, result) == [expected]
+
     def test_result_claim_mismatch_is_a_pipeline_error(self):
         c = claim("c", "10")
         with pytest.raises(PipelineError):

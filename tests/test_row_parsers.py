@@ -43,7 +43,6 @@ from modaudit.verify import (
     ModerationEvent,
     _event_verdict,
     _event_verdict_key,
-    parse_event_row,
     parse_export_row,
 )
 
@@ -278,12 +277,13 @@ class TestReadersMatchDictOracles:
     @given(
         seed=st.integers(0, 2**16),
         ops=st.lists(corruption(EVENT_FIELD_ORDER, EVENT_DATES), max_size=3),
-        dropped=st.sets(st.sampled_from(EVENT_FIELD_ORDER), max_size=3),
     )
-    def test_dict_parse_event_row(self, seed, ops, dropped):
+    def test_dict_parse_event_row(self, seed, ops):
         row = corrupt(event_rows(seed, 1)[0], [op for op in ops if op[0] != "shape"], EVENT_FIELD_ORDER)
-        raw = {name: value for name, value in zip(EVENT_FIELD_ORDER, row) if name not in dropped}
-        assert parse_event_row(raw) == naive_parse_event_row(raw)
+        expected = naive_parse_event_row(dict(zip(EVENT_FIELD_ORDER, row)))
+        if isinstance(expected, QuarantineEntry):
+            expected = (expected.reason, expected.field)
+        assert parse_export_row(_event_verdict, row) == expected
 
     def test_lacking_column_after_an_empty_required_one(self):
         raw = make_row(uuid="")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from datetime import date
 
 import pytest
@@ -7,8 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from modaudit.sor import (
+    PROFILE_ATTRIBUTES,
     CategoryTaxonomy,
+    ContentType,
     DecisionGround,
+    DecisionType,
     QuarantineEntry,
     QuarantineReason,
     SorRecord,
@@ -18,7 +22,7 @@ from modaudit.sor import (
     read_json,
     validate_record,
 )
-from modaudit.verify import parse_event_row
+from modaudit.verify import EVENT_FIELD_ORDER, _event_verdict, parse_export_row
 
 from .conftest import make_record, make_row
 from .test_ingest import make_event_row
@@ -108,9 +112,9 @@ class TestValidateRecord:
         ],
     )
     def test_export_rows_with_loose_dates_are_bad_date(self, field, value):
-        result = parse_event_row(make_event_row(**{field: value}))
-        assert isinstance(result, QuarantineEntry)
-        assert (result.reason, result.field) == (QuarantineReason.BAD_DATE, field)
+        row = make_event_row(**{field: value})
+        result = parse_export_row(_event_verdict, [row[name] for name in EVENT_FIELD_ORDER])
+        assert result == (QuarantineReason.BAD_DATE, field)
 
     def test_unknown_category(self, taxonomy):
         result = validate_record(make_row(category="jaywalking"), taxonomy)
@@ -191,6 +195,32 @@ class TestInformativenessProfile:
         report = informativeness_profile(records)
         stat = report.stats["illegal_content_explanation"]
         assert (stat.filled, stat.applicable, stat.rate) == (0, 5, 0.0)
+
+    def test_each_attribute_counts_where_it_applies(self):
+        rng = random.Random(17)
+        records = [
+            make_record(
+                uuid=f"sor-{i}",
+                decision_ground=rng.choice(tuple(DecisionGround)),
+                decision_type=rng.choice((DecisionType.OTHER, DecisionType.VISIBILITY_REMOVAL)),
+                content_type=rng.choice((ContentType.OTHER, ContentType.TEXT)),
+                **{name: rng.choice((None, "filled")) for name in PROFILE_ATTRIBUTES},
+            )
+            for i in range(200)
+        ]
+        applies = {
+            "decision_ground_reference_url": lambda r: True,
+            "illegal_content_explanation": lambda r: r.decision_ground is DecisionGround.ILLEGAL_CONTENT,
+            "decision_type_other": lambda r: r.decision_type is DecisionType.OTHER,
+            "content_type_other": lambda r: r.content_type is ContentType.OTHER,
+            "puid": lambda r: True,
+        }
+        expected = {}
+        for name, test in applies.items():
+            applicable = [r for r in records if test(r)]
+            expected[name] = (sum(getattr(r, name) is not None for r in applicable), len(applicable))
+        stats = informativeness_profile(records).stats
+        assert {name: (st.filled, st.applicable) for name, st in stats.items()} == expected
 
     def test_report_dict_shape(self):
         d = informativeness_profile([make_record()]).to_dict()

@@ -20,6 +20,8 @@ from modaudit.synth import (
 )
 from modaudit.verify import KeywordClassifier, VerificationKind, link, reconstruct, verify_diff
 
+from .test_cli import SCENARIO
+
 WINDOW = Period(start=date(2024, 1, 1), end=date(2024, 2, 1))
 
 
@@ -99,6 +101,25 @@ class TestDeterminism:
             for path in (art.export_path, art.dump_dir / "part-00000.csv")
         ]
         assert digests == ["df34a1c1bc9c13b6b38f57802d438fb9336fa089356c4454420376cd03d344a6", dump_digest]
+
+    def test_cli_scenario_keeps_its_pinned_bytes(self, tmp_path):
+        # Every artifact of the scenario the CLI tests generate, pinned: the
+        # benchmark's inputs come from synth, so a writer that moves one byte
+        # of any of them fails here.
+        art = generate(ScenarioConfig.from_dict(SCENARIO), tmp_path)
+        digests = {
+            str(path.relative_to(art.out_dir)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in art.out_dir.rglob("*")
+            if path.is_file()
+        }
+        assert digests == {
+            "claims.json": "c380973a00856f6764b3d9d169c3b52971fcca870565a585d8a3c3d25f984f2a",
+            "dump/part-00000.csv": "edda89b1c31b15ddef2ed9c788598b209c6a097a4b974f90156610b08e8c6c37",
+            "export.csv": "67122cbcaac6fb004857b1311ee2543438a2b6ee4c638cd70ad34cb729f3bc94",
+            "ground_truth.json": "f092f7268ebc17858dc892d6026a15f5caa64e89add617817864cf58c222dde2",
+            "scenario.json": "214927c492cdb7b2bca9b33182d02d4afb530b072a539263f72be72c3575ac42",
+            "taxonomy.json": "850a7607cb727e9024eac98cb2aed2924cd7b850c1c4206a363c0f59cd718e72",
+        }
 
     def test_different_seeds_differ(self, tmp_path):
         a = generate(config(seed=1), tmp_path / "a")
