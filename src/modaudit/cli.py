@@ -331,18 +331,19 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         return 0
 
 
-def _finish_with_findings(run: RunDir, config: AppConfig, manifest: dict, findings, fmt: str, label: str) -> int:
-    """Write the findings files and the run record; return the exit code the
-    findings call for at the severity threshold."""
+def _finish_with_findings(
+    run: RunDir, config: AppConfig, manifest: dict, findings, counts: dict[str, int], fmt: str, label: str
+) -> int:
+    """Write the findings files and the run record; return the exit code that
+    `counts`, the findings' tally per severity, calls for at the threshold."""
     with run.open("findings.json") as fh:
         write_report(findings, "json", fh)
     if fmt != "json":
         with run.open(f"findings.{'md' if fmt == 'markdown' else fmt}") as fh:
             write_report(findings, fmt, fh)
-    counts = _finding_counts(findings)
     run.finish(config, manifest, counts)
     print(f"{label}: {counts['critical']} critical, {counts['warn']} warn, {counts['info']} info -> {run.path}")
-    return 1 if any(meets_threshold(f.severity, config.severity_threshold) for f in findings) else 0
+    return 1 if any(counts[s.value] for s in Severity if meets_threshold(s, config.severity_threshold)) else 0
 
 
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
@@ -357,7 +358,8 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
             claimset, reader, config.taxonomy, config.tolerance, workers=config.parallel
         )
         run.track_inputs(*reader.files, Path(args.claims))
-        return _finish_with_findings(run, config, reader.manifest.to_dict(), findings, args.format, "cross-check")
+        manifest, counts = reader.manifest.to_dict(), _finding_counts(findings)
+        return _finish_with_findings(run, config, manifest, findings, counts, args.format, "cross-check")
 
 
 def _parse_window(args: argparse.Namespace) -> Period | None:
@@ -445,7 +447,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "linkage": {"puid_pairs": outcomes.puid_pairs, "fuzzy_pairs": outcomes.fuzzy_pairs},
         }
         run.track_inputs(Path(args.export), *corpus_reader.files)
-        return _finish_with_findings(run, config, manifest, findings, args.format, "verify")
+        return _finish_with_findings(run, config, manifest, findings, findings.counts, args.format, "verify")
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:

@@ -20,7 +20,7 @@ from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 from .aggregate import Period
-from .report import SEVERITY_RANK, Severity
+from .report import SEVERITY_ORDER, SEVERITY_RANK, Severity
 from .settings import DEFAULT_DEADLINE_DAYS, LinkConfig
 from .sor import (
     _AUTOMATED_DECISIONS,
@@ -297,6 +297,7 @@ def reconstruct(
             datetime.combine(window.end, time.min, tzinfo=timezone.utc),
         )
     out: list[ReconstructedSor] = []
+    days: dict[date, date] = {}  # one application_date object per moderation day
     for event in events:
         if bounds is not None and not (bounds[0] <= event.moderated_at < bounds[1]):
             continue
@@ -310,6 +311,7 @@ def reconstruct(
             category = event.platform_categories[0]
         else:
             category = "other"
+        day = event.moderated_at.date()
         out.append(
             ReconstructedSor(
                 content_id=event.content_id,
@@ -321,7 +323,7 @@ def reconstruct(
                 automated_detection=event.automated_detection,
                 automated_decision=event.automated_decision,
                 content_date=event.content_created,
-                application_date=event.moderated_at.date(),
+                application_date=days.setdefault(day, day),
                 moderated_at=event.moderated_at,
                 classifier_verdict=verdict,
             )
@@ -640,13 +642,22 @@ def _finding_key(f: VerificationFinding) -> tuple:
     return rank * 4 + (f.content_id is None) * 2 + (f.sor_uuid is None), f.content_id or "", f.sor_uuid or "", f
 
 
+def _consistent_finding(content_id: str, sor_uuid: str) -> VerificationFinding:
+    # Built each time a consistent finding is read, so through tuple.__new__,
+    # without the named tuple's own Python-level __new__.
+    evidence = f"statement {sor_uuid} is consistent with platform data for {content_id}"
+    return tuple.__new__(
+        VerificationFinding, (VerificationKind.CONSISTENT, Severity.INFO, content_id, sor_uuid, (), evidence)
+    )
+
+
 def outcome_findings(
     rec: ReconstructedSor | None, sor: SorRecord | None, deadline_days: int
 ) -> list[VerificationFinding]:
-    """The findings of one linkage outcome. An unmatched rebuilt item is an
+    """The divergences of one linkage outcome. An unmatched rebuilt item is an
     OMITTED_SOR and an unmatched filed statement a PHANTOM_SOR. In a pair, a
-    field divergence and a late submission can both fire; the pair is
-    CONSISTENT only when neither does."""
+    field divergence and a late submission can both fire; a pair with neither
+    gives no finding here, and is CONSISTENT."""
     if sor is None:
         return [
             VerificationFinding(
@@ -711,23 +722,65 @@ def outcome_findings(
                 ),
             )
         )
-    if not findings:
-        findings.append(
-            VerificationFinding(
-                kind=VerificationKind.CONSISTENT,
-                severity=Severity.INFO,
-                content_id=rec.content_id,
-                sor_uuid=sor.uuid,
-                evidence=f"statement {sor.uuid} is consistent with platform data for {rec.content_id}",
-            )
-        )
     return findings
 
 
-def verify_diff(outcomes: Iterable[Outcome], deadline_days: int = DEFAULT_DEADLINE_DAYS) -> list[VerificationFinding]:
+class VerificationFindings(Sequence[VerificationFinding]):
+    """Verification findings in _finding_key order, with `counts` per
+    severity. The divergences are held as findings; a consistent pair only as
+    its (content_id, sor_uuid), made into a finding each time it is read.
+    Consistent findings share one rank and set both ids, so their key order
+    is the order of the id pairs, and they run together at one place among
+    the divergences. Both lists are sorted in place and kept; `divergences`
+    holds no CONSISTENT finding."""
+
+    def __init__(self, divergences: list[VerificationFinding], consistent: list[tuple[str, str]]) -> None:
+        consistent.sort()
+        self._divergences, self._consistent = sort_verification_findings(divergences), consistent
+        # Where the consistent run goes: after every divergence that ranks
+        # before it, in practice all of them, so the scan starts at the end.
+        rank, split = _finding_key(_consistent_finding("", ""))[0], len(divergences)
+        while split and _finding_key(divergences[split - 1])[0] >= rank:
+            split -= 1
+        self._split = split
+        self.counts = {s.value: 0 for s in SEVERITY_ORDER}
+        for f in divergences:
+            self.counts[f.severity.value] += 1
+        self.counts[Severity.INFO.value] += len(consistent)
+
+    def __len__(self) -> int:
+        return len(self._divergences) + len(self._consistent)
+
+    def __iter__(self) -> Iterator[VerificationFinding]:
+        divergences, split = self._divergences, self._split
+        yield from divergences[:split]
+        for content_id, sor_uuid in self._consistent:
+            yield _consistent_finding(content_id, sor_uuid)
+        yield from divergences[split:]
+
+    def __getitem__(self, index: int | slice):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        at = index + len(self) if index < 0 else index
+        if not 0 <= at < len(self):
+            raise IndexError("verification finding index out of range")
+        pairs, split = self._consistent, self._split
+        if at < split:
+            return self._divergences[at]
+        if at < split + len(pairs):
+            return _consistent_finding(*pairs[at - split])
+        return self._divergences[at - len(pairs)]
+
+
+def verify_diff(outcomes: Iterable[Outcome], deadline_days: int = DEFAULT_DEADLINE_DAYS) -> VerificationFindings:
     """The sorted findings of linkage outcomes (link_outcomes, or a Linkage),
     read once."""
-    findings: list[VerificationFinding] = []
+    divergences: list[VerificationFinding] = []
+    consistent: list[tuple[str, str]] = []
     for rec, sor in outcomes:
-        findings.extend(outcome_findings(rec, sor, deadline_days))
-    return sort_verification_findings(findings)
+        found = outcome_findings(rec, sor, deadline_days)
+        if found:
+            divergences.extend(found)
+        else:
+            consistent.append((rec.content_id, sor.uuid))
+    return VerificationFindings(divergences, consistent)

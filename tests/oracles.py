@@ -3,8 +3,11 @@
 The replication oracle deliberately stays a per-claim full scan over a list;
 it never shares the cell summary it checks. The linkage oracle is the
 quadratic all-pairs candidate list that verify.link's queues and tiers
-replace. The report oracle renders the whole findings list at once, with one
-json.dumps, which report.write_report's per-finding writes replace. The row
+replace. The diff oracle builds a finding for every outcome, a consistent
+pair's too, and sorts them all, which verify.verify_diff's id pairs and
+spliced runs replace. The report oracle renders the whole findings list at
+once, with one json.dumps, which report.write_report's per-finding writes
+replace. The row
 validators take a column-name dict and test every field in turn, as the
 positional parsers sor.parse_dump_row and verify.parse_export_row, behind one
 memo per reader pass, replace.
@@ -22,7 +25,8 @@ from typing import Iterable, Mapping, Sequence
 
 from modaudit.aggregate import FILTERABLE_ATTRIBUTES, PERIOD_FIELDS, Period, Predicate
 from modaudit.claims import Claim, Metric, Precision
-from modaudit.report import _CSV_COLUMNS, REPORT_FORMATS, SEVERITY_ORDER, _csv_cell
+from modaudit.report import _CSV_COLUMNS, REPORT_FORMATS, SEVERITY_ORDER, Severity, _csv_cell
+from modaudit.settings import DEFAULT_DEADLINE_DAYS
 from modaudit.sor import (
     _AUTOMATED_DECISIONS,
     _BOOLS,
@@ -42,17 +46,23 @@ from modaudit.sor import (
     SorRecord,
     SourceType,
     parse_date,
+    render_cell,
 )
 from modaudit.verify import (
     _EVENT_REQUIRED,
     _VISIBILITIES,
+    DIFF_FIELDS,
     EVENT_FIELD_ORDER,
     LinkageError,
     LinkConfig,
     Linkage,
     ModerationEvent,
+    Outcome,
     ReconstructedSor,
+    VerificationFinding,
+    VerificationKind,
     VisibilityStatus,
+    _finding_key,
 )
 
 CODES = ("hate_speech", "misinformation", "nudity", "other")
@@ -478,6 +488,72 @@ def naive_link(
     unmatched_rec = [r for r in rest_rec if id(r) not in taken_rec]
     unmatched_filed = [f for f in rest_filed if id(f) not in taken_filed]
     return Linkage(pairs=pairs, unmatched_reconstructed=unmatched_rec, unmatched_filed=unmatched_filed)
+
+
+def naive_verify_diff(
+    outcomes: Iterable[Outcome], deadline_days: int = DEFAULT_DEADLINE_DAYS
+) -> list[VerificationFinding]:
+    """List reference for verify.verify_diff: one VerificationFinding, with
+    its evidence, for every finding of every outcome, all sorted at the end."""
+    findings: list[VerificationFinding] = []
+    for rec, sor in outcomes:
+        if sor is None:
+            evidence = (
+                f"moderated content {rec.content_id} ({rec.decision_type.value} on "
+                f"{rec.application_date.isoformat()}) has no filed statement in the audited window"
+            )
+            findings.append(
+                VerificationFinding(
+                    VerificationKind.OMITTED_SOR, Severity.CRITICAL, content_id=rec.content_id, evidence=evidence
+                )
+            )
+            continue
+        if rec is None:
+            evidence = (
+                f"filed statement {sor.uuid} ({sor.decision_type.value} on "
+                f"{sor.application_date.isoformat()}) matches no platform-side moderation action"
+            )
+            findings.append(
+                VerificationFinding(
+                    VerificationKind.PHANTOM_SOR, Severity.CRITICAL, sor_uuid=sor.uuid, evidence=evidence
+                )
+            )
+            continue
+        own: list[VerificationFinding] = []
+        diffs = []
+        for name in DIFF_FIELDS:
+            expected, filed = getattr(rec, name), getattr(sor, name)
+            if expected != filed:
+                diffs.append((name, render_cell(expected), render_cell(filed)))
+        if diffs:
+            names = sorted(name for name, _, _ in diffs)
+            severity = Severity.CRITICAL if "automated_decision" in names else Severity.WARN
+            evidence = (
+                f"statement {sor.uuid} diverges from platform data for {rec.content_id} on: " + ", ".join(names)
+            )
+            own.append(
+                VerificationFinding(
+                    VerificationKind.FIELD_MISMATCH, severity, rec.content_id, sor.uuid, tuple(diffs), evidence
+                )
+            )
+        lag = sor.created_at - rec.moderated_at
+        if lag > timedelta(days=deadline_days):
+            evidence = (
+                f"statement {sor.uuid} was filed {lag / timedelta(days=1):.1f} days after the "
+                f"action, past the {deadline_days}-day deadline"
+            )
+            own.append(
+                VerificationFinding(
+                    VerificationKind.LATE_SUBMISSION, Severity.WARN, rec.content_id, sor.uuid, (), evidence
+                )
+            )
+        if not own:
+            evidence = f"statement {sor.uuid} is consistent with platform data for {rec.content_id}"
+            own.append(
+                VerificationFinding(VerificationKind.CONSISTENT, Severity.INFO, rec.content_id, sor.uuid, (), evidence)
+            )
+        findings.extend(own)
+    return sorted(findings, key=_finding_key)
 
 
 def naive_emit_report(findings: Iterable[object], format: str = "json") -> str:

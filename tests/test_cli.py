@@ -143,6 +143,25 @@ class TestExitCodes:
     def test_faithful_verify_exits_zero(self, faithful, tmp_path):
         assert run(verify_args(faithful, tmp_path / "runs")) == 0
 
+    @pytest.mark.parametrize(
+        "threshold, code", [("info", 1), ("warn", 0), ("critical", 0)], ids=["info", "warn", "critical"]
+    )
+    @pytest.mark.parametrize(
+        "args, summary",
+        [
+            (verify_args, "verify: 0 critical, 0 warn, 150 info"),
+            (crosscheck_args, "cross-check: 0 critical, 0 warn, 5 info"),
+        ],
+        ids=["verify", "crosscheck"],
+    )
+    def test_one_tally_gives_the_summary_and_the_exit_code(
+        self, faithful, tmp_path, capsys, args, summary, threshold, code
+    ):
+        out = tmp_path / "runs"
+        capsys.readouterr()
+        assert run(args(faithful, out, "--severity-threshold", threshold)) == code
+        assert capsys.readouterr().out == f"{summary} -> {only_run_dir(out)}\n"
+
     def test_verify_derives_window_from_export(self, faithful, tmp_path):
         # no --window-start/--window-end: hull of the export's moderation times
         args = [
@@ -362,6 +381,24 @@ class TestRunPersistence:
             path = Path(entry["path"])
             assert path.exists(), name
             assert hashlib.sha256(path.read_bytes()).hexdigest() == entry["sha256"], name
+
+    @pytest.mark.parametrize(
+        "scenario, fmt, name, digest",
+        [
+            ("faithful", "json", "findings.json", "c1886306c2b3a9db8516a45a3f0ddd77ba461e858296f7dd1d4ec1e4b48823b3"),
+            ("faithful", "markdown", "findings.md", "e7c4ebc429e74248fb93cfb53031c7ce6a057a7c394f90aafccbc8184cd47ac5"),
+            ("faithful", "csv", "findings.csv", "0d4a83a4cf71bbd9eb8c93cf336fd6c459ed97c97c77bfb997a92e9a463d34eb"),
+            ("injected", "json", "findings.json", "583b0af6aa576243f5dada613aa086d061722594817a24593893b81550da7f9a"),
+            ("injected", "markdown", "findings.md", "b72f462f95496c7197269f3d39c0fecee473b75c038b03b7f9e5a110ca345fe1"),
+            ("injected", "csv", "findings.csv", "26f2fc01dbbbcd8e880825fc786e3554cc028103c060d03f4d5b4f1ed241d55b"),
+        ],
+    )
+    def test_verify_findings_bytes_are_pinned(self, request, tmp_path, scenario, fmt, name, digest):
+        # The digests were recorded when verify held every finding in one
+        # sorted list. Markdown reads the findings twice.
+        out = tmp_path / "runs"
+        assert run(verify_args(request.getfixturevalue(scenario), out, "--format", fmt)) == (scenario == "injected")
+        assert hashlib.sha256((only_run_dir(out) / name).read_bytes()).hexdigest() == digest
 
     def test_findings_bytes_identical_across_runs(self, injected, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -216,7 +216,7 @@ class TestConfigValidation:
         findings, flagged_cc, vfindings, flagged_v = audit(art)
         assert flagged_cc == [] and flagged_v == []
         assert all(f.kind is FindingKind.MATCH for f in findings)
-        assert vfindings == []
+        assert list(vfindings) == []
 
     def test_rates_must_fit_the_volume(self, tmp_path):
         inj = InjectionSpec(drop_sor_rate=0.6, flip_automation_rate=0.6)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 from datetime import date, datetime, time, timedelta, timezone
 from fractions import Fraction
 
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modaudit.aggregate import Period
-from modaudit.report import Severity
+from modaudit.report import SEVERITY_ORDER, Severity
 from modaudit.sor import AutomatedDecision, ContentType, DecisionType
 from modaudit.verify import (
     DEFAULT_RECONSTRUCTED_GROUND,
@@ -19,8 +21,10 @@ from modaudit.verify import (
     ModerationEvent,
     ReconstructedSor,
     VerificationFinding,
+    VerificationFindings,
     VerificationKind,
     VisibilityStatus,
+    _finding_key,
     classify,
     link,
     link_outcomes,
@@ -31,8 +35,8 @@ from modaudit.verify import (
 )
 
 from .conftest import make_record
-from .oracles import _pair_score, naive_link
-from .test_report import FINDING_OBJECTS
+from .oracles import _pair_score, naive_link, naive_verify_diff
+from .test_report import FINDING_OBJECTS, TEXT
 
 WINDOW = Period(start=date(2024, 1, 1), end=date(2024, 2, 1))
 UTC = timezone.utc
@@ -103,6 +107,15 @@ class TestReconstruct:
             DecisionType.VISIBILITY_DISABLE,
             DecisionType.VISIBILITY_DEMOTION,
         ]
+
+    def test_items_of_one_moderation_day_share_one_date(self, classifier):
+        events = [
+            make_event(content_id=f"c-{i}", moderated_at=datetime(2024, 1, 12 + i % 2, i, 0, 0, tzinfo=UTC))
+            for i in range(6)
+        ]
+        out = reconstruct(events, classifier, WINDOW)
+        assert [r.application_date for r in out] == [date(2024, 1, 12 + i % 2) for i in range(6)]
+        assert len({id(r.application_date) for r in out}) == 2
 
     def test_account_annotation_on_visible_content_is_moderation(self, classifier):
         event = make_event(
@@ -448,7 +461,7 @@ class TestStreamedLink:
     def test_cli_composition_gives_the_oracles_findings_in_order(self, inputs, deadline_days):
         rebuilt, filed, config = inputs
         findings = verify_diff(link_outcomes(iter(rebuilt), iter(filed), config), deadline_days)
-        assert findings == verify_diff(naive_link(rebuilt, filed, config), deadline_days)
+        assert list(findings) == list(verify_diff(naive_link(rebuilt, filed, config), deadline_days))
 
     @settings(max_examples=300, deadline=None)
     @given(tie_dense_link_inputs())
@@ -481,7 +494,7 @@ class TestStreamedLink:
         arrived = [filed[i] for i in order]
         outcomes = link_outcomes(iter(rebuilt), iter(arrived))
         findings = verify_diff(outcomes, 7)
-        assert findings == verify_diff(naive_link(rebuilt, arrived))
+        assert list(findings) == list(verify_diff(naive_link(rebuilt, arrived)))
         assert [f.mismatched_fields[0][2] for f in findings] == ["misinformation", "nudity", "2024-01-09"]
         assert (outcomes.puid_pairs, outcomes.fuzzy_pairs) == (2, 1)
 
@@ -619,3 +632,66 @@ class TestVerifyDiff:
             VerificationKind.FIELD_MISMATCH,
             VerificationKind.CONSISTENT,
         ]
+
+
+def consistent_finding(content_id: str, sor_uuid: str) -> VerificationFinding:
+    evidence = f"statement {sor_uuid} is consistent with platform data for {content_id}"
+    return VerificationFinding(VerificationKind.CONSISTENT, Severity.INFO, content_id, sor_uuid, (), evidence)
+
+
+def assert_reads_as(got: VerificationFindings, want: list[VerificationFinding]) -> None:
+    """`got` reads as the list `want` by every route a sequence offers, twice
+    over, and counts its severities."""
+    assert list(got) == want
+    assert list(got) == want
+    assert len(got) == len(want)
+    assert [got[i] for i in range(-len(want), len(want))] == want + want
+    assert got[::-1] == want[::-1]
+    assert got[1:-1] == want[1:-1]
+    for i in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            got[i]
+    assert got.counts == {s.value: sum(f.severity is s for f in want) for s in SEVERITY_ORDER}
+
+
+class TestVerifyDiffMatchesNaiveOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(tie_dense_link_inputs(), st.integers(0, 7))
+    def test_same_findings_as_the_naive_list(self, inputs, deadline_days):
+        rebuilt, filed, config = inputs
+        outcomes = list(naive_link(rebuilt, filed, config))
+        assert_reads_as(verify_diff(outcomes, deadline_days), naive_verify_diff(outcomes, deadline_days))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(FINDING_OBJECTS.filter(lambda f: f.kind is not VerificationKind.CONSISTENT), max_size=8),
+        st.lists(st.tuples(TEXT, TEXT), max_size=8),
+    )
+    def test_consistent_run_sits_at_its_rank(self, divergences, pairs):
+        # Drawn divergences may be INFO, and so rank after the consistent
+        # run, which verify_diff's never do.
+        want = sorted([*divergences, *(consistent_finding(*p) for p in pairs)], key=_finding_key)
+        assert_reads_as(VerificationFindings(list(divergences), list(pairs)), want)
+
+
+def held_bytes(diff, outcomes) -> int:
+    """Traced heap that diff(outcomes) allocates and its result still holds."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = diff(outcomes, 7)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(result) == len(outcomes)
+    return held
+
+
+def test_consistent_pairs_hold_at_most_half_the_naive_heap(taxonomy):
+    # Only the ratio is compared: bytes per object differ between builds.
+    n = 5000
+    events = [make_event(content_id=f"c-{i:07d}", puid=f"p-{i:07d}") for i in range(n)]
+    filed = [filed_record(uuid=f"sor-{i:07d}", puid=f"p-{i:07d}") for i in range(n)]
+    outcomes = list(link_outcomes(rebuild(events, taxonomy), filed))
+    assert verify_diff(outcomes, 7).counts == {"critical": 0, "warn": 0, "info": n}
+    assert held_bytes(verify_diff, outcomes) <= held_bytes(naive_verify_diff, outcomes) / 2
