@@ -286,14 +286,27 @@ class CellLayout:
 
     def summarize(self, records: Iterable[SorRecord]) -> Counter:
         """Count the records by cell, in one pass."""
-        values = [attrgetter(attr) for attr in self.attrs]
-        buckets = [(_RECORD_DATE[field], edges) for field, edges in self.edges.items()]
+        # attrgetter of several names gives a tuple, of one name a bare value
+        if len(self.attrs) > 1:
+            values = attrgetter(*self.attrs)
+        elif self.attrs:
+            value = attrgetter(self.attrs[0])
+            values = lambda record: (value(record),)  # noqa: E731
+        else:
+            values = lambda record: ()  # noqa: E731
+        # Records share few dates, so each date's bucket is looked up once per
+        # call and then read from that field's dict.
+        buckets = [(_RECORD_DATE[field], edges, {}) for field, edges in self.edges.items()]
 
         def cell(record: SorRecord) -> tuple:
-            return tuple(
-                [value(record) for value in values]
-                + [bisect_right(edges, record_date(record)) for record_date, edges in buckets]
-            )
+            key = values(record)
+            for record_date, edges, bucket_of in buckets:
+                day = record_date(record)
+                bucket = bucket_of.get(day)
+                if bucket is None:
+                    bucket = bucket_of[day] = bisect_right(edges, day)
+                key += (bucket,)
+            return key
 
         return Counter(map(cell, records))
 

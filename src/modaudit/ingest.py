@@ -123,9 +123,11 @@ def _stream_rows(
                     if result.__class__ is not tuple:
                         kept += 1
                         moment = key(result)  # type: ignore[arg-type]
-                        if least is None or moment < least:
+                        if least is None:
+                            least = greatest = moment
+                        elif moment < least:
                             least = moment
-                        if greatest is None or moment > greatest:
+                        elif moment > greatest:
                             greatest = moment
                         yield result  # type: ignore[misc]
                         continue

@@ -69,6 +69,14 @@ def _as_dict(finding: object) -> dict[str, object]:
     return finding.to_dict()  # type: ignore[attr-defined]
 
 
+def _markdown_row(cells: Sequence[object]) -> str:
+    """One markdown table row of `cells`, which stays one line of as many
+    cells: a "|" in a cell is escaped, and each line break is a <br>. No
+    separator holds a line break, so breaks are replaced over the whole row."""
+    row = "| " + " | ".join([str(cell).replace("|", "\\|") for cell in cells]) + " |"
+    return row.replace("\r\n", "<br>").replace("\n", "<br>").replace("\r", "<br>").replace("\u2028", "<br>")
+
+
 def _csv_cell(value: object) -> str:
     if value is None:
         return ""
@@ -154,7 +162,11 @@ def write_report(findings: Sequence[object], format: str, fh: TextIO) -> None:
     total = 0
     for finding in findings:
         total += 1
-        severity = str(_as_dict(finding).get("severity", ""))
+        # read without to_dict(), which the row pass calls once per finding
+        if isinstance(finding, Mapping):
+            severity = str(finding.get("severity", ""))
+        else:
+            severity = finding.severity.value  # type: ignore[attr-defined]
         if severity in counts:
             counts[severity] += 1
     fh.write(
@@ -167,8 +179,7 @@ def write_report(findings: Sequence[object], format: str, fh: TextIO) -> None:
     for finding in findings:
         row = _as_dict(finding)
         subject = row.get("claim_id") or row.get("content_id") or row.get("sor_uuid") or ""
-        evidence = str(row.get("evidence", "")).replace("|", "\\|")
-        fh.write(f"| {row.get('severity', '')} | {row.get('kind', '')} | {subject} | {evidence} |\n")
+        fh.write(_markdown_row((row.get("severity", ""), row.get("kind", ""), subject, row.get("evidence", ""))) + "\n")
 
 
 def emit_report(findings: Sequence[object], format: str = "json") -> str:

@@ -498,25 +498,29 @@ def parse_dump_row(verdicts: Callable[[tuple[str, ...]], Verdict], row: Sequence
     if content_type is ContentType.OTHER and content_type_other == "":
         return QuarantineReason.EMPTY_OTHER_TEXT, "content_type_other"
 
-    # positional: the fields are declared in FIELD_ORDER
-    return SorRecord(
-        uuid,
-        platform_name,
-        decision_type,
-        decision_type_other or None,
-        decision_ground,
-        reference_url or None,
-        explanation or None,
-        category,
-        content_type,
-        content_type_other or None,
-        automated_detection,
-        automated_decision,
-        source_type,
-        content_date,
-        application_date,
-        created_at,
-        puid or None,
+    # Built once per row, so through tuple.__new__ in FIELD_ORDER, without
+    # the named tuple's own Python-level __new__.
+    return tuple.__new__(
+        SorRecord,
+        (
+            uuid,
+            platform_name,
+            decision_type,
+            decision_type_other or None,
+            decision_ground,
+            reference_url or None,
+            explanation or None,
+            category,
+            content_type,
+            content_type_other or None,
+            automated_detection,
+            automated_decision,
+            source_type,
+            content_date,
+            application_date,
+            created_at,
+            puid or None,
+        ),
     )
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
@@ -100,9 +99,29 @@ _EVENT_ENUMS = (
 )
 _EVENT_REQUIRED_INDICES = tuple(i for i, name in enumerate(EVENT_FIELD_ORDER) if name in _EVENT_REQUIRED)
 _event_required_values = itemgetter(*_EVENT_REQUIRED_INDICES)
-_event_verdict_key = itemgetter(*(EVENT_FIELD_ORDER.index(name) for name, _ in _EVENT_ENUMS))
-# The verdict on an export row's enum and bool strings, in _event_verdict_key order.
-_event_verdict = partial(_enum_verdict, _EVENT_ENUMS)
+# The memo key of an export row: its enum and bool columns, then its two
+# ";"-separated list columns.
+_event_verdict_key = itemgetter(
+    *(EVENT_FIELD_ORDER.index(name) for name, _ in _EVENT_ENUMS),
+    EVENT_FIELD_ORDER.index("platform_categories"),
+    EVENT_FIELD_ORDER.index("annotations"),
+)
+
+
+def _split_list(text: str) -> tuple[str, ...]:
+    return tuple(item for item in text.split(";") if item)
+
+
+def _event_verdict(key: tuple[str, ...]) -> Verdict:
+    """The verdict on an export row's enum, bool and list strings, in
+    _event_verdict_key order: the enum members, then each list split at ";"
+    without its empty items. A list never faults, so the faults are those of
+    the enum columns alone."""
+    verdict = _enum_verdict(_EVENT_ENUMS, key)
+    if verdict[1] is not None:
+        return verdict
+    categories, annotations = key[-2:]
+    return (*verdict[0], _split_list(categories), _split_list(annotations)), None
 
 
 class ModerationEvent(NamedTuple):
@@ -136,8 +155,8 @@ def parse_export_row(
     members, fault = verdicts(_event_verdict_key(row))
     if fault is not None:
         return fault
-    content_type, visibility, automated_detection, automated_decision = members
-    content_id, puid, _, created_text, moderated_text, _, categories, _, _, annotations, payload = row
+    content_type, visibility, automated_detection, automated_decision, categories, annotations = members
+    content_id, puid, _, created_text, moderated_text, _, _, _, _, _, payload = row
 
     try:
         content_created = _parse_date_memo(created_text)
@@ -151,19 +170,23 @@ def parse_export_row(
     if content_created > moderated_at.date():
         return QuarantineReason.DATE_ORDER, "moderated_at"
 
-    # positional: the fields are declared in EVENT_FIELD_ORDER
-    return ModerationEvent(
-        content_id,
-        puid or None,
-        content_type,
-        content_created,
-        moderated_at,
-        visibility,
-        tuple(c for c in categories.split(";") if c),
-        automated_detection,
-        automated_decision,
-        tuple(a for a in annotations.split(";") if a),
-        payload or None,
+    # Built once per row, so through tuple.__new__ in EVENT_FIELD_ORDER,
+    # without the named tuple's own Python-level __new__.
+    return tuple.__new__(
+        ModerationEvent,
+        (
+            content_id,
+            puid or None,
+            content_type,
+            content_created,
+            moderated_at,
+            visibility,
+            categories,
+            automated_detection,
+            automated_decision,
+            annotations,
+            payload or None,
+        ),
     )
 
 
@@ -224,8 +247,9 @@ class KeywordClassifier:
     def classify_payload(self, payload: str) -> tuple[str, float]:
         text = payload.casefold()
         for verdict, tokens in self.rules:
-            if any(token in text for token in tokens):
-                return verdict
+            for token in tokens:
+                if token in text:
+                    return verdict
         return _NO_HIT
 
 
@@ -299,7 +323,8 @@ def reconstruct(
     out: list[ReconstructedSor] = []
     days: dict[date, date] = {}  # one application_date object per moderation day
     for event in events:
-        if bounds is not None and not (bounds[0] <= event.moderated_at < bounds[1]):
+        content_id, puid, content_type, created, moderated_at, _, categories, detection, decision, _, _ = event
+        if bounds is not None and not (bounds[0] <= moderated_at < bounds[1]):
             continue
         decision_type = _decision_type_for(event)
         if decision_type is None:
@@ -307,25 +332,29 @@ def reconstruct(
         verdict = classify(event, classifier)
         if verdict is not None and verdict[1] >= CLASSIFIER_CONFIDENCE_FLOOR:
             category = verdict[0]
-        elif event.platform_categories:
-            category = event.platform_categories[0]
+        elif categories:
+            category = categories[0]
         else:
             category = "other"
-        day = event.moderated_at.date()
+        day = moderated_at.date()
+        # One item per event, so through tuple.__new__ in declared field order.
         out.append(
-            ReconstructedSor(
-                content_id=event.content_id,
-                puid=event.puid,
-                decision_type=decision_type,
-                decision_ground=DEFAULT_RECONSTRUCTED_GROUND,
-                category=category,
-                content_type=event.content_type,
-                automated_detection=event.automated_detection,
-                automated_decision=event.automated_decision,
-                content_date=event.content_created,
-                application_date=days.setdefault(day, day),
-                moderated_at=event.moderated_at,
-                classifier_verdict=verdict,
+            tuple.__new__(
+                ReconstructedSor,
+                (
+                    content_id,
+                    puid,
+                    decision_type,
+                    DEFAULT_RECONSTRUCTED_GROUND,
+                    category,
+                    content_type,
+                    detection,
+                    decision,
+                    created,
+                    days.setdefault(day, day),
+                    moderated_at,
+                    verdict,
+                ),
             )
         )
     return out

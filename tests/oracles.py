@@ -10,7 +10,10 @@ once, with one json.dumps, which report.write_report's per-finding writes
 replace. The row
 validators take a column-name dict and test every field in turn, as the
 positional parsers sor.parse_dump_row and verify.parse_export_row, behind one
-memo per reader pass, replace.
+memo per reader pass, replace. The reconstruction oracle builds each rebuilt
+item by keyword and walks the classifier's rules with any(), which
+verify.reconstruct's positional construction and KeywordClassifier's plain
+loops replace.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import csv
 import io
 import json
 import random
+import re
 from datetime import date, datetime, time, timedelta, timezone
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -51,8 +55,11 @@ from modaudit.sor import (
 from modaudit.verify import (
     _EVENT_REQUIRED,
     _VISIBILITIES,
+    CLASSIFIER_CONFIDENCE_FLOOR,
+    DEFAULT_RECONSTRUCTED_GROUND,
     DIFF_FIELDS,
     EVENT_FIELD_ORDER,
+    KeywordClassifier,
     LinkageError,
     LinkConfig,
     Linkage,
@@ -62,6 +69,7 @@ from modaudit.verify import (
     VerificationFinding,
     VerificationKind,
     VisibilityStatus,
+    _decision_type_for,
     _finding_key,
 )
 
@@ -319,6 +327,59 @@ def random_event(rng: random.Random, i: int) -> ModerationEvent:
         annotations=("account_suspension",) if rng.random() < 0.2 else (),
         payload=None if rng.random() < 0.5 else f"text {i}",
     )
+
+
+def naive_classify(event: ModerationEvent, classifier: KeywordClassifier) -> tuple[str, float] | None:
+    """Reference for verify.classify with a KeywordClassifier: each rule's
+    tokens tested with any(), the first rule with a hit winning."""
+    if event.content_type not in classifier.supported_types or not event.payload:
+        return None
+    text = event.payload.casefold()
+    for verdict, tokens in classifier.rules:
+        if any(token in text for token in tokens):
+            return verdict
+    return ("other", 0.0)
+
+
+def naive_reconstruct(
+    events: Iterable[ModerationEvent], classifier: KeywordClassifier, window: Period | None
+) -> list[ReconstructedSor]:
+    """Reference for verify.reconstruct: each rebuilt item built by keyword,
+    with its own application_date object."""
+    out = []
+    for event in events:
+        if window is not None:
+            start = datetime.combine(window.start, time.min, tzinfo=timezone.utc)
+            end = datetime.combine(window.end, time.min, tzinfo=timezone.utc)
+            if not start <= event.moderated_at < end:
+                continue
+        decision_type = _decision_type_for(event)
+        if decision_type is None:
+            continue
+        verdict = naive_classify(event, classifier)
+        if verdict is not None and verdict[1] >= CLASSIFIER_CONFIDENCE_FLOOR:
+            category = verdict[0]
+        elif event.platform_categories:
+            category = event.platform_categories[0]
+        else:
+            category = "other"
+        out.append(
+            ReconstructedSor(
+                content_id=event.content_id,
+                puid=event.puid,
+                decision_type=decision_type,
+                decision_ground=DEFAULT_RECONSTRUCTED_GROUND,
+                category=category,
+                content_type=event.content_type,
+                automated_detection=event.automated_detection,
+                automated_decision=event.automated_decision,
+                content_date=event.content_created,
+                application_date=event.moderated_at.date(),
+                moderated_at=event.moderated_at,
+                classifier_verdict=verdict,
+            )
+        )
+    return out
 
 
 def random_count_claim(rng: random.Random, claim_id: str) -> Claim:
@@ -590,9 +651,9 @@ def naive_emit_report(findings: Iterable[object], format: str = "json") -> str:
         lines.append("| --- | --- | --- | --- |")
         for row in rows:
             subject = row.get("claim_id") or row.get("content_id") or row.get("sor_uuid") or ""
-            evidence = str(row.get("evidence", "")).replace("|", "\\|")
-            lines.append(
-                f"| {row.get('severity', '')} | {row.get('kind', '')} | {subject} | {evidence} |"
-            )
+            cells = [row.get("severity", ""), row.get("kind", ""), subject, row.get("evidence", "")]
+            # "|" escaped and every line break a <br>, so each row is one line
+            cells = [re.sub(r"\r\n|[\r\n\u2028]", "<br>", str(c).replace("|", "\\|")) for c in cells]
+            lines.append("| " + " | ".join(cells) + " |")
         lines.append("")
     return "\n".join(lines)

@@ -124,3 +124,44 @@ def test_writer_never_holds_more_than_one_finding(fmt):
     bound = max(len(naive_emit_report([f], fmt)) for f in findings)
     assert len(stream.writes) >= len(findings)
     assert max(len(text) for text in stream.writes) <= bound
+
+
+class CountingFinding:
+    """A finding object that counts its to_dict calls."""
+
+    def __init__(self, severity: Severity, subject: str) -> None:
+        self.severity = severity
+        self.subject = subject
+        self.to_dict_calls = 0
+
+    def to_dict(self) -> dict[str, object]:
+        self.to_dict_calls += 1
+        return {"severity": self.severity.value, "kind": "mismatch", "claim_id": self.subject, "evidence": ""}
+
+
+def test_markdown_builds_one_dict_per_finding():
+    findings = [CountingFinding(severity, f"claim-{i}") for i, severity in enumerate([*Severity, Severity.WARN])]
+    text = emit_report(findings, "markdown")
+    assert [f.to_dict_calls for f in findings] == [1] * len(findings)
+    assert "4 finding(s): 1 critical, 2 warn, 1 info." in text
+    assert text == naive_emit_report(findings, "markdown")
+
+
+@pytest.mark.parametrize(
+    "finding,row",
+    [
+        (
+            {"severity": "warn", "kind": "mismatch", "claim_id": "eu|total", "evidence": "a\nb"},
+            "| warn | mismatch | eu\\|total | a<br>b |",
+        ),
+        (
+            {"severity": "in|fo", "kind": "k\r\nind", "content_id": "c\r1", "evidence": "x y|z\n"},
+            "| in\\|fo | k<br>ind | c<br>1 | x<br>y\\|z<br> |",
+        ),
+    ],
+    ids=["pipe_subject_newline_evidence", "every_cell"],
+)
+def test_markdown_row_stays_one_line_of_four_cells(finding, row):
+    lines = emit_report([finding], "markdown").splitlines()
+    assert lines[-1] == row
+    assert len(lines) == 7

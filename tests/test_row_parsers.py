@@ -62,8 +62,8 @@ TAXONOMY = CategoryTaxonomy(
 
 # Values a corruption writes into a column: empties, enum and bool strings of
 # every column (valid in some, not in others), near misses, loose and
-# out-of-order dates and timestamps, and categories the taxonomy does not
-# declare.
+# out-of-order dates and timestamps, categories the taxonomy does not
+# declare, and ";"-separated lists with empty items.
 VALUES = (
     "",
     " ",
@@ -103,6 +103,9 @@ VALUES = (
     "2024-02-01T00:00:00Z",
     "2099-12-31T23:59:59Z",
     'quote " and, comma',
+    ";",
+    "nudity;;scam",
+    ";hate_speech;",
 )
 
 # Values set two at a time, in every pair of columns.
@@ -373,6 +376,29 @@ class TestVerdictMemo:
             (VERDICT_MEMO_LIMIT, len({_event_verdict_key(row) for row in events})),
         ]
 
+    def test_distinct_list_columns_stay_within_the_guard(self, monkeypatch):
+        built = []
+
+        def recording_lru_cache(maxsize):
+            def wrap(function):
+                built.append(lru_cache(maxsize=maxsize)(function))
+                return built[-1]
+
+            return wrap
+
+        monkeypatch.setattr(ingest, "lru_cache", recording_lru_cache)
+        categories = EVENT_FIELD_ORDER.index("platform_categories")
+        rows = event_rows(11, VERDICT_MEMO_LIMIT + 500)
+        for i, row in enumerate(rows):
+            row[categories] = f";nudity;;code_{i};" if i % 2 else f"code_{i}"
+        # repeats of the first rows miss the memo, whose entries for them have
+        # left; repeats of the last rows hit it
+        rows += rows[:50] + rows[-50:]
+        assert_export_matches_oracle(rows)
+        assert [(m.cache_info().maxsize, m.cache_info().currsize, m.cache_info().hits) for m in built] == [
+            (VERDICT_MEMO_LIMIT, VERDICT_MEMO_LIMIT, 50)
+        ]
+
     def test_memo_of_a_valid_row_gives_equal_records(self):
         verdicts = pass_verdicts(TAXONOMY)
         row = dump_row()
@@ -392,6 +418,12 @@ def stream_dump(path: Path, verdicts, sink, manifests: list):
     """The records of one dump file; its manifest goes onto `manifests`."""
     parse = partial(parse_dump_row, verdicts)
     manifests.append((yield from _stream_rows(path, FIELD_ORDER, parse, attrgetter("application_date"), sink)))
+
+
+def test_records_are_declared_in_wire_column_order():
+    # the parsers build records positionally, through tuple.__new__
+    assert SorRecord._fields == FIELD_ORDER
+    assert ModerationEvent._fields == EVENT_FIELD_ORDER
 
 
 class TestRenderCell:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from modaudit.aggregate import Period
 from modaudit.report import SEVERITY_ORDER, Severity
-from modaudit.sor import AutomatedDecision, ContentType, DecisionType
+from modaudit.sor import AutomatedDecision, CategoryTaxonomy, ContentType, DecisionType
 from modaudit.verify import (
     DEFAULT_RECONSTRUCTED_GROUND,
     KeywordClassifier,
@@ -35,7 +35,16 @@ from modaudit.verify import (
 )
 
 from .conftest import make_record
-from .oracles import _pair_score, naive_link, naive_verify_diff
+from .oracles import (
+    CODES,
+    SPAN_DAYS,
+    SPAN_START,
+    _pair_score,
+    naive_link,
+    naive_reconstruct,
+    naive_verify_diff,
+    random_event,
+)
 from .test_report import FINDING_OBJECTS, TEXT
 
 WINDOW = Period(start=date(2024, 1, 1), end=date(2024, 2, 1))
@@ -163,6 +172,52 @@ class TestReconstruct:
         out = reconstruct([make_event()], classifier, WINDOW)
         assert out[0].application_date == date(2024, 1, 12)
         assert out[0].content_date == date(2024, 1, 10)
+
+
+# The reference classifier, and one whose rules are out of marker order, share
+# tokens, hold upper-case tokens and take images too.
+CLASSIFIERS = (
+    KeywordClassifier.from_taxonomy(CategoryTaxonomy(codes=CODES)),
+    KeywordClassifier(
+        {
+            "nudity": ["win big", marker_token("NUDITY"), marker_token("hate_speech")],
+            "hate_speech": [marker_token("hate_speech")],
+            "misinformation": ["Viral", marker_token("misinformation")],
+        },
+        supported_types=(ContentType.TEXT, ContentType.IMAGE),
+    ),
+)
+PAYLOAD_WORD = st.sampled_from([*map(marker_token, CODES), "win big", "viral", "text"]).flatmap(
+    lambda word: st.sampled_from([word, word.upper(), word.title()])
+)
+PAYLOADS = st.none() | st.just("") | st.lists(PAYLOAD_WORD, max_size=4).map(" ".join)
+
+
+@st.composite
+def reconstruct_inputs(draw):
+    """random_event streams, with drawn payloads, for a drawn classifier and a
+    window that is None or bounds a drawn span of days."""
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    events = [random_event(rng, i) for i in range(draw(st.integers(0, 40)))]
+    payloads = draw(st.lists(PAYLOADS, min_size=len(events), max_size=len(events)))
+    events = [event._replace(payload=payload) for event, payload in zip(events, payloads)]
+    window = None
+    if draw(st.booleans()):
+        start = SPAN_START + timedelta(days=draw(st.integers(-1, SPAN_DAYS)))
+        window = Period(start=start, end=start + timedelta(days=draw(st.integers(1, SPAN_DAYS))))
+    return events, draw(st.sampled_from(CLASSIFIERS)), window
+
+
+class TestReconstructMatchesNaiveOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(reconstruct_inputs())
+    def test_same_items_in_same_order(self, inputs):
+        events, classifier, window = inputs
+        got = reconstruct(iter(events), classifier, window)
+        assert got == naive_reconstruct(events, classifier, window)
+        assert all(type(r) is ReconstructedSor for r in got)
+        # the items of one moderation day share one application_date object
+        assert len({id(r.application_date) for r in got}) == len({r.application_date for r in got})
 
 
 def filed_record(**overrides):
