@@ -93,12 +93,6 @@ class Predicate:
             conjuncts.append((attr, parsed))
         return cls(conjuncts=tuple(conjuncts))
 
-    def matches(self, record: SorRecord) -> bool:
-        for attr, allowed in self.conjuncts:
-            if getattr(record, attr) not in allowed:
-                return False
-        return True
-
     def allows(self, attr: str, value: object) -> bool:
         """Whether a record carrying this attribute value could satisfy the
         predicate (used for report-coverage checks)."""

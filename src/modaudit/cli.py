@@ -30,7 +30,15 @@ from typing import Callable, Iterator, Mapping, Sequence, TextIO
 
 from .aggregate import Period
 from .ingest import ExportReader, IngestError, open_corpus, open_platform_export
-from .report import REPORT_FORMATS, Severity, emit_report, meets_threshold, parse_severity, write_report
+from .report import (
+    REPORT_FORMATS,
+    Severity,
+    emit_report,
+    meets_threshold,
+    parse_severity,
+    severity_counts,
+    write_report,
+)
 from .settings import DEFAULT_DEADLINE_DAYS, LinkConfig, ToleranceSpec, _integer, _known_keys, _number
 from .sor import (
     CategoryTaxonomy,
@@ -263,13 +271,6 @@ class RunDir:
         (self.path / "run.json").write_text(json_text(record), encoding="utf-8")
 
 
-def _finding_counts(findings) -> dict[str, int]:
-    counts = {"critical": 0, "warn": 0, "info": 0}
-    for f in findings:
-        counts[f.severity.value] += 1
-    return counts
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -283,7 +284,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             pass
         manifest = reader.manifest.to_dict()
         run.track_inputs(*reader.files)
-        run.finish(config, manifest, _finding_counts(()))
+        run.finish(config, manifest, severity_counts(()))
         print(
             f"validated {manifest['record_count']} record(s), "
             f"quarantined {manifest['quarantine_count']} row(s) -> {run.path}"
@@ -299,7 +300,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         manifest = reader.manifest.to_dict()
         run.write("profile.json", json_text(profile.to_dict()))
         run.track_inputs(*reader.files)
-        run.finish(config, manifest, _finding_counts(()))
+        run.finish(config, manifest, severity_counts(()))
         print(f"profiled {manifest['record_count']} record(s) -> {run.path}")
         return 0
 
@@ -326,21 +327,22 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         )
         run.write("results.json", json_text([r.to_dict() for r in results]))
         run.track_inputs(*reader.files, Path(args.claims))
-        run.finish(config, reader.manifest.to_dict(), _finding_counts(()))
+        run.finish(config, reader.manifest.to_dict(), severity_counts(()))
         print(f"replicated {len(results)} claim(s) -> {run.path}")
         return 0
 
 
-def _finish_with_findings(
-    run: RunDir, config: AppConfig, manifest: dict, findings, counts: dict[str, int], fmt: str, label: str
-) -> int:
+def _finish_with_findings(run: RunDir, config: AppConfig, manifest: dict, findings, fmt: str, label: str) -> int:
     """Write the findings files and the run record; return the exit code that
-    `counts`, the findings' tally per severity, calls for at the threshold."""
+    the findings' severity_counts call for at the threshold. write_report
+    reads `findings` once per file, so they must be a list or a
+    VerificationFindings."""
     with run.open("findings.json") as fh:
         write_report(findings, "json", fh)
     if fmt != "json":
         with run.open(f"findings.{'md' if fmt == 'markdown' else fmt}") as fh:
             write_report(findings, fmt, fh)
+    counts = severity_counts(findings)
     run.finish(config, manifest, counts)
     print(f"{label}: {counts['critical']} critical, {counts['warn']} warn, {counts['info']} info -> {run.path}")
     return 1 if any(counts[s.value] for s in Severity if meets_threshold(s, config.severity_threshold)) else 0
@@ -358,8 +360,7 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
             claimset, reader, config.taxonomy, config.tolerance, workers=config.parallel
         )
         run.track_inputs(*reader.files, Path(args.claims))
-        manifest, counts = reader.manifest.to_dict(), _finding_counts(findings)
-        return _finish_with_findings(run, config, manifest, findings, counts, args.format, "cross-check")
+        return _finish_with_findings(run, config, reader.manifest.to_dict(), findings, args.format, "cross-check")
 
 
 def _parse_window(args: argparse.Namespace) -> Period | None:
@@ -447,7 +448,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "linkage": {"puid_pairs": outcomes.puid_pairs, "fuzzy_pairs": outcomes.fuzzy_pairs},
         }
         run.track_inputs(Path(args.export), *corpus_reader.files)
-        return _finish_with_findings(run, config, manifest, findings, findings.counts, args.format, "verify")
+        return _finish_with_findings(run, config, manifest, findings, args.format, "verify")
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:

@@ -102,19 +102,6 @@ class Finding:
         }
 
 
-def sort_findings(findings: list[Finding]) -> list[Finding]:
-    findings.sort(
-        key=lambda f: (
-            SEVERITY_RANK[f.severity],
-            _KIND_RANK[f.kind],
-            f.claim_id is None,
-            f.claim_id or "",
-            f.evidence,
-        )
-    )
-    return findings
-
-
 def _check_one(claim: Claim, result: AggregateResult, spec: ToleranceSpec) -> Finding:
     deviation = relative = None
     if result.status is ResultStatus.UNREPLICABLE:
@@ -214,7 +201,16 @@ def cross_check(
                     )
                 )
 
-    return sort_findings(findings)
+    findings.sort(
+        key=lambda f: (
+            SEVERITY_RANK[f.severity],
+            _KIND_RANK[f.kind],
+            f.claim_id is None,
+            f.claim_id or "",
+            f.evidence,
+        )
+    )
+    return findings
 
 
 def finalize_results(

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import sys
-from collections.abc import Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from enum import Enum
 from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, TextIO
@@ -121,13 +121,35 @@ def _verification_json(finding: VerificationFinding, prefixes: dict[tuple, str])
     )
 
 
-def write_report(findings: Sequence[object], format: str, fh: TextIO) -> None:
+def severity_counts(findings: Iterable[object]) -> dict[str, int]:
+    """The findings' tally per severity value: the collection's own `counts`
+    when it keeps one, else one pass over the findings, each read by its
+    `severity` attribute or, for a mapping, its "severity" key. A value
+    outside the scale counts for none."""
+    counts = getattr(findings, "counts", None)
+    if counts is not None:
+        return counts
+    counts = {s.value: 0 for s in SEVERITY_ORDER}
+    for finding in findings:
+        # read without to_dict(), which a markdown row calls once per finding
+        if isinstance(finding, Mapping):
+            severity = str(finding.get("severity", ""))
+        else:
+            severity = finding.severity.value  # type: ignore[attr-defined]
+        if severity in counts:
+            counts[severity] += 1
+    return counts
+
+
+def write_report(findings: Collection[object], format: str, fh: TextIO) -> None:
     """Write findings (objects with to_dict, or plain dicts) to an open text
     stream in `format`, one finding per write after a fixed header. In JSON, a
     VerificationFinding goes through _verification_json, anything else through
     json.dumps; both give the bytes of json.dumps on the whole list.
 
-    Markdown makes two passes, so `findings` must be a sequence.
+    Markdown heads its table with len(findings) and their severity_counts,
+    then reads the findings again, so `findings` must be a sized collection
+    that can be read more than once, such as a list or a VerificationFindings.
     """
     if format not in REPORT_FORMATS:
         raise ValueError(f"unknown report format {format!r}; expected one of {REPORT_FORMATS}")
@@ -158,22 +180,12 @@ def write_report(findings: Sequence[object], format: str, fh: TextIO) -> None:
             writer.writerow([_csv_cell(row.get(col)) for col in _CSV_COLUMNS])
         return
 
-    counts = {s.value: 0 for s in SEVERITY_ORDER}
-    total = 0
-    for finding in findings:
-        total += 1
-        # read without to_dict(), which the row pass calls once per finding
-        if isinstance(finding, Mapping):
-            severity = str(finding.get("severity", ""))
-        else:
-            severity = finding.severity.value  # type: ignore[attr-defined]
-        if severity in counts:
-            counts[severity] += 1
+    counts = severity_counts(findings)
     fh.write(
-        f"# Audit findings\n\n{total} finding(s): "
+        f"# Audit findings\n\n{len(findings)} finding(s): "
         f"{counts['critical']} critical, {counts['warn']} warn, {counts['info']} info.\n"
     )
-    if not total:
+    if not findings:
         return
     fh.write("\n| severity | kind | subject | evidence |\n| --- | --- | --- | --- |\n")
     for finding in findings:

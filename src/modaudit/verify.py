@@ -655,13 +655,6 @@ class VerificationFinding(NamedTuple):
         }
 
 
-def sort_verification_findings(findings: list[VerificationFinding]) -> list[VerificationFinding]:
-    """Sort in place and return the list, on a key over each finding's own
-    fields that ties only equal findings: the result ignores input order."""
-    findings.sort(key=_finding_key)
-    return findings
-
-
 def _finding_key(f: VerificationFinding) -> tuple:
     # Severity, kind and which ids are None in one int, then the ids, then the
     # finding itself, compared only when all before it tie, and so never a
@@ -754,24 +747,22 @@ def outcome_findings(
     return findings
 
 
-class VerificationFindings(Sequence[VerificationFinding]):
-    """Verification findings in _finding_key order, with `counts` per
-    severity. The divergences are held as findings; a consistent pair only as
-    its (content_id, sor_uuid), made into a finding each time it is read.
-    Consistent findings share one rank and set both ids, so their key order
-    is the order of the id pairs, and they run together at one place among
-    the divergences. Both lists are sorted in place and kept; `divergences`
-    holds no CONSISTENT finding."""
+class VerificationFindings:
+    """Verification findings, read in _finding_key order as often as needed,
+    with `counts` per severity. The divergences are held as findings; a
+    consistent pair only as its (content_id, sor_uuid), made into a finding
+    each time it is read. Both lists are sorted in place and kept;
+    `divergences` holds no CONSISTENT finding.
+
+    Consistent findings share one rank and set both ids, so their key order is
+    the order of the id pairs. outcome_findings makes only CRITICAL and WARN
+    findings, which rank before INFO, so the consistent run comes last."""
 
     def __init__(self, divergences: list[VerificationFinding], consistent: list[tuple[str, str]]) -> None:
+        # _finding_key ties only equal findings, so the order ignores input order.
+        divergences.sort(key=_finding_key)
         consistent.sort()
-        self._divergences, self._consistent = sort_verification_findings(divergences), consistent
-        # Where the consistent run goes: after every divergence that ranks
-        # before it, in practice all of them, so the scan starts at the end.
-        rank, split = _finding_key(_consistent_finding("", ""))[0], len(divergences)
-        while split and _finding_key(divergences[split - 1])[0] >= rank:
-            split -= 1
-        self._split = split
+        self._divergences, self._consistent = divergences, consistent
         self.counts = {s.value: 0 for s in SEVERITY_ORDER}
         for f in divergences:
             self.counts[f.severity.value] += 1
@@ -781,24 +772,9 @@ class VerificationFindings(Sequence[VerificationFinding]):
         return len(self._divergences) + len(self._consistent)
 
     def __iter__(self) -> Iterator[VerificationFinding]:
-        divergences, split = self._divergences, self._split
-        yield from divergences[:split]
+        yield from self._divergences
         for content_id, sor_uuid in self._consistent:
             yield _consistent_finding(content_id, sor_uuid)
-        yield from divergences[split:]
-
-    def __getitem__(self, index: int | slice):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        at = index + len(self) if index < 0 else index
-        if not 0 <= at < len(self):
-            raise IndexError("verification finding index out of range")
-        pairs, split = self._consistent, self._split
-        if at < split:
-            return self._divergences[at]
-        if at < split + len(pairs):
-            return _consistent_finding(*pairs[at - split])
-        return self._divergences[at - len(pairs)]
 
 
 def verify_diff(outcomes: Iterable[Outcome], deadline_days: int = DEFAULT_DEADLINE_DAYS) -> VerificationFindings:

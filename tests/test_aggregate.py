@@ -34,6 +34,7 @@ from .oracles import (
     random_count_claim,
     random_record,
     random_share_claim,
+    satisfies,
 )
 
 JAN = Period(start=date(2024, 1, 1), end=date(2024, 2, 1))
@@ -71,12 +72,12 @@ def share_claim(claim_id, predicate_raw, denominator_raw=None, period=JAN):
 
 class TestPredicate:
     def test_empty_predicate_is_true(self):
-        assert Predicate.parse({}).matches(make_record())
+        assert satisfies(make_record(), Predicate.parse({}))
 
     def test_membership_over_value_sets(self):
         p = Predicate.parse({"decision_type": ["VISIBILITY_REMOVAL", "MONETARY"]})
-        assert p.matches(make_record())
-        assert not p.matches(make_record(decision_type=DecisionType.ACCOUNT_SUSPENSION))
+        assert satisfies(make_record(), p)
+        assert not satisfies(make_record(decision_type=DecisionType.ACCOUNT_SUSPENSION), p)
 
     def test_unknown_attribute_rejected(self):
         with pytest.raises(PredicateError, match="unknown filter attribute"):
@@ -88,8 +89,8 @@ class TestPredicate:
 
     def test_boolean_attribute(self):
         p = Predicate.parse({"automated_detection": "true"})
-        assert p.matches(make_record(automated_detection=True))
-        assert not p.matches(make_record())
+        assert satisfies(make_record(automated_detection=True), p)
+        assert not satisfies(make_record(), p)
 
     def test_json_round_trip_is_canonical(self):
         raw = {"category": ["nudity", "hate_speech"], "automated_decision": "FULLY"}

@@ -32,6 +32,8 @@ from modaudit.claims import (
 from modaudit.htmltable import TableNotFound, find_table, parse_tables
 
 JAN = {"start": "2024-01-01", "end": "2024-02-01"}
+# Marks a claim field that count_entry's caller leaves out.
+ABSENT = object()
 
 
 class TestParseNumber:
@@ -219,14 +221,45 @@ class TestLoadClaims:
             ({"period": {"start": "2024-01-01"}}, "period"),
             ({"value": "12 apples"}, "value"),
             ({"source_locator": ""}, "source_locator"),
+            ({"value": True}, "value"),
+            ({"value": -5}, "value"),
+            ({"value": [1]}, "value"),
+            ({"value": ABSENT}, "value"),
+            ({"period": "2024-01"}, "period"),
         ],
     )
     def test_malformed_claim_names_claim_and_field(self, tmp_path, mutation, field):
+        entry = {name: value for name, value in count_entry("bad-claim", **mutation).items() if value is not ABSENT}
         path = tmp_path / "claims.json"
-        path.write_text(json.dumps(claims_doc([count_entry("bad-claim", **mutation)])))
+        path.write_text(json.dumps(claims_doc([entry])))
         with pytest.raises(ClaimsError, match="bad-claim") as exc:
             load_claims(path)
         assert field in str(exc.value)
+        assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (claims_doc([count_entry("")]), "claim #0: field claim_id: missing or empty"),
+            (claims_doc([count_entry(), "c2"]), "claim #1 is not an object"),
+            (claims_doc({"c1": count_entry()}), "top-level 'claims' must be a list"),
+            ({"claims": [count_entry()]}, "top-level 'platform' must be a non-empty string"),
+        ],
+        ids=["empty_claim_id", "claim_not_an_object", "claims_not_a_list", "no_platform"],
+    )
+    def test_malformed_claims_file_names_the_file(self, tmp_path, doc, message):
+        path = tmp_path / "claims.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ClaimsError) as exc:
+            load_claims(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_float_share_value_is_read_as_written(self):
+        entry = count_entry(metric="share", value=0.25, denominator_predicate={})
+        claim = parse_claimset(claims_doc([entry])).claims[0]
+        assert claim.reported_value == Fraction(1, 4)
+        assert claim.precision == Precision.rounded(2)
+        assert claim.value_text == "0.25"
 
     def test_share_above_one_rejected(self, tmp_path):
         entry = count_entry(metric="share", value="140%", denominator_predicate={})

@@ -183,6 +183,33 @@ class TestExitCodes:
     def test_injected_verify_exits_one(self, injected, tmp_path):
         assert run(verify_args(injected, tmp_path / "runs")) == 1
 
+    @pytest.mark.parametrize(
+        "extra, code, phantoms, filed",
+        [((), 1, 5, 155), (("--platform", "examplehub"), 0, 0, 150)],
+        ids=["every_platform", "examplehub"],
+    )
+    def test_verify_platform_audits_only_that_platforms_statements(
+        self, faithful, tmp_path, extra, code, phantoms, filed
+    ):
+        # A second dump file holds five otherhub statements that no
+        # examplehub event explains.
+        with open(faithful / "dump" / "part-00000.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))[:5]
+        with open(faithful / "dump" / "part-00001.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            for i, row in enumerate(rows):
+                writer.writerow({**row, "uuid": f"other-{i}", "platform_name": "otherhub", "puid": f"other-p-{i}"})
+        out = tmp_path / "runs"
+        assert run(verify_args(faithful, out, *extra)) == code
+        run_dir = only_run_dir(out)
+        record = json.loads((run_dir / "run.json").read_text())
+        assert record["finding_counts"] == {"critical": phantoms, "warn": 0, "info": 150}
+        assert record["manifest"]["filed_in_window"] == filed
+        findings = json.loads((run_dir / "findings.json").read_text())
+        phantom_uuids = [f["sor_uuid"] for f in findings if f["kind"] == "phantom_sor"]
+        assert phantom_uuids == [f"other-{i}" for i in range(phantoms)]
+
     def test_derived_window_equals_the_export_hull_given_explicitly(self, injected, tmp_path):
         with open(injected / "export.csv", newline="", encoding="utf-8") as fh:
             days = sorted(row["moderated_at"][:10] for row in csv.DictReader(fh))
@@ -398,6 +425,24 @@ class TestRunPersistence:
         # sorted list. Markdown reads the findings twice.
         out = tmp_path / "runs"
         assert run(verify_args(request.getfixturevalue(scenario), out, "--format", fmt)) == (scenario == "injected")
+        assert hashlib.sha256((only_run_dir(out) / name).read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "scenario, fmt, name, digest",
+        [
+            ("faithful", "json", "findings.json", "43c29f4cdc412e189b5b8054d1110623836803485a113cbfb092c949e8b4cbba"),
+            ("faithful", "markdown", "findings.md", "afbfe171e5e5edda754444553a9ff8142a736853cf35de43477fb888a97c59ec"),
+            ("faithful", "csv", "findings.csv", "d33467b23d6caf32fb88cc514d075bc3515312a561b00e5e5e43ec44d6a9898b"),
+            ("injected", "json", "findings.json", "9fb41a23fd139d0ea43f87aac9613b0cbe807db35e2f7009da6cd81aba1298bb"),
+            ("injected", "markdown", "findings.md", "ceddc5a9de0590fda6531cd7d7984bd4d265e8e9e354145cbabc7be592894753"),
+            ("injected", "csv", "findings.csv", "ef09817fe92db14bbbbfc5621c5d1c0052f394ba2e9bc8947c3af4dd043b23fb"),
+        ],
+    )
+    def test_crosscheck_findings_bytes_are_pinned(self, request, tmp_path, scenario, fmt, name, digest):
+        # The digests were recorded when the markdown header counted the
+        # findings in a pass of its own.
+        out = tmp_path / "runs"
+        assert run(crosscheck_args(request.getfixturevalue(scenario), out, "--format", fmt)) == (scenario == "injected")
         assert hashlib.sha256((only_run_dir(out) / name).read_bytes()).hexdigest() == digest
 
     def test_findings_bytes_identical_across_runs(self, injected, tmp_path):
@@ -617,6 +662,17 @@ class TestStartup:
         assert self.loaded(code) == []
         with pytest.raises(AttributeError, match="module 'modaudit' has no attribute 'no_such_name'"):
             modaudit.no_such_name
+
+
+def test_readme_library_use_runs(faithful, tmp_path):
+    # The README's "Library use" block reads a synth scenario at scen/,
+    # where the faithful fixture writes one.
+    section = (Path(SRC).parent / "README.md").read_text(encoding="utf-8").split("## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=fresh_env(), capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "150 0\n"
 
 
 class TestOtherSubcommands:
