@@ -77,6 +77,9 @@ _CONFIG_KEYS = ("taxonomy", "tolerance", "linkage", "deadline_days", "severity_t
 # denominator, so that run.json can always print the value as read.
 _FRACTION_TEXT = re.compile(r"[0-9]{1,50}(/0{0,49}[1-9][0-9]{0,49}|\.[0-9]{1,50})?")
 
+# C0, DEL, C1, U+2028 and U+2029 as Python escapes, so that an error message stays one line.
+_CONTROL_ESCAPES = {code: ascii(chr(code))[1:-1] for code in (*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029)}
+
 
 def _read_value(value: object, default: object, name: str) -> object:
     """`value` read, uncoerced, as the kind of `default`: bool, int, float or Fraction."""
@@ -573,11 +576,11 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message, code = str(exc), 2
     except (InputError, IngestError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        message, code = str(exc), 3
+    print(f"error: {message.translate(_CONTROL_ESCAPES)}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

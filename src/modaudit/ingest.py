@@ -105,12 +105,14 @@ def _stream_rows(
     returns a record or a (reason, field) fault. Rows of the wrong width and
     rows `parse` rejects go to the sink as entries located by file name and
     line; only these rows become a column-name dict. An unreadable file, a
-    wrong header, non-UTF-8 bytes or malformed CSV raise IngestError.
+    wrong header, non-UTF-8 bytes or malformed CSV raise IngestError; the
+    sink's own OSError passes through.
     """
     name = path.name
     n_fields = len(field_order)
     kept = quarantined = 0
     least = greatest = None
+    sink_failure = None
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -136,8 +138,14 @@ def _stream_rows(
                     reason, field = QuarantineReason.MISSING_FIELD, "row_shape"
                 quarantined += 1
                 raw = dict(zip(field_order, row))
-                on_quarantine(QuarantineEntry(reason, field, raw, name, reader.line_num))
+                try:
+                    on_quarantine(QuarantineEntry(reason, field, raw, name, reader.line_num))
+                except OSError as exc:
+                    sink_failure = exc
+                    raise
     except OSError as exc:
+        if exc is sink_failure:
+            raise
         raise IngestError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         line = _first_non_utf8_line(path)

@@ -139,9 +139,9 @@ Fault = tuple[QuarantineReason, str]
 # The decoded enum and bool columns of a row, or the fault of the first bad one.
 Verdict = tuple[tuple, None] | tuple[None, Fault]
 
-# Entries a per-pass verdict memo holds at most, the least recently used
-# leaving first. Faults are kept too; valid rows repeat their enum values and
-# category codes, and real data stays far below the limit.
+# Entries a memo of row parsing holds at most, the least recently used leaving
+# first: a reader pass's verdict memo (faults too) and the process-wide date and
+# list caches. Valid rows repeat these values; real data stays far below it.
 VERDICT_MEMO_LIMIT = 4096
 
 
@@ -360,8 +360,7 @@ def parse_date(text: str) -> date:
     return date.fromisoformat(text)
 
 
-# Dump dates repeat heavily; the bound guards against garbage input.
-_parse_date_memo = lru_cache(maxsize=4096)(parse_date)
+_parse_date_memo = lru_cache(maxsize=VERDICT_MEMO_LIMIT)(parse_date)
 
 
 def parse_timestamp(text: str) -> datetime:

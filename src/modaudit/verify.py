@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache, partial
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
@@ -25,6 +26,7 @@ from .sor import (
     _AUTOMATED_DECISIONS,
     _BOOLS,
     _CONTENT_TYPES,
+    VERDICT_MEMO_LIMIT,
     AutomatedDecision,
     CategoryTaxonomy,
     ContentType,
@@ -99,29 +101,15 @@ _EVENT_ENUMS = (
 )
 _EVENT_REQUIRED_INDICES = tuple(i for i, name in enumerate(EVENT_FIELD_ORDER) if name in _EVENT_REQUIRED)
 _event_required_values = itemgetter(*_EVENT_REQUIRED_INDICES)
-# The memo key of an export row: its enum and bool columns, then its two
-# ";"-separated list columns.
-_event_verdict_key = itemgetter(
-    *(EVENT_FIELD_ORDER.index(name) for name, _ in _EVENT_ENUMS),
-    EVENT_FIELD_ORDER.index("platform_categories"),
-    EVENT_FIELD_ORDER.index("annotations"),
-)
+# The memo key of an export row, its enum and bool columns, and their verdict.
+_event_verdict_key = itemgetter(*(EVENT_FIELD_ORDER.index(name) for name, _ in _EVENT_ENUMS))
+_event_verdict = partial(_enum_verdict, _EVENT_ENUMS)
 
 
+# Lists repeat across rows; the bound keeps a file of distinct lists in memory.
+@lru_cache(maxsize=VERDICT_MEMO_LIMIT)
 def _split_list(text: str) -> tuple[str, ...]:
     return tuple(item for item in text.split(";") if item)
-
-
-def _event_verdict(key: tuple[str, ...]) -> Verdict:
-    """The verdict on an export row's enum, bool and list strings, in
-    _event_verdict_key order: the enum members, then each list split at ";"
-    without its empty items. A list never faults, so the faults are those of
-    the enum columns alone."""
-    verdict = _enum_verdict(_EVENT_ENUMS, key)
-    if verdict[1] is not None:
-        return verdict
-    categories, annotations = key[-2:]
-    return (*verdict[0], _split_list(categories), _split_list(annotations)), None
 
 
 class ModerationEvent(NamedTuple):
@@ -155,8 +143,8 @@ def parse_export_row(
     members, fault = verdicts(_event_verdict_key(row))
     if fault is not None:
         return fault
-    content_type, visibility, automated_detection, automated_decision, categories, annotations = members
-    content_id, puid, _, created_text, moderated_text, _, _, _, _, _, payload = row
+    content_type, visibility, automated_detection, automated_decision = members
+    content_id, puid, _, created_text, moderated_text, _, categories, _, _, annotations, payload = row
 
     try:
         content_created = _parse_date_memo(created_text)
@@ -181,10 +169,10 @@ def parse_export_row(
             content_created,
             moderated_at,
             visibility,
-            categories,
+            _split_list(categories),
             automated_detection,
             automated_decision,
-            annotations,
+            _split_list(annotations),
             payload or None,
         ),
     )

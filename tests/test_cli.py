@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -372,6 +374,43 @@ class TestInputErrors:
         out = tmp_path / "runs"
         assert run(without_window(verify_args(faithful, out))) == 3
         assert_one_line_input_error(capsys, out, "9999-12-31")
+
+    def test_newline_in_a_claim_id_stays_on_one_line(self, faithful, tmp_path, capsys):
+        doc = json.loads((faithful / "claims.json").read_text())
+        doc["claims"][0].update(claim_id="evil\nsecond line", value=True)
+        claims = faithful / "evil.json"
+        claims.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "runs"
+        args = crosscheck_args(faithful, out)
+        args[args.index("--claims") + 1] = str(claims)
+        assert run(args) == 3
+        assert_one_line_input_error(capsys, out, "error: claim evil\\nsecond line: field value: booleans are not numbers")
+
+    def test_newline_in_a_corpus_path_stays_on_one_line(self, tmp_path, capsys):
+        corpus = tmp_path / "bad\ndump"
+        corpus.mkdir()
+        (corpus / "part-00000.csv").write_text("not,the,header\n", encoding="utf-8")
+        out = tmp_path / "runs"
+        assert run(["validate", "--corpus", str(corpus), "--out", str(out)]) == 3
+        assert_one_line_input_error(
+            capsys, out, f"error: {tmp_path}/bad\\ndump/part-00000.csv: header row does not match"
+        )
+
+    def test_quarantine_write_failure_is_not_a_read_failure(self, faithful, tmp_path, capsys, monkeypatch):
+        def full_disk(run_dir):
+            def sink(entry):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            return sink
+
+        monkeypatch.setattr(RunDir, "quarantine_sink", full_disk)
+        dump = faithful / "dump" / "part-00000.csv"
+        append_copy(dump, dump, {"uuid": ""})
+        out = tmp_path / "runs"
+        assert run(["validate", "--corpus", str(faithful / "dump"), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert "cannot read" not in err and not list(out.glob("*/run.json"))
 
     def test_run_dir_closes_quarantine_log_on_error(self, tmp_path):
         entry = QuarantineEntry(reason=QuarantineReason.MISSING_FIELD, field="uuid", raw_row={})

@@ -43,6 +43,7 @@ from modaudit.verify import (
     ModerationEvent,
     _event_verdict,
     _event_verdict_key,
+    _split_list,
     parse_export_row,
 )
 
@@ -391,13 +392,19 @@ class TestVerdictMemo:
         rows = event_rows(11, VERDICT_MEMO_LIMIT + 500)
         for i, row in enumerate(rows):
             row[categories] = f";nudity;;code_{i};" if i % 2 else f"code_{i}"
-        # repeats of the first rows miss the memo, whose entries for them have
-        # left; repeats of the last rows hit it
+        # repeats of the first rows miss the list cache, whose entries for
+        # them have left; repeats of the last rows hit it
         rows += rows[:50] + rows[-50:]
+        _split_list.cache_clear()
         assert_export_matches_oracle(rows)
+        # the verdict memo keys on the enum columns alone: one entry per
+        # combination, and every other row hits it
+        combinations = len({_event_verdict_key(row) for row in rows})
         assert [(m.cache_info().maxsize, m.cache_info().currsize, m.cache_info().hits) for m in built] == [
-            (VERDICT_MEMO_LIMIT, VERDICT_MEMO_LIMIT, 50)
+            (VERDICT_MEMO_LIMIT, combinations, len(rows) - combinations)
         ]
+        lists = _split_list.cache_info()
+        assert (lists.maxsize, lists.currsize) == (VERDICT_MEMO_LIMIT, VERDICT_MEMO_LIMIT)
 
     def test_memo_of_a_valid_row_gives_equal_records(self):
         verdicts = pass_verdicts(TAXONOMY)
