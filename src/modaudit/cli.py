@@ -26,10 +26,10 @@ from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterator, Mapping, NoReturn, Sequence, TextIO
 
 from .aggregate import Period
-from .ingest import ExportReader, IngestError, open_corpus, open_platform_export
+from .ingest import CorpusReader, IngestError, open_corpus, open_platform_export
 from .report import (
     REPORT_FORMATS,
     Severity,
@@ -57,6 +57,14 @@ class ConfigError(Exception):
 
 class InputError(Exception):
     pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser whose usage errors are ConfigErrors, so that they leave as one
+    `error:` line with exit code 2; its subparsers are of this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
 
 
 @dataclass
@@ -378,7 +386,7 @@ def _parse_window(args: argparse.Namespace) -> Period | None:
     return None
 
 
-def _hull_window(export_reader: ExportReader) -> Period:
+def _hull_window(export_reader: CorpusReader) -> Period:
     """The whole days that hold every moderation time of a pass over the export."""
     if export_reader.manifest.date_range is None:
         raise InputError("export holds no events and no window was given")
@@ -440,8 +448,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             findings = verify_diff(outcomes, config.deadline_days)
         except LinkageError as exc:
             raise InputError(str(exc)) from None
+        export = export_reader.manifest
         manifest = {
-            "export": {"events": export_reader.event_count, "quarantined": export_reader.quarantine_count},
+            "export": {"events": export.record_count, "quarantined": export.quarantine_count},
             "corpus": corpus_reader.manifest.to_dict(),
             "window": window.to_json(),
             "reconstructed": outcomes.reconstructed_count,
@@ -498,7 +507,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="modaudit",
         description="Batch auditing of content-moderation transparency data.",
     )
@@ -568,13 +577,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help, once the text is printed
+        return 0 if exc.code in (0, None) else 2
     except ConfigError as exc:
         message, code = str(exc), 2
     except (InputError, IngestError, OSError) as exc:

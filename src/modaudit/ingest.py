@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from datetime import date
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
@@ -20,13 +20,11 @@ from typing import TYPE_CHECKING, Callable, Generator, Generic, Iterable, Iterat
 
 from .sor import (
     FIELD_ORDER,
-    VERDICT_MEMO_LIMIT,
     CategoryTaxonomy,
     Fault,
     QuarantineEntry,
     QuarantineReason,
     SorRecord,
-    _dump_verdict,
     parse_dump_row,
     render_cell,
 )
@@ -159,9 +157,9 @@ def _stream_rows(
 class CorpusReader(Generic[_T]):
     """Iterable over the valid records of CSV files of one format, in order.
 
-    Each pass parses rows with `parse` and a fresh bounded memo of `verdict`,
-    and dates the kept records by `key`. The manifest is available once a
-    pass has completed, here or in per-file parts (`split`, `join`).
+    Each pass parses rows with `parse` and dates the kept records by `key`.
+    The manifest is available once a pass has completed, here or in per-file
+    parts (`split`, `join`).
     Quarantined rows go to `on_quarantine` when given, otherwise they collect
     on `.quarantine`. `open_corpus` and `open_platform_export` build readers
     of the two formats.
@@ -171,13 +169,12 @@ class CorpusReader(Generic[_T]):
         self,
         files: Sequence[Path],
         field_order: tuple[str, ...],
-        parse: Callable[[Callable, list[str]], _T | Fault],
-        verdict: Callable,
+        parse: Callable[[list[str]], _T | Fault],
         key: Callable[[_T], date],
         on_quarantine: Callable[[QuarantineEntry], None] | None = None,
     ) -> None:
         self.files = list(files)
-        self._format = (field_order, parse, verdict, key)
+        self._format = (field_order, parse, key)
         self._sink = on_quarantine
         self.quarantine: list[QuarantineEntry] = []
         self._manifest: CorpusManifest | None = None
@@ -186,11 +183,10 @@ class CorpusReader(Generic[_T]):
         self._manifest = None
         self.quarantine = []
         sink = self._sink or self.quarantine.append
-        field_order, parse, verdict, key = self._format
-        parse_row = partial(parse, lru_cache(maxsize=VERDICT_MEMO_LIMIT)(verdict))
+        field_order, parse, key = self._format
         parts: list[CorpusManifest] = []
         for path in self.files:
-            parts.append((yield from _stream_rows(path, field_order, parse_row, key, sink)))
+            parts.append((yield from _stream_rows(path, field_order, parse, key, sink)))
         self._manifest = CorpusManifest.merge(parts)
 
     @property
@@ -225,8 +221,7 @@ def open_corpus(
         raise IngestError(f"{root}: corpus path is not a directory")
     # every .csv entry is claimed corpus content; unreadable ones abort loudly
     files = sorted(p for p in root.iterdir() if p.suffix == ".csv")
-    verdict = partial(_dump_verdict, taxonomy)
-    return CorpusReader(files, FIELD_ORDER, parse_dump_row, verdict, _application_date, on_quarantine)
+    return CorpusReader(files, FIELD_ORDER, partial(parse_dump_row, taxonomy), _application_date, on_quarantine)
 
 
 class ExportReader(CorpusReader["ModerationEvent"]):
@@ -247,12 +242,12 @@ def open_platform_export(
     on_quarantine: Callable[[QuarantineEntry], None] | None = None,
 ) -> ExportReader:
     # imported here, so that a run that reads only dumps never loads verify
-    from .verify import EVENT_FIELD_ORDER, _event_verdict, parse_export_row
+    from .verify import EVENT_FIELD_ORDER, parse_export_row
 
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"{path}: export path is not a file")
-    return ExportReader([path], EVENT_FIELD_ORDER, parse_export_row, _event_verdict, _moderated_at, on_quarantine)
+    return ExportReader([path], EVENT_FIELD_ORDER, parse_export_row, _moderated_at, on_quarantine)
 
 
 # ---------------------------------------------------------------------------

@@ -71,10 +71,11 @@ def _as_dict(finding: object) -> dict[str, object]:
 
 def _markdown_row(cells: Sequence[object]) -> str:
     """One markdown table row of `cells`, which stays one line of as many
-    cells: a "|" in a cell is escaped, and each line break is a <br>. No
+    cells: a "|" in a cell is escaped, and each line break that
+    str.splitlines reads is a <br>. The row starts and ends with "|" and no
     separator holds a line break, so breaks are replaced over the whole row."""
     row = "| " + " | ".join([str(cell).replace("|", "\\|") for cell in cells]) + " |"
-    return row.replace("\r\n", "<br>").replace("\n", "<br>").replace("\r", "<br>").replace("\u2028", "<br>")
+    return "<br>".join(row.splitlines())
 
 
 def _csv_cell(value: object) -> str:

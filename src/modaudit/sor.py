@@ -15,10 +15,10 @@ import threading
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
 class DecisionType(str, Enum):
@@ -117,32 +117,17 @@ _AUTOMATED_DECISIONS = {m.value: m for m in AutomatedDecision}
 _SOURCE_TYPES = {m.value: m for m in SourceType}
 _BOOLS = {"true": True, "false": False}
 
-# Enum and bool columns of a dump row in check order, with their lookup tables.
-_DUMP_ENUMS = (
-    ("decision_type", _DECISION_TYPES),
-    ("decision_ground", _DECISION_GROUNDS),
-    ("content_type", _CONTENT_TYPES),
-    ("automated_detection", _BOOLS),
-    ("automated_decision", _AUTOMATED_DECISIONS),
-    ("source_type", _SOURCE_TYPES),
-)
 _REQUIRED_INDICES = tuple(i for i, name in enumerate(FIELD_ORDER) if name in _REQUIRED)
 _required_values = itemgetter(*_REQUIRED_INDICES)
 _row_values = itemgetter(*FIELD_ORDER)
-# The memo key of a dump row: its enum and bool columns, then its category.
-_verdict_key = itemgetter(
-    *(FIELD_ORDER.index(name) for name, _ in _DUMP_ENUMS), FIELD_ORDER.index("category")
-)
 
 # A row's rejection: its reason and the field it names.
 Fault = tuple[QuarantineReason, str]
-# The decoded enum and bool columns of a row, or the fault of the first bad one.
-Verdict = tuple[tuple, None] | tuple[None, Fault]
 
-# Entries a memo of row parsing holds at most, the least recently used leaving
-# first: a reader pass's verdict memo (faults too) and the process-wide date and
-# list caches. Valid rows repeat these values; real data stays far below it.
-VERDICT_MEMO_LIMIT = 4096
+# Entries each process-wide cache of row parsing, the date cache and the list
+# cache, holds at most, the least recently used leaving first. Valid rows
+# repeat these values; real data stays far below it.
+PARSE_CACHE_LIMIT = 4096
 
 
 class SorRecord(NamedTuple):
@@ -360,7 +345,7 @@ def parse_date(text: str) -> date:
     return date.fromisoformat(text)
 
 
-_parse_date_memo = lru_cache(maxsize=VERDICT_MEMO_LIMIT)(parse_date)
+_parse_date_memo = lru_cache(maxsize=PARSE_CACHE_LIMIT)(parse_date)
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -405,18 +390,6 @@ def render_cell(value: object) -> str:
     return str(value)
 
 
-def _enum_verdict(columns: Sequence[tuple[str, Mapping[str, object]]], values: Sequence[str]) -> Verdict:
-    """Decode `values` through the tables of `columns`, pairwise and in order;
-    the first value its table lacks is a BAD_ENUM fault of that column."""
-    members = []
-    for (name, table), value in zip(columns, values):
-        member = table.get(value)
-        if member is None:
-            return None, (QuarantineReason.BAD_ENUM, name)
-        members.append(member)
-    return tuple(members), None
-
-
 def _first_empty(row: Sequence[str], field_order: tuple[str, ...], indices: tuple[int, ...]) -> Fault:
     """The MISSING_FIELD fault of the first of `indices` that `row`, which
     leaves one of them empty, leaves empty."""
@@ -424,55 +397,52 @@ def _first_empty(row: Sequence[str], field_order: tuple[str, ...], indices: tupl
     return QuarantineReason.MISSING_FIELD, field_order[i]
 
 
-def _dump_verdict(taxonomy: CategoryTaxonomy, key: tuple[str, ...]) -> Verdict:
-    """The verdict on a dump row's enum, bool and category strings, in
-    _verdict_key order."""
-    verdict = _enum_verdict(_DUMP_ENUMS, key)
-    if verdict[1] is None and key[-1] not in taxonomy:
-        return None, (QuarantineReason.UNKNOWN_CATEGORY, "category")
-    return verdict
-
-
-def parse_dump_row(verdicts: Callable[[tuple[str, ...]], Verdict], row: Sequence[str]) -> SorRecord | Fault:
-    """Validate one dump row, a sequence of strings in FIELD_ORDER. Total and
-    deterministic: returns a SorRecord or the fault of the first failed check,
-    never raises on data.
-
-    `verdicts` is _dump_verdict bound to a taxonomy: a reader pass memoizes it,
-    a lone call does not.
-    """
+def parse_dump_row(taxonomy: CategoryTaxonomy, row: Sequence[str]) -> SorRecord | Fault:
+    """Validate one dump row, a sequence of strings in FIELD_ORDER, against
+    `taxonomy`. Total and deterministic: returns a SorRecord or the fault of
+    the first failed check, never raises on data."""
     if "" in _required_values(row):
         return _first_empty(row, FIELD_ORDER, _REQUIRED_INDICES)
-    members, fault = verdicts(_verdict_key(row))
-    if fault is not None:
-        return fault
-    (
-        decision_type,
-        decision_ground,
-        content_type,
-        automated_detection,
-        automated_decision,
-        source_type,
-    ) = members
     (
         uuid,
         platform_name,
-        _,
+        decision_text,
         decision_type_other,
-        _,
+        ground_text,
         reference_url,
         explanation,
         category,
-        _,
+        content_type_text,
         content_type_other,
-        _,
-        _,
-        _,
+        detection_text,
+        automation_text,
+        source_text,
         content_text,
         application_text,
         created_text,
         puid,
     ) = row
+
+    decision_type = _DECISION_TYPES.get(decision_text)
+    if decision_type is None:
+        return QuarantineReason.BAD_ENUM, "decision_type"
+    decision_ground = _DECISION_GROUNDS.get(ground_text)
+    if decision_ground is None:
+        return QuarantineReason.BAD_ENUM, "decision_ground"
+    content_type = _CONTENT_TYPES.get(content_type_text)
+    if content_type is None:
+        return QuarantineReason.BAD_ENUM, "content_type"
+    automated_detection = _BOOLS.get(detection_text)
+    if automated_detection is None:
+        return QuarantineReason.BAD_ENUM, "automated_detection"
+    automated_decision = _AUTOMATED_DECISIONS.get(automation_text)
+    if automated_decision is None:
+        return QuarantineReason.BAD_ENUM, "automated_decision"
+    source_type = _SOURCE_TYPES.get(source_text)
+    if source_type is None:
+        return QuarantineReason.BAD_ENUM, "source_type"
+    if category not in taxonomy:
+        return QuarantineReason.UNKNOWN_CATEGORY, "category"
 
     try:
         content_date = _parse_date_memo(content_text)
@@ -538,7 +508,7 @@ def validate_record(
         name = next(n for n in FIELD_ORDER if raw.get(n) is None or (raw[n] == "" and n in _REQUIRED))
         result: SorRecord | Fault = (QuarantineReason.MISSING_FIELD, name)
     else:
-        result = parse_dump_row(partial(_dump_verdict, taxonomy), row)
+        result = parse_dump_row(taxonomy, row)
     if isinstance(result, SorRecord):
         return result
     reason, field_name = result

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 from .aggregate import Period
 from .report import SEVERITY_ORDER, SEVERITY_RANK, Severity
@@ -26,7 +26,7 @@ from .sor import (
     _AUTOMATED_DECISIONS,
     _BOOLS,
     _CONTENT_TYPES,
-    VERDICT_MEMO_LIMIT,
+    PARSE_CACHE_LIMIT,
     AutomatedDecision,
     CategoryTaxonomy,
     ContentType,
@@ -35,8 +35,6 @@ from .sor import (
     Fault,
     QuarantineReason,
     SorRecord,
-    Verdict,
-    _enum_verdict,
     _first_empty,
     _parse_date_memo,
     parse_timestamp,
@@ -92,22 +90,12 @@ _EVENT_REQUIRED = frozenset(
 
 _VISIBILITIES = {m.value: m for m in VisibilityStatus}
 
-# Enum and bool columns of an export row in check order, with their lookup tables.
-_EVENT_ENUMS = (
-    ("content_type", _CONTENT_TYPES),
-    ("visibility_status", _VISIBILITIES),
-    ("automated_detection", _BOOLS),
-    ("automated_decision", _AUTOMATED_DECISIONS),
-)
 _EVENT_REQUIRED_INDICES = tuple(i for i, name in enumerate(EVENT_FIELD_ORDER) if name in _EVENT_REQUIRED)
 _event_required_values = itemgetter(*_EVENT_REQUIRED_INDICES)
-# The memo key of an export row, its enum and bool columns, and their verdict.
-_event_verdict_key = itemgetter(*(EVENT_FIELD_ORDER.index(name) for name, _ in _EVENT_ENUMS))
-_event_verdict = partial(_enum_verdict, _EVENT_ENUMS)
 
 
 # Lists repeat across rows; the bound keeps a file of distinct lists in memory.
-@lru_cache(maxsize=VERDICT_MEMO_LIMIT)
+@lru_cache(maxsize=PARSE_CACHE_LIMIT)
 def _split_list(text: str) -> tuple[str, ...]:
     return tuple(item for item in text.split(";") if item)
 
@@ -132,19 +120,37 @@ class ModerationEvent(NamedTuple):
         return dict(zip(EVENT_FIELD_ORDER, map(render_cell, self)))
 
 
-def parse_export_row(
-    verdicts: Callable[[tuple[str, ...]], Verdict], row: Sequence[str]
-) -> ModerationEvent | Fault:
+def parse_export_row(row: Sequence[str]) -> ModerationEvent | Fault:
     """Validate one platform-export row, a sequence of strings in
-    EVENT_FIELD_ORDER; mirrors parse_dump_row's contract. `verdicts` is
-    _event_verdict, memoized by a reader pass."""
+    EVENT_FIELD_ORDER; mirrors parse_dump_row's contract."""
     if "" in _event_required_values(row):
         return _first_empty(row, EVENT_FIELD_ORDER, _EVENT_REQUIRED_INDICES)
-    members, fault = verdicts(_event_verdict_key(row))
-    if fault is not None:
-        return fault
-    content_type, visibility, automated_detection, automated_decision = members
-    content_id, puid, _, created_text, moderated_text, _, categories, _, _, annotations, payload = row
+    (
+        content_id,
+        puid,
+        content_type_text,
+        created_text,
+        moderated_text,
+        visibility_text,
+        categories,
+        detection_text,
+        automation_text,
+        annotations,
+        payload,
+    ) = row
+
+    content_type = _CONTENT_TYPES.get(content_type_text)
+    if content_type is None:
+        return QuarantineReason.BAD_ENUM, "content_type"
+    visibility = _VISIBILITIES.get(visibility_text)
+    if visibility is None:
+        return QuarantineReason.BAD_ENUM, "visibility_status"
+    automated_detection = _BOOLS.get(detection_text)
+    if automated_detection is None:
+        return QuarantineReason.BAD_ENUM, "automated_detection"
+    automated_decision = _AUTOMATED_DECISIONS.get(automation_text)
+    if automated_decision is None:
+        return QuarantineReason.BAD_ENUM, "automated_decision"
 
     try:
         content_created = _parse_date_memo(created_text)

@@ -9,8 +9,8 @@ spliced runs replace. The report oracle renders the whole findings list at
 once, with one json.dumps, which report.write_report's per-finding writes
 replace. The row
 validators take a column-name dict and test every field in turn, as the
-positional parsers sor.parse_dump_row and verify.parse_export_row, behind one
-memo per reader pass, replace. The reconstruction oracle builds each rebuilt
+positional parsers sor.parse_dump_row and verify.parse_export_row, which
+look each enum column up in a table, replace. The reconstruction oracle builds each rebuilt
 item by keyword and walks the classifier's rules with any(), which
 verify.reconstruct's positional construction and KeywordClassifier's plain
 loops replace.
@@ -617,6 +617,10 @@ def naive_verify_diff(
     return sorted(findings, key=_finding_key)
 
 
+# Every line break str.splitlines reads, "\r\n" as one.
+LINE_BREAKS = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
 def naive_emit_report(findings: Iterable[object], format: str = "json") -> str:
     """Whole-document reference for report.write_report: every finding becomes
     a dict first, and the document is built in memory."""
@@ -652,8 +656,9 @@ def naive_emit_report(findings: Iterable[object], format: str = "json") -> str:
         for row in rows:
             subject = row.get("claim_id") or row.get("content_id") or row.get("sor_uuid") or ""
             cells = [row.get("severity", ""), row.get("kind", ""), subject, row.get("evidence", "")]
-            # "|" escaped and every line break a <br>, so each row is one line
-            cells = [re.sub(r"\r\n|[\r\n\u2028]", "<br>", str(c).replace("|", "\\|")) for c in cells]
+            # "|" escaped and every line break that str.splitlines reads a
+            # <br>, so each row is one line
+            cells = [LINE_BREAKS.sub("<br>", str(c).replace("|", "\\|")) for c in cells]
             lines.append("| " + " | ".join(cells) + " |")
         lines.append("")
     return "\n".join(lines)

@@ -228,6 +228,23 @@ class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--corpus", "x"],
+            [],
+            ["validate", "--corpus", "x", "--severity-threshold", "severe"],
+            ["crosscheck", "--corpus", "x", "--claims", "y", "--parallel", "abc"],
+            ["validate", "--corpus", "x", "--parallel", "2"],
+        ],
+        ids=["missing_flag", "no_subcommand", "bad_choice", "bad_int", "unknown_flag"],
+    )
+    def test_usage_error_is_one_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "runs"
+        assert run([*argv, "--out", str(out)] if argv else argv) == 2
+        assert_one_line_input_error(capsys, out)
+        assert not out.exists()
+
     def test_missing_corpus_is_input_error(self, tmp_path, capsys):
         code = run(
             [

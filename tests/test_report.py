@@ -16,9 +16,10 @@ from modaudit.verify import VerificationFinding, VerificationKind
 from .oracles import naive_emit_report
 
 # Characters a renderer could get wrong: JSON and CSV quoting, the markdown
-# cell separator, line breaks (U+2028 is one that JSON leaves raw), non-ASCII.
+# cell separator, line breaks (U+2028 and U+2029 are ones that JSON leaves
+# raw, and \x85 is one that str.splitlines reads), non-ASCII.
 TRICKY = st.sampled_from(
-    ['"', "\\", "|", "\n", "\r", ",", ";", "\u2028", "\u00a0", "é", "名", "\U0001f600"]
+    ['"', "\\", "|", "\n", "\r", ",", ";", "\u2028", "\u2029", "\x85", "\u00a0", "é", "名", "\U0001f600"]
 )
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)) | TRICKY, max_size=12)
 SCALARS = (
@@ -158,8 +159,20 @@ def test_markdown_builds_one_dict_per_finding():
             {"severity": "in|fo", "kind": "k\r\nind", "content_id": "c\r1", "evidence": "x y|z\n"},
             "| in\\|fo | k<br>ind | c<br>1 | x<br>y\\|z<br> |",
         ),
+        (
+            {"severity": "warn", "kind": "mismatch", "claim_id": "a\u2029b", "evidence": "x\u2029"},
+            "| warn | mismatch | a<br>b | x<br> |",
+        ),
+        (
+            {"severity": "info", "kind": "k\x85ind", "content_id": "c1", "evidence": "\x85y\x85\x85z"},
+            "| info | k<br>ind | c1 | <br>y<br><br>z |",
+        ),
+        (
+            {"severity": "info", "kind": "k\vi\fnd", "content_id": "c\x1c1", "evidence": "x\x1dy\x1ez"},
+            "| info | k<br>i<br>nd | c<br>1 | x<br>y<br>z |",
+        ),
     ],
-    ids=["pipe_subject_newline_evidence", "every_cell"],
+    ids=["pipe_subject_newline_evidence", "every_cell", "paragraph_separator", "next_line", "control_breaks"],
 )
 def test_markdown_row_stays_one_line_of_four_cells(finding, row):
     lines = emit_report([finding], "markdown").splitlines()

@@ -1,7 +1,8 @@
 """The positional row parsers against the field-by-field dict oracles.
 
-Both readers validate each row by column position, behind one verdict memo
-per pass, and build a column-name dict only for the rows they quarantine.
+Both readers validate each row by column position, decode its enum and bool
+columns by plain table lookup, and build a column-name dict only for the
+rows they quarantine.
 These tests stream valid rows and corrupted ones through the readers and
 require the records and quarantine entries that the oracles in
 tests/oracles.py give for the same rows as dicts.
@@ -14,7 +15,7 @@ import random
 import tempfile
 from dataclasses import replace
 from datetime import date, datetime, timezone
-from functools import lru_cache, partial
+from functools import partial
 from itertools import zip_longest
 from operator import attrgetter
 from pathlib import Path
@@ -23,17 +24,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modaudit import ingest
 from modaudit.ingest import CorpusManifest, _stream_rows, open_corpus, open_platform_export
 from modaudit.sor import (
     FIELD_ORDER,
-    VERDICT_MEMO_LIMIT,
+    PARSE_CACHE_LIMIT,
     CategoryTaxonomy,
     DecisionType,
     QuarantineEntry,
     QuarantineReason,
     SorRecord,
-    _dump_verdict,
     parse_dump_row,
     render_cell,
     validate_record,
@@ -41,8 +40,6 @@ from modaudit.sor import (
 from modaudit.verify import (
     EVENT_FIELD_ORDER,
     ModerationEvent,
-    _event_verdict,
-    _event_verdict_key,
     _split_list,
     parse_export_row,
 )
@@ -81,6 +78,9 @@ VALUES = (
     "REMOVED",
     "VISIBLE",
     "FULLY",
+    "FULLY ",
+    "false ",
+    "Removed",
     "NOT_AUTOMATED",
     "ILLEGAL_CONTENT",
     "TRUSTED_FLAGGER",
@@ -251,7 +251,6 @@ class TestReadersMatchDictOracles:
         )
 
     def test_every_value_in_every_dump_column(self):
-        # one pass, so rows with equal enum columns share memo entries
         assert_dump_matches_oracle(single_and_paired(dump_rows(7, 1)[0]) + dump_rows(8, 50))
 
     def test_every_value_in_every_export_column(self):
@@ -287,7 +286,7 @@ class TestReadersMatchDictOracles:
         expected = naive_parse_event_row(dict(zip(EVENT_FIELD_ORDER, row)))
         if isinstance(expected, QuarantineEntry):
             expected = (expected.reason, expected.field)
-        assert parse_export_row(_event_verdict, row) == expected
+        assert parse_export_row(row) == expected
 
     def test_lacking_column_after_an_empty_required_one(self):
         raw = make_row(uuid="")
@@ -321,18 +320,14 @@ class TestVerdictMemo:
         path = tmp_path / "part-00000.csv"
         write_csv(path, FIELD_ORDER, rows)
 
-        verdicts = pass_verdicts(TAXONOMY)
-        sizes, faults = [], []
+        faults = []
 
         def sink(entry: QuarantineEntry) -> None:
-            sizes.append(verdicts.cache_info().currsize)
             faults.append((entry.reason, entry.field))
 
         parts: list[CorpusManifest] = []
-        assert list(stream_dump(path, verdicts, sink, parts)) == []
+        assert list(stream_dump(path, TAXONOMY, sink, parts)) == []
         assert faults == [(QuarantineReason.BAD_ENUM, "decision_type")] * n
-        # faults are memoized too, and the least recently used leave first
-        assert max(sizes) == VERDICT_MEMO_LIMIT < n
         assert parts == [CorpusManifest(("part-00000.csv",), 0, n, None)]
 
         reader = open_corpus(tmp_path, TAXONOMY)
@@ -346,50 +341,12 @@ class TestVerdictMemo:
         path = tmp_path / "part-00000.csv"
         write_csv(path, FIELD_ORDER, rows)
 
-        verdicts = pass_verdicts(CategoryTaxonomy(codes=codes))
-        sizes = []
-        for record in stream_dump(path, verdicts, pytest.fail, []):
-            sizes.append(verdicts.cache_info().currsize)
-            assert record.category == codes[len(sizes) - 1]
-        assert len(sizes) == n and max(sizes) == VERDICT_MEMO_LIMIT
+        records = list(stream_dump(path, CategoryTaxonomy(codes=codes), pytest.fail, []))
+        assert [record.category for record in records] == list(codes)
 
-    def test_every_reader_pass_builds_its_own_bounded_memo(self, tmp_path, monkeypatch):
-        built = []
-
-        def recording_lru_cache(maxsize):
-            def wrap(function):
-                built.append(lru_cache(maxsize=maxsize)(function))
-                return built[-1]
-
-            return wrap
-
-        monkeypatch.setattr(ingest, "lru_cache", recording_lru_cache)
-        write_csv(tmp_path / "part-00000.csv", FIELD_ORDER, [dump_row(decision_type="BAD_1"), dump_row()])
-        events = event_rows(5, 3)
-        write_csv(tmp_path / "export.txt", EVENT_FIELD_ORDER, events)
-        reader = open_corpus(tmp_path, TAXONOMY)
-        assert len(list(reader)) == len(list(reader)) == 1
-        list(open_platform_export(tmp_path / "export.txt"))
-        # a fault and a pass in each dump pass, one entry per enum combination in the export
-        assert [(m.cache_info().maxsize, m.cache_info().currsize) for m in built] == [
-            (VERDICT_MEMO_LIMIT, 2),
-            (VERDICT_MEMO_LIMIT, 2),
-            (VERDICT_MEMO_LIMIT, len({_event_verdict_key(row) for row in events})),
-        ]
-
-    def test_distinct_list_columns_stay_within_the_guard(self, monkeypatch):
-        built = []
-
-        def recording_lru_cache(maxsize):
-            def wrap(function):
-                built.append(lru_cache(maxsize=maxsize)(function))
-                return built[-1]
-
-            return wrap
-
-        monkeypatch.setattr(ingest, "lru_cache", recording_lru_cache)
+    def test_distinct_list_columns_stay_within_the_guard(self):
         categories = EVENT_FIELD_ORDER.index("platform_categories")
-        rows = event_rows(11, VERDICT_MEMO_LIMIT + 500)
+        rows = event_rows(11, PARSE_CACHE_LIMIT + 500)
         for i, row in enumerate(rows):
             row[categories] = f";nudity;;code_{i};" if i % 2 else f"code_{i}"
         # repeats of the first rows miss the list cache, whose entries for
@@ -397,33 +354,20 @@ class TestVerdictMemo:
         rows += rows[:50] + rows[-50:]
         _split_list.cache_clear()
         assert_export_matches_oracle(rows)
-        # the verdict memo keys on the enum columns alone: one entry per
-        # combination, and every other row hits it
-        combinations = len({_event_verdict_key(row) for row in rows})
-        assert [(m.cache_info().maxsize, m.cache_info().currsize, m.cache_info().hits) for m in built] == [
-            (VERDICT_MEMO_LIMIT, combinations, len(rows) - combinations)
-        ]
         lists = _split_list.cache_info()
-        assert (lists.maxsize, lists.currsize) == (VERDICT_MEMO_LIMIT, VERDICT_MEMO_LIMIT)
+        assert (lists.maxsize, lists.currsize) == (PARSE_CACHE_LIMIT, PARSE_CACHE_LIMIT)
 
     def test_memo_of_a_valid_row_gives_equal_records(self):
-        verdicts = pass_verdicts(TAXONOMY)
         row = dump_row()
-        first = parse_dump_row(verdicts, row)
-        second = parse_dump_row(verdicts, list(row))
-        info = verdicts.cache_info()
-        assert isinstance(first, SorRecord) and first == second and (info.hits, info.currsize) == (1, 1)
-        assert first == parse_dump_row(partial(_dump_verdict, TAXONOMY), row)
+        first = parse_dump_row(TAXONOMY, row)
+        second = parse_dump_row(TAXONOMY, list(row))
+        assert isinstance(first, SorRecord) and first == second
+        assert first == validate_record(dict(zip(FIELD_ORDER, row)), TAXONOMY)
 
 
-def pass_verdicts(taxonomy: CategoryTaxonomy):
-    """The verdict memo a dump reader builds for one pass."""
-    return lru_cache(maxsize=VERDICT_MEMO_LIMIT)(partial(_dump_verdict, taxonomy))
-
-
-def stream_dump(path: Path, verdicts, sink, manifests: list):
+def stream_dump(path: Path, taxonomy: CategoryTaxonomy, sink, manifests: list):
     """The records of one dump file; its manifest goes onto `manifests`."""
-    parse = partial(parse_dump_row, verdicts)
+    parse = partial(parse_dump_row, taxonomy)
     manifests.append((yield from _stream_rows(path, FIELD_ORDER, parse, attrgetter("application_date"), sink)))
 
 
@@ -436,12 +380,12 @@ def test_records_are_declared_in_wire_column_order():
 class TestRenderCell:
     def test_random_records_round_trip_through_the_dump_parser(self):
         rng = random.Random(41)
-        verdicts = partial(_dump_verdict, CategoryTaxonomy(codes=CODES))
+        taxonomy = CategoryTaxonomy(codes=CODES)
         for i in range(300):
             record = random_record(rng, i)
             row = record.to_row()
             assert list(row) == list(FIELD_ORDER)
-            assert parse_dump_row(verdicts, list(row.values())) == record
+            assert parse_dump_row(taxonomy, list(row.values())) == record
 
     def test_random_events_round_trip_through_the_export_parser(self):
         rng = random.Random(42)
@@ -449,7 +393,7 @@ class TestRenderCell:
             event = random_event(rng, i)
             row = event.to_row()
             assert list(row) == list(EVENT_FIELD_ORDER)
-            assert parse_export_row(_event_verdict, list(row.values())) == event
+            assert parse_export_row(list(row.values())) == event
 
     @pytest.mark.parametrize(
         "value,text",

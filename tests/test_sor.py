@@ -22,7 +22,7 @@ from modaudit.sor import (
     read_json,
     validate_record,
 )
-from modaudit.verify import EVENT_FIELD_ORDER, _event_verdict, parse_export_row
+from modaudit.verify import EVENT_FIELD_ORDER, parse_export_row
 
 from .conftest import make_record, make_row
 from .test_ingest import make_event_row
@@ -113,7 +113,7 @@ class TestValidateRecord:
     )
     def test_export_rows_with_loose_dates_are_bad_date(self, field, value):
         row = make_event_row(**{field: value})
-        result = parse_export_row(_event_verdict, [row[name] for name in EVENT_FIELD_ORDER])
+        result = parse_export_row([row[name] for name in EVENT_FIELD_ORDER])
         assert result == (QuarantineReason.BAD_DATE, field)
 
     def test_unknown_category(self, taxonomy):
