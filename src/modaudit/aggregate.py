@@ -22,6 +22,7 @@ from .sor import (
     SorRecord,
     SourceType,
     parse_date,
+    render_cell,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -104,10 +105,7 @@ class Predicate:
     def to_json(self) -> dict[str, object]:
         out: dict[str, object] = {}
         for attr, allowed in self.conjuncts:
-            rendered = sorted(
-                v.value if isinstance(v, Enum) else ("true" if v is True else "false" if v is False else v)
-                for v in allowed
-            )
+            rendered = sorted(map(render_cell, allowed))
             out[attr] = rendered[0] if len(rendered) == 1 else rendered
         return out
 
@@ -122,12 +120,12 @@ class Predicate:
         return Predicate(conjuncts=tuple(conjuncts))
 
 
-PERIOD_FIELDS = ("application_date", "content_date", "created_at")
 _RECORD_DATE = {
     "application_date": attrgetter("application_date"),
     "content_date": attrgetter("content_date"),
     "created_at": lambda record: record.created_at.date(),
 }
+PERIOD_FIELDS = tuple(_RECORD_DATE)
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,7 @@ class Precision:
 
 _MANTISSA = re.compile(r"^(?:\d{1,3}(?:,\d{3})+|\d+)?(?:\.\d*)?$")
 _SUFFIX_POW = {"K": 3, "M": 6, "B": 9}
+_POW_SUFFIX = {power: suffix for suffix, power in _SUFFIX_POW.items()}
 _APPROX_PREFIXES = ("approximately", "approx.", "approx", "about")
 
 
@@ -218,8 +219,7 @@ def format_value(value: int | Fraction, precision: Precision) -> str:
     d_int = int(scaled)
     if k > 0:
         s = min(9, 3 * math.ceil(k / 3))
-        suffix = {3: "K", 6: "M", 9: "B"}[s]
-        return _decimal_text(d_int, k - s) + suffix
+        return _decimal_text(d_int, k - s) + _POW_SUFFIX[s]
     if k == 0:
         return str(d_int) + "."
     return _decimal_text(d_int, k)

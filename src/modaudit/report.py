@@ -28,8 +28,8 @@ class Severity(str, Enum):
     CRITICAL = "critical"
 
 
-SEVERITY_RANK = {Severity.CRITICAL: 0, Severity.WARN: 1, Severity.INFO: 2}
 SEVERITY_ORDER = (Severity.CRITICAL, Severity.WARN, Severity.INFO)
+SEVERITY_RANK = {severity: rank for rank, severity in enumerate(SEVERITY_ORDER)}
 
 
 def parse_severity(text: str) -> Severity:

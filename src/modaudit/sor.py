@@ -70,28 +70,6 @@ class QuarantineReason(str, Enum):
     UNKNOWN_CATEGORY = "UNKNOWN_CATEGORY"
 
 
-# Wire column order of a SoR dump row. The header of every dump file must
-# match this exactly.
-FIELD_ORDER = (
-    "uuid",
-    "platform_name",
-    "decision_type",
-    "decision_type_other",
-    "decision_ground",
-    "decision_ground_reference_url",
-    "illegal_content_explanation",
-    "category",
-    "content_type",
-    "content_type_other",
-    "automated_detection",
-    "automated_decision",
-    "source_type",
-    "content_date",
-    "application_date",
-    "created_at",
-    "puid",
-)
-
 # Fields that must carry a non-empty value in every row.
 _REQUIRED = frozenset(
     (
@@ -117,10 +95,6 @@ _AUTOMATED_DECISIONS = {m.value: m for m in AutomatedDecision}
 _SOURCE_TYPES = {m.value: m for m in SourceType}
 _BOOLS = {"true": True, "false": False}
 
-_REQUIRED_INDICES = tuple(i for i, name in enumerate(FIELD_ORDER) if name in _REQUIRED)
-_required_values = itemgetter(*_REQUIRED_INDICES)
-_row_values = itemgetter(*FIELD_ORDER)
-
 # A row's rejection: its reason and the field it names.
 Fault = tuple[QuarantineReason, str]
 
@@ -131,8 +105,9 @@ PARSE_CACHE_LIMIT = 4096
 
 
 class SorRecord(NamedTuple):
-    """One moderation action as filed to the transparency database, its
-    fields in FIELD_ORDER."""
+    """One moderation action as filed to the transparency database. Its fields
+    are the columns of a dump row, in wire order: a dump file's header must be
+    FIELD_ORDER exactly."""
 
     uuid: str
     platform_name: str
@@ -155,6 +130,13 @@ class SorRecord(NamedTuple):
     def to_row(self) -> dict[str, str]:
         """Render the record back into its CSV row form."""
         return dict(zip(FIELD_ORDER, map(render_cell, self)))
+
+
+# The wire column order of a dump row.
+FIELD_ORDER = SorRecord._fields
+_REQUIRED_INDICES = tuple(i for i, name in enumerate(FIELD_ORDER) if name in _REQUIRED)
+_required_values = itemgetter(*_REQUIRED_INDICES)
+_row_values = itemgetter(*FIELD_ORDER)
 
 
 @dataclass(frozen=True)

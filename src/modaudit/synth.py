@@ -23,7 +23,7 @@ from .aggregate import Period, PeriodError
 from .claims import parse_number, percent_text
 from .crosscheck import ToleranceSpec, tolerance_bound
 from .ingest import write_dump, write_export
-from .settings import SettingError as ScenarioError, _integer, _known_keys, _number
+from .settings import DEFAULT_DEADLINE_DAYS, SettingError as ScenarioError, _integer, _known_keys, _number
 from .sor import (
     AutomatedDecision,
     CategoryTaxonomy,
@@ -113,11 +113,7 @@ class InjectionSpec:
 
     def to_dict(self) -> dict[str, object]:
         return {
-            "drop_sor_rate": self.drop_sor_rate,
-            "phantom_sor_rate": self.phantom_sor_rate,
-            "flip_automation_rate": self.flip_automation_rate,
-            "shift_category_rate": self.shift_category_rate,
-            "late_filing_rate": self.late_filing_rate,
+            **{name: getattr(self, name) for name in _RATES},
             "claim_perturbations": [
                 {"claim_id": p.claim_id}
                 | ({"delta": p.delta} if p.delta is not None else {"factor": p.factor})
@@ -268,7 +264,7 @@ _FLIP = {
     AutomatedDecision.PARTIALLY: AutomatedDecision.NOT_AUTOMATED,
 }
 
-_LATE_DELAY_MIN_DAYS = 8  # past the default 7-day filing deadline
+_LATE_DELAY_MIN_DAYS = DEFAULT_DEADLINE_DAYS + 1  # past the default filing deadline
 _LATE_DELAY_MAX_DAYS = 12
 
 

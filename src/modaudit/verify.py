@@ -62,20 +62,6 @@ _VISIBILITY_TO_DECISION = {
     VisibilityStatus.DEMOTED: DecisionType.VISIBILITY_DEMOTION,
 }
 
-EVENT_FIELD_ORDER = (
-    "content_id",
-    "puid",
-    "content_type",
-    "content_created",
-    "moderated_at",
-    "visibility_status",
-    "platform_categories",
-    "automated_detection",
-    "automated_decision",
-    "annotations",
-    "payload",
-)
-
 _EVENT_REQUIRED = frozenset(
     (
         "content_id",
@@ -90,9 +76,6 @@ _EVENT_REQUIRED = frozenset(
 
 _VISIBILITIES = {m.value: m for m in VisibilityStatus}
 
-_EVENT_REQUIRED_INDICES = tuple(i for i, name in enumerate(EVENT_FIELD_ORDER) if name in _EVENT_REQUIRED)
-_event_required_values = itemgetter(*_EVENT_REQUIRED_INDICES)
-
 
 # Lists repeat across rows; the bound keeps a file of distinct lists in memory.
 @lru_cache(maxsize=PARSE_CACHE_LIMIT)
@@ -102,7 +85,8 @@ def _split_list(text: str) -> tuple[str, ...]:
 
 class ModerationEvent(NamedTuple):
     """Platform-side record of one enforcement action (or of untouched
-    content), its fields in EVENT_FIELD_ORDER."""
+    content). Its fields are the columns of an export row, in wire order: an
+    export file's header must be EVENT_FIELD_ORDER exactly."""
 
     content_id: str
     puid: str | None
@@ -118,6 +102,12 @@ class ModerationEvent(NamedTuple):
 
     def to_row(self) -> dict[str, str]:
         return dict(zip(EVENT_FIELD_ORDER, map(render_cell, self)))
+
+
+# The wire column order of an export row.
+EVENT_FIELD_ORDER = ModerationEvent._fields
+_EVENT_REQUIRED_INDICES = tuple(i for i, name in enumerate(EVENT_FIELD_ORDER) if name in _EVENT_REQUIRED)
+_event_required_values = itemgetter(*_EVENT_REQUIRED_INDICES)
 
 
 def parse_export_row(row: Sequence[str]) -> ModerationEvent | Fault:
@@ -605,8 +595,7 @@ class VerificationKind(str, Enum):
 
 _VKIND_RANK = {k: i for i, k in enumerate(VerificationKind)}
 
-# Fields a platform export can support; everything else (source_type, free
-# texts) is excluded from diffing and listed in run metadata instead.
+# Fields a platform export can support, and so diffed.
 DIFF_FIELDS = (
     "category",
     "decision_type",
@@ -616,13 +605,13 @@ DIFF_FIELDS = (
     "automated_decision",
     "content_date",
 )
-UNDIFFED_FIELDS = (
-    "decision_type_other",
-    "decision_ground_reference_url",
-    "illegal_content_explanation",
-    "content_type_other",
-    "source_type",
-    "created_at",
+# Every other statement column, in column order, but the four that identify,
+# select or block a statement: source_type, the free texts and created_at are
+# excluded from diffing and listed in run metadata instead.
+UNDIFFED_FIELDS = tuple(
+    name
+    for name in SorRecord._fields
+    if name not in DIFF_FIELDS and name not in ("uuid", "platform_name", "application_date", "puid")
 )
 
 _diff_values = attrgetter(*DIFF_FIELDS)

@@ -10,7 +10,9 @@ once, with one json.dumps, which report.write_report's per-finding writes
 replace. The row
 validators take a column-name dict and test every field in turn, as the
 positional parsers sor.parse_dump_row and verify.parse_export_row, which
-look each enum column up in a table, replace. The reconstruction oracle builds each rebuilt
+look each enum column up in a table, replace; they read the headers, the
+required columns and the bool spelling from literals written out here, not
+from the code under test. The reconstruction oracle builds each rebuilt
 item by keyword and walks the classifier's rules with any(), which
 verify.reconstruct's positional construction and KeywordClassifier's plain
 loops replace.
@@ -32,14 +34,6 @@ from modaudit.claims import Claim, Metric, Precision
 from modaudit.report import _CSV_COLUMNS, REPORT_FORMATS, SEVERITY_ORDER, Severity, _csv_cell
 from modaudit.settings import DEFAULT_DEADLINE_DAYS
 from modaudit.sor import (
-    _AUTOMATED_DECISIONS,
-    _BOOLS,
-    _CONTENT_TYPES,
-    _DECISION_GROUNDS,
-    _DECISION_TYPES,
-    _REQUIRED,
-    _SOURCE_TYPES,
-    FIELD_ORDER,
     AutomatedDecision,
     CategoryTaxonomy,
     ContentType,
@@ -53,12 +47,9 @@ from modaudit.sor import (
     render_cell,
 )
 from modaudit.verify import (
-    _EVENT_REQUIRED,
-    _VISIBILITIES,
     CLASSIFIER_CONFIDENCE_FLOOR,
     DEFAULT_RECONSTRUCTED_GROUND,
     DIFF_FIELDS,
-    EVENT_FIELD_ORDER,
     KeywordClassifier,
     LinkageError,
     LinkConfig,
@@ -147,6 +138,78 @@ def random_record(rng: random.Random, i: int) -> SorRecord:
     )
 
 
+# The two CSV formats as the row oracles read them, written out here rather
+# than taken from the code under test: the header of a dump file and of an
+# export file, the columns each requires to be non-empty, and how each enum
+# and bool column decodes.
+DUMP_HEADER = (
+    "uuid",
+    "platform_name",
+    "decision_type",
+    "decision_type_other",
+    "decision_ground",
+    "decision_ground_reference_url",
+    "illegal_content_explanation",
+    "category",
+    "content_type",
+    "content_type_other",
+    "automated_detection",
+    "automated_decision",
+    "source_type",
+    "content_date",
+    "application_date",
+    "created_at",
+    "puid",
+)
+EXPORT_HEADER = (
+    "content_id",
+    "puid",
+    "content_type",
+    "content_created",
+    "moderated_at",
+    "visibility_status",
+    "platform_categories",
+    "automated_detection",
+    "automated_decision",
+    "annotations",
+    "payload",
+)
+DUMP_REQUIRED = frozenset(
+    (
+        "uuid",
+        "platform_name",
+        "decision_type",
+        "decision_ground",
+        "category",
+        "content_type",
+        "automated_detection",
+        "automated_decision",
+        "source_type",
+        "content_date",
+        "application_date",
+        "created_at",
+    )
+)
+EXPORT_REQUIRED = frozenset(
+    (
+        "content_id",
+        "content_type",
+        "content_created",
+        "moderated_at",
+        "visibility_status",
+        "automated_detection",
+        "automated_decision",
+    )
+)
+BOOLS = {"true": True, "false": False}
+DECISION_TYPES = {m.value: m for m in DecisionType}
+DECISION_GROUNDS = {m.value: m for m in DecisionGround}
+CONTENT_TYPES = {m.value: m for m in ContentType}
+AUTOMATED_DECISIONS = {m.value: m for m in AutomatedDecision}
+SOURCE_TYPES = {m.value: m for m in SourceType}
+VISIBILITIES = {m.value: m for m in VisibilityStatus}
+
+
 def _first_missing(
     raw: Mapping[str, str], field_order: tuple[str, ...], required: frozenset[str]
 ) -> str | None:
@@ -182,26 +245,26 @@ def naive_validate_record(
     def bad(reason: QuarantineReason, field_name: str) -> QuarantineEntry:
         return QuarantineEntry(reason=reason, field=field_name, raw_row=dict(raw))
 
-    missing = _first_missing(raw, FIELD_ORDER, _REQUIRED)
+    missing = _first_missing(raw, DUMP_HEADER, DUMP_REQUIRED)
     if missing is not None:
         return bad(QuarantineReason.MISSING_FIELD, missing)
 
-    decision_type = _DECISION_TYPES.get(raw["decision_type"])
+    decision_type = DECISION_TYPES.get(raw["decision_type"])
     if decision_type is None:
         return bad(QuarantineReason.BAD_ENUM, "decision_type")
-    decision_ground = _DECISION_GROUNDS.get(raw["decision_ground"])
+    decision_ground = DECISION_GROUNDS.get(raw["decision_ground"])
     if decision_ground is None:
         return bad(QuarantineReason.BAD_ENUM, "decision_ground")
-    content_type = _CONTENT_TYPES.get(raw["content_type"])
+    content_type = CONTENT_TYPES.get(raw["content_type"])
     if content_type is None:
         return bad(QuarantineReason.BAD_ENUM, "content_type")
-    automated_detection = _BOOLS.get(raw["automated_detection"])
+    automated_detection = BOOLS.get(raw["automated_detection"])
     if automated_detection is None:
         return bad(QuarantineReason.BAD_ENUM, "automated_detection")
-    automated_decision = _AUTOMATED_DECISIONS.get(raw["automated_decision"])
+    automated_decision = AUTOMATED_DECISIONS.get(raw["automated_decision"])
     if automated_decision is None:
         return bad(QuarantineReason.BAD_ENUM, "automated_decision")
-    source_type = _SOURCE_TYPES.get(raw["source_type"])
+    source_type = SOURCE_TYPES.get(raw["source_type"])
     if source_type is None:
         return bad(QuarantineReason.BAD_ENUM, "source_type")
 
@@ -260,20 +323,20 @@ def naive_parse_event_row(raw: Mapping[str, str]) -> ModerationEvent | Quarantin
     def bad(reason: QuarantineReason, field_name: str) -> QuarantineEntry:
         return QuarantineEntry(reason=reason, field=field_name, raw_row=dict(raw))
 
-    missing = _first_missing(raw, EVENT_FIELD_ORDER, _EVENT_REQUIRED)
+    missing = _first_missing(raw, EXPORT_HEADER, EXPORT_REQUIRED)
     if missing is not None:
         return bad(QuarantineReason.MISSING_FIELD, missing)
 
-    content_type = _CONTENT_TYPES.get(raw["content_type"])
+    content_type = CONTENT_TYPES.get(raw["content_type"])
     if content_type is None:
         return bad(QuarantineReason.BAD_ENUM, "content_type")
-    visibility = _VISIBILITIES.get(raw["visibility_status"])
+    visibility = VISIBILITIES.get(raw["visibility_status"])
     if visibility is None:
         return bad(QuarantineReason.BAD_ENUM, "visibility_status")
-    automated_detection = _BOOLS.get(raw["automated_detection"])
+    automated_detection = BOOLS.get(raw["automated_detection"])
     if automated_detection is None:
         return bad(QuarantineReason.BAD_ENUM, "automated_detection")
-    automated_decision = _AUTOMATED_DECISIONS.get(raw["automated_decision"])
+    automated_decision = AUTOMATED_DECISIONS.get(raw["automated_decision"])
     if automated_decision is None:
         return bad(QuarantineReason.BAD_ENUM, "automated_decision")
 

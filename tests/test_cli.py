@@ -594,6 +594,58 @@ class TestRunPersistence:
         (findings,) = outputs
         assert [label for label in labels if label.encode() in findings] == ["aaa_two"]
 
+    def test_outputs_do_not_depend_on_the_hash_seed(self, injected, tmp_path):
+        for path in (injected / "export.csv", injected / "dump" / "part-00000.csv"):
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write("not,a,row\n")
+        corpus = ["--corpus", str(injected / "dump"), "--taxonomy", str(injected / "taxonomy.json")]
+        commands = {
+            "validate": ["validate", *corpus],
+            "profile": ["profile", *corpus],
+            "replicate": ["replicate", *corpus, "--claims", str(injected / "claims.json")],
+            "crosscheck": crosscheck_args(injected, "")[:-2] + ["--format", "markdown"],
+            "verify": verify_args(injected, "")[:-2] + ["--format", "csv"],
+        }
+        # One interpreter per seed runs every subcommand and prints their exit codes.
+        script = "\n".join(
+            (
+                "import json, sys",
+                "from modaudit.cli import run",
+                "print(json.dumps([run(args) for args in json.loads(sys.argv[1])]))",
+            )
+        )
+        outputs = set()
+        for seed in "123":
+            out = tmp_path / f"runs-{seed}"
+            argv = [[*args, "--out", str(out / name)] for name, args in commands.items()]
+            done = subprocess.run(
+                [sys.executable, "-c", script, json.dumps(argv)],
+                env=fresh_env(PYTHONHASHSEED=seed),
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            written = {
+                (name, path.name): path.read_bytes()
+                for name in commands
+                for path in only_run_dir(out / name).iterdir()
+                if path.name != "run.json"
+            }
+            outputs.add((done.stdout.splitlines()[-1], tuple(sorted(written.items()))))
+        ((codes, files),) = outputs
+        written = dict(files)
+        assert json.loads(codes) == [0, 0, 0, 1, 1]
+        assert {name for _, name in written} >= {
+            "findings.json",
+            "findings.md",
+            "findings.csv",
+            "results.json",
+            "profile.json",
+            "manifest.json",
+            "quarantine.log",
+        }
+        assert all(written[name, "quarantine.log"] for name in commands)
+
     def test_run_json_carries_metrics_that_findings_do_not(self, injected, tmp_path):
         with open(injected / "export.csv", "a", encoding="utf-8") as fh:
             fh.write("not,a,row\n")

@@ -47,6 +47,8 @@ from modaudit.verify import (
 from .conftest import make_row
 from .oracles import (
     CODES,
+    DUMP_HEADER,
+    EXPORT_HEADER,
     naive_parse_event_row,
     naive_validate_record,
     random_event,
@@ -372,9 +374,12 @@ def stream_dump(path: Path, taxonomy: CategoryTaxonomy, sink, manifests: list):
 
 
 def test_records_are_declared_in_wire_column_order():
-    # the parsers build records positionally, through tuple.__new__
-    assert SorRecord._fields == FIELD_ORDER
-    assert ModerationEvent._fields == EVENT_FIELD_ORDER
+    # The column orders are the records' own fields, so reordering a record's
+    # fields would change the wire format; the oracle's literal headers pin it.
+    assert FIELD_ORDER is SorRecord._fields
+    assert EVENT_FIELD_ORDER is ModerationEvent._fields
+    assert FIELD_ORDER == DUMP_HEADER
+    assert EVENT_FIELD_ORDER == EXPORT_HEADER
 
 
 class TestRenderCell:

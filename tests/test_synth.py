@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import hashlib
+import json
+from collections import Counter
 from datetime import date
 
 import pytest
 
 from modaudit.aggregate import Period
 from modaudit.claims import load_claims
+from modaudit.cli import run
 from modaudit.crosscheck import FindingKind, run_crosscheck
 from modaudit.ingest import open_corpus, open_platform_export
 from modaudit.sor import CategoryTaxonomy
@@ -20,7 +23,7 @@ from modaudit.synth import (
 )
 from modaudit.verify import KeywordClassifier, VerificationKind, link, reconstruct, verify_diff
 
-from .test_cli import SCENARIO
+from .test_cli import SCENARIO, only_run_dir, write_scenario
 
 WINDOW = Period(start=date(2024, 1, 1), end=date(2024, 2, 1))
 
@@ -279,3 +282,58 @@ class TestStrippedPuidScenario:
         # every published statement must still pair up with its action
         kinds = {f.kind for f in vfindings}
         assert VerificationKind.PHANTOM_SOR not in kinds
+
+
+# A puid-less week of 2,000 events with 1% automation flips and 1% late
+# filings: the scenario of the benchmark's verify-fuzzy workload, less the seed.
+FUZZY_SCENARIO = {
+    "platform": "examplehub",
+    "window": {"start": "2024-01-01", "end": "2024-01-08"},
+    "volume": 2_000,
+    "category_mix": {"hate_speech": 4, "misinformation": 3, "nudity": 2, "scam": 1},
+    "automation_mix": {"FULLY": 2, "PARTIALLY": 1, "NOT_AUTOMATED": 3},
+    "injections": {"flip_automation_rate": 0.01, "late_filing_rate": 0.01, "strip_puid": True},
+}
+
+# The fields each injected fault of FUZZY_SCENARIO makes a finding name.
+FAULT_FIELDS = {"field_mismatch": ("automated_decision",), "late_submission": ()}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+@pytest.mark.parametrize("seed", [101, 202])
+def test_fuzzy_linkage_recovers_the_ground_truth(tmp_path, seed):
+    scen = tmp_path / "scen"
+    doc = write_scenario(tmp_path, {**FUZZY_SCENARIO, "seed": seed})
+    assert run(["synth", "--scenario", str(doc), "--out", str(scen)]) == 0
+    out = tmp_path / "runs"
+    run(
+        [
+            "verify",
+            "--corpus",
+            str(scen / "dump"),
+            "--export",
+            str(scen / "export.csv"),
+            "--taxonomy",
+            str(scen / "taxonomy.json"),
+            "--window-start",
+            "2024-01-01",
+            "--window-end",
+            "2024-01-08",
+            "--out",
+            str(out),
+        ]
+    )
+    findings = json.loads((only_run_dir(out) / "findings.json").read_text(encoding="utf-8"))
+    truth = GroundTruth.from_file(scen / "ground_truth.json").verification
+    assert Counter(kind for _, _, kind in truth) == {"field_mismatch": 20, "late_submission": 20}
+
+    # (a) as many findings of each kind and set of mismatched fields as injected
+    divergent = Counter(
+        (f["kind"], tuple(sorted(m["field"] for m in f["mismatched_fields"])))
+        for f in findings
+        if f["kind"] != "consistent"
+    )
+    assert divergent == Counter((kind, FAULT_FIELDS[kind]) for _, _, kind in truth)
+    # (b) at least 95% of the injected faults found on the right pair
+    found = {(f["content_id"], f["sor_uuid"], f["kind"]) for f in findings}
+    assert sum(fault in found for fault in truth) >= 0.95 * len(truth)
