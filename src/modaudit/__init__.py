@@ -29,7 +29,6 @@ _EXPORTS = {
     "report": ("Severity", "emit_report"),
     "settings": ("LinkConfig", "ToleranceSpec"),
     "sor": (
-        "AttributeFillReport",
         "CategoryTaxonomy",
         "QuarantineEntry",
         "SorRecord",
@@ -44,7 +43,6 @@ _EXPORTS = {
         "ReconstructedSor",
         "VerificationFinding",
         "VerificationKind",
-        "classify",
         "link",
         "link_outcomes",
         "reconstruct",

@@ -309,7 +309,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         reader = open_corpus(args.corpus, config.taxonomy, run.quarantine_sink())
         profile = informativeness_profile(reader)
         manifest = reader.manifest.to_dict()
-        run.write("profile.json", json_text(profile.to_dict()))
+        run.write("profile.json", json_text(profile))
         run.track_inputs(*reader.files)
         run.finish(config, manifest, severity_counts(()))
         print(f"profiled {manifest['record_count']} record(s) -> {run.path}")
@@ -473,7 +473,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         artifacts = generate(config, args.out)
     except JsonInputError as exc:
         raise ConfigError(str(exc)) from None
-    except (ScenarioError, KeyError) as exc:
+    except ScenarioError as exc:
         raise ConfigError(f"bad scenario config: {exc}") from None
     print(
         f"scenario written: export={artifacts.export_path} dump={artifacts.dump_dir} "

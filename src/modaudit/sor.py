@@ -234,14 +234,24 @@ class CategoryTaxonomy:
             raise TaxonomyError("taxonomy must declare at least one category code")
         if len(set(self.codes)) != len(self.codes):
             raise TaxonomyError("duplicate category codes in taxonomy")
+        if "" in self.codes:
+            raise TaxonomyError("taxonomy category codes must be non-empty")
         code_set = set(self.codes)
         for alias, target in self.aliases.items():
             if target not in code_set:
                 raise TaxonomyError(f"alias {alias!r} points at unknown code {target!r}")
+        # Labels equal under casefold must name one code, or resolve would
+        # keep whichever came last.
+        folded: dict[str, tuple[str, str]] = {}
+        for label, target in (*zip(self.codes, self.codes), *self.aliases.items()):
+            first, first_target = folded.setdefault(label.casefold(), (label, target))
+            if first_target != target:
+                raise TaxonomyError(
+                    f"labels {first!r} and {label!r} are equal under casefold but name codes "
+                    f"{first_target!r} and {target!r}"
+                )
         object.__setattr__(self, "_code_set", code_set)
-        object.__setattr__(
-            self, "_folded", {c.casefold(): c for c in self.codes} | {a.casefold(): t for a, t in self.aliases.items()}
-        )
+        object.__setattr__(self, "_folded", {key: target for key, (_, target) in folded.items()})
 
     def __contains__(self, code: str) -> bool:
         return code in self._code_set  # type: ignore[attr-defined]
@@ -510,47 +520,19 @@ _FILL_CONDITIONS: dict[str, tuple[str, Enum] | None] = {
 PROFILE_ATTRIBUTES: tuple[str, ...] = tuple(_FILL_CONDITIONS)
 
 
-@dataclass
-class FillStat:
-    filled: int = 0
-    applicable: int = 0
-
-    @property
-    def rate(self) -> float | None:
-        """Fill rate in [0, 1], or None when no record was applicable."""
-        if self.applicable == 0:
-            return None
-        return self.filled / self.applicable
-
-
-@dataclass
-class AttributeFillReport:
-    """Per-attribute fill counts over a record stream."""
-
-    stats: dict[str, FillStat]
-
-    @classmethod
-    def empty(cls) -> "AttributeFillReport":
-        return cls(stats={name: FillStat() for name in PROFILE_ATTRIBUTES})
-
-    def add(self, record: SorRecord) -> None:
+def informativeness_profile(records: Iterable[SorRecord]) -> dict[str, dict[str, object]]:
+    """Count, per optional or conditional attribute, how often it is filled:
+    the profile.json document, mapping each attribute to its "filled" and
+    "applicable" counts and its fill "rate", None when no record applied."""
+    counts = {name: [0, 0] for name in PROFILE_ATTRIBUTES}
+    for record in records:
         for name, condition in _FILL_CONDITIONS.items():
             if condition is None or getattr(record, condition[0]) is condition[1]:
-                st = self.stats[name]
-                st.applicable += 1
+                count = counts[name]
+                count[1] += 1
                 if getattr(record, name):
-                    st.filled += 1
-
-    def to_dict(self) -> dict[str, dict[str, object]]:
-        return {
-            name: {"filled": st.filled, "applicable": st.applicable, "rate": st.rate}
-            for name, st in self.stats.items()
-        }
-
-
-def informativeness_profile(records: Iterable[SorRecord]) -> AttributeFillReport:
-    """Count, per optional or conditional attribute, how often it is filled."""
-    report = AttributeFillReport.empty()
-    for record in records:
-        report.add(record)
-    return report
+                    count[0] += 1
+    return {
+        name: {"filled": filled, "applicable": applicable, "rate": filled / applicable if applicable else None}
+        for name, (filled, applicable) in counts.items()
+    }

@@ -32,6 +32,7 @@ from .sor import (
     DecisionType,
     SorRecord,
     SourceType,
+    TaxonomyError,
     json_text,
     read_json,
 )
@@ -44,6 +45,12 @@ def _object(value: object, name: str) -> Mapping[str, object]:
     return value
 
 
+def _required(data: Mapping[str, object], key: str, name: str) -> object:
+    if key not in data:
+        raise ScenarioError(f"{name} is missing {key!r}")
+    return data[key]
+
+
 @dataclass(frozen=True)
 class ClaimPerturbation:
     """Additive or multiplicative tampering of one claim's reported value."""
@@ -53,6 +60,8 @@ class ClaimPerturbation:
     factor: float | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.claim_id, str):
+            raise ScenarioError(f"a claim perturbation's claim_id must be a string, got {self.claim_id!r}")
         if (self.delta is None) == (self.factor is None):
             raise ScenarioError(
                 f"perturbation of {self.claim_id!r} needs exactly one of delta or factor"
@@ -100,7 +109,7 @@ class InjectionSpec:
             delta, factor = entry.get("delta"), entry.get("factor")
             perturbations.append(
                 ClaimPerturbation(
-                    claim_id=str(entry["claim_id"]),
+                    claim_id=_required(entry, "claim_id", "a claim perturbation"),  # type: ignore[arg-type]
                     delta=None if delta is None else _number(delta, "delta"),
                     factor=None if factor is None else _number(factor, "factor"),
                 )
@@ -147,9 +156,13 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.volume < 0:
             raise ScenarioError("volume must be non-negative")
-        if not self.platform:
-            raise ScenarioError("platform must be non-empty")
+        if not isinstance(self.platform, str) or not self.platform:
+            raise ScenarioError(f"platform must be a non-empty string, got {self.platform!r}")
         _check_mix(self.category_mix, "category_mix")
+        try:
+            scenario_taxonomy(self)
+        except TaxonomyError as exc:
+            raise ScenarioError(f"category_mix: {exc}") from None
         _check_mix(self.automation_mix, "automation_mix")
         for key in self.automation_mix:
             if key not in AutomatedDecision._value2member_map_:
@@ -159,18 +172,20 @@ class ScenarioConfig:
     def from_dict(cls, data: object) -> "ScenarioConfig":
         data = _object(data, "scenario config")
         _known_keys(data, [f.name for f in fields(cls)], "scenario config")
+
+        def required(key: str) -> object:
+            return _required(data, key, "scenario config")
+
         try:
             return cls(
-                seed=_integer(data["seed"], "seed"),
-                platform=str(data["platform"]),
-                window=Period.parse(_object(data["window"], "window")),
-                volume=_integer(data["volume"], "volume"),
-                category_mix=dict(_object(data["category_mix"], "category_mix")),
-                automation_mix=dict(_object(data["automation_mix"], "automation_mix")),
+                seed=_integer(required("seed"), "seed"),
+                platform=required("platform"),  # type: ignore[arg-type]
+                window=Period.parse(_object(required("window"), "window")),
+                volume=_integer(required("volume"), "volume"),
+                category_mix=dict(_object(required("category_mix"), "category_mix")),
+                automation_mix=dict(_object(required("automation_mix"), "automation_mix")),
                 injections=InjectionSpec.from_dict(data.get("injections", {}) or {}),
             )
-        except KeyError as exc:
-            raise ScenarioError(f"scenario config is missing {exc.args[0]!r}") from None
         except PeriodError as exc:
             raise ScenarioError(f"window: {exc}") from None
 

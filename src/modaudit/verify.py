@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .aggregate import Period
 from .report import SEVERITY_ORDER, SEVERITY_RANK, Severity
@@ -184,77 +184,38 @@ def marker_token(category: str) -> str:
     return f"<<{category}>>"
 
 
-class ContentClassifier(Protocol):
-    """Pluggable violation-type classifier.
-
-    Real deployments would put ML models behind this; the reference
-    implementation is a deterministic keyword-rule table.
-    """
-
-    requires_payload: bool
-
-    def handles(self, content_type: ContentType) -> bool: ...
-
-    def classify_payload(self, payload: str) -> tuple[str, float]: ...
-
-
-_NO_HIT = ("other", 0.0)
-
-
 class KeywordClassifier:
-    """Rule-based reference classifier: first category whose token list hits wins.
+    """Rule-based reference classifier: the first category whose token list
+    hits a TEXT payload wins.
 
     Rules are checked in declaration order, so classification is deterministic.
-    No hit yields ('other', 0.0). Each verdict is one tuple per rule, shared by
-    every payload the rule classifies.
     """
 
-    requires_payload = True
-
-    def __init__(
-        self,
-        rules: Mapping[str, Sequence[str]],
-        supported_types: Iterable[ContentType] = (ContentType.TEXT,),
-    ) -> None:
-        self.rules: list[tuple[tuple[str, float], tuple[str, ...]]] = [
-            ((category, 1.0), tuple(t.casefold() for t in tokens)) for category, tokens in rules.items()
+    def __init__(self, rules: Mapping[str, Sequence[str]]) -> None:
+        self.rules: list[tuple[str, tuple[str, ...]]] = [
+            (category, tuple(t.casefold() for t in tokens)) for category, tokens in rules.items()
         ]
-        self.supported_types = frozenset(supported_types)
 
     @classmethod
     def from_taxonomy(cls, taxonomy: CategoryTaxonomy) -> "KeywordClassifier":
         return cls({code: [marker_token(code)] for code in taxonomy.codes})
 
-    def handles(self, content_type: ContentType) -> bool:
-        return content_type in self.supported_types
-
-    def classify_payload(self, payload: str) -> tuple[str, float]:
-        text = payload.casefold()
-        for verdict, tokens in self.rules:
+    def category(self, event: ModerationEvent) -> str | None:
+        """The category of the first rule that hits the event's payload, or
+        None for content other than TEXT, an empty payload or no hit."""
+        if event.content_type != ContentType.TEXT or not event.payload:
+            return None
+        text = event.payload.casefold()
+        for category, tokens in self.rules:
             for token in tokens:
                 if token in text:
-                    return verdict
-        return _NO_HIT
-
-
-def classify(event: ModerationEvent, classifier: ContentClassifier) -> tuple[str, float] | None:
-    """Classify one event's content. None means the event is unclassifiable
-    (no payload for a payload-requiring classifier, or unsupported content
-    type); reconstruction then falls back to the platform's own categories.
-    """
-    if not classifier.handles(event.content_type):
+                    return category
         return None
-    if classifier.requires_payload and not event.payload:
-        return None
-    return classifier.classify_payload(event.payload or "")
 
 
 # ---------------------------------------------------------------------------
 # Reconstruction
 # ---------------------------------------------------------------------------
-
-# Classifier verdicts below this confidence defer to the platform's categories.
-CLASSIFIER_CONFIDENCE_FLOOR = 0.5
 
 # Events carry no legal ground, so rebuilt statements default to a terms basis
 # and ground divergences are reported at WARN only.
@@ -275,7 +236,6 @@ class ReconstructedSor(NamedTuple):
     content_date: date
     application_date: date
     moderated_at: datetime
-    classifier_verdict: tuple[str, float] | None
 
 
 def _decision_type_for(event: ModerationEvent) -> DecisionType | None:
@@ -291,12 +251,16 @@ def _decision_type_for(event: ModerationEvent) -> DecisionType | None:
 
 def reconstruct(
     events: Iterable[ModerationEvent],
-    classifier: ContentClassifier,
+    classifier: KeywordClassifier,
     window: Period | None,
 ) -> list[ReconstructedSor]:
     """Rebuild the expected statement for every moderated event whose
     moderation timestamp falls in [window.start, window.end); a window of
     None bounds nothing. `events` is read in one pass.
+
+    A classifier is any object with a `category(event)` method that returns
+    a category or None, so a model can stand in for KeywordClassifier. On
+    None the statement takes the platform's first category, or "other".
     """
     bounds = None
     if window is not None:
@@ -313,13 +277,9 @@ def reconstruct(
         decision_type = _decision_type_for(event)
         if decision_type is None:
             continue  # not a moderated item
-        verdict = classify(event, classifier)
-        if verdict is not None and verdict[1] >= CLASSIFIER_CONFIDENCE_FLOOR:
-            category = verdict[0]
-        elif categories:
-            category = categories[0]
-        else:
-            category = "other"
+        category = classifier.category(event)
+        if category is None:
+            category = categories[0] if categories else "other"
         day = moderated_at.date()
         # One item per event, so through tuple.__new__ in declared field order.
         out.append(
@@ -337,7 +297,6 @@ def reconstruct(
                     created,
                     days.setdefault(day, day),
                     moderated_at,
-                    verdict,
                 ),
             )
         )

@@ -47,7 +47,6 @@ from modaudit.sor import (
     render_cell,
 )
 from modaudit.verify import (
-    CLASSIFIER_CONFIDENCE_FLOOR,
     DEFAULT_RECONSTRUCTED_GROUND,
     DIFF_FIELDS,
     KeywordClassifier,
@@ -392,16 +391,16 @@ def random_event(rng: random.Random, i: int) -> ModerationEvent:
     )
 
 
-def naive_classify(event: ModerationEvent, classifier: KeywordClassifier) -> tuple[str, float] | None:
-    """Reference for verify.classify with a KeywordClassifier: each rule's
-    tokens tested with any(), the first rule with a hit winning."""
-    if event.content_type not in classifier.supported_types or not event.payload:
+def naive_classify(event: ModerationEvent, classifier: KeywordClassifier) -> str | None:
+    """Reference for KeywordClassifier.category: TEXT content only, each
+    rule's tokens tested with any(), the first rule with a hit winning."""
+    if event.content_type is not ContentType.TEXT or not event.payload:
         return None
     text = event.payload.casefold()
-    for verdict, tokens in classifier.rules:
+    for category, tokens in classifier.rules:
         if any(token in text for token in tokens):
-            return verdict
-    return ("other", 0.0)
+            return category
+    return None
 
 
 def naive_reconstruct(
@@ -419,12 +418,10 @@ def naive_reconstruct(
         decision_type = _decision_type_for(event)
         if decision_type is None:
             continue
-        verdict = naive_classify(event, classifier)
-        if verdict is not None and verdict[1] >= CLASSIFIER_CONFIDENCE_FLOOR:
-            category = verdict[0]
-        elif event.platform_categories:
+        category = naive_classify(event, classifier)
+        if category is None and event.platform_categories:
             category = event.platform_categories[0]
-        else:
+        elif category is None:
             category = "other"
         out.append(
             ReconstructedSor(
@@ -439,7 +436,6 @@ def naive_reconstruct(
                 content_date=event.content_created,
                 application_date=event.moderated_at.date(),
                 moderated_at=event.moderated_at,
-                classifier_verdict=verdict,
             )
         )
     return out

@@ -756,7 +756,7 @@ class TestStartup:
         assert loaded == ["modaudit.claims", "modaudit.crosscheck", "modaudit.parallel"]
 
     def test_package_names_are_their_submodules_objects(self):
-        assert len(modaudit.__all__) == 50
+        assert len(modaudit.__all__) == 48
         for name in modaudit.__all__:
             value = getattr(modaudit, name)
             assert getattr(sys.modules[value.__module__], name) is value, name
@@ -1127,8 +1127,20 @@ class TestSettingTypes:
             ({"codes": ["hate_speech"], "aliases": {"x": 5}}, "aliases value for 'x' must be a string"),
             ({"codes": ["hate_speech"], "labels": {"hate_speech": [1]}}, "labels value for 'hate_speech'"),
             (["hate_speech"], "taxonomy must be a JSON object"),
+            ({"codes": ["Scam", "scam"]}, "labels 'Scam' and 'scam' are equal under casefold"),
+            ({"codes": ["scam", "fraud"], "aliases": {"SCAM": "fraud"}}, "labels 'scam' and 'SCAM'"),
+            ({"codes": ["scam", ""]}, "category codes must be non-empty"),
         ],
-        ids=["alias_list", "alias_object", "alias_number", "label_list", "not_an_object"],
+        ids=[
+            "alias_list",
+            "alias_object",
+            "alias_number",
+            "label_list",
+            "not_an_object",
+            "codes_equal_under_casefold",
+            "alias_on_another_code",
+            "empty_code",
+        ],
     )
     def test_taxonomy_of_the_wrong_type_exits_three(self, faithful, tmp_path, capsys, doc, fragment):
         taxonomy = tmp_path / "taxonomy.json"
@@ -1160,6 +1172,18 @@ class TestSettingTypes:
                 {**SCENARIO, "injections": {"claim_perturbations": [{"claim_id": "examplehub-total", "delat": 5}]}},
                 "a claim perturbation: unknown key 'delat'",
             ),
+            ({**SCENARIO, "platform": None}, "platform must be a non-empty string, got None"),
+            ({**SCENARIO, "platform": 5}, "platform must be a non-empty string, got 5"),
+            (
+                {**SCENARIO, "injections": {"claim_perturbations": [{"claim_id": 5, "delta": 5}]}},
+                "a claim perturbation's claim_id must be a string, got 5",
+            ),
+            (
+                {**SCENARIO, "category_mix": {"Scam": 1, "scam": 1}},
+                "category_mix: labels 'Scam' and 'scam' are equal under casefold",
+            ),
+            ({**SCENARIO, "category_mix": {"Other": 1}}, "category_mix: labels 'Other' and 'other'"),
+            ({**SCENARIO, "category_mix": {"": 1}}, "category_mix: taxonomy category codes must be non-empty"),
         ],
         ids=[
             "top_level_array",
@@ -1175,6 +1199,12 @@ class TestSettingTypes:
             "unknown_top_level_key",
             "unknown_injection_key",
             "unknown_perturbation_key",
+            "platform_null",
+            "platform_number",
+            "claim_id_number",
+            "mix_keys_equal_under_casefold",
+            "mix_key_other_in_capitals",
+            "mix_key_empty",
         ],
     )
     def test_scenario_of_the_wrong_type_exits_two(self, tmp_path, capsys, doc, fragment):
@@ -1182,6 +1212,38 @@ class TestSettingTypes:
         assert run(["synth", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 2
         assert_one_line_input_error(capsys, out, "error: bad scenario config: ", fragment)
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "path,fragment",
+        [
+            ((key,), f"scenario config is missing {key!r}")
+            for key in ("seed", "platform", "window", "volume", "category_mix", "automation_mix")
+        ]
+        + [(("window", key), f"window: period is missing {key!r}") for key in ("start", "end")]
+        + [
+            (("injections", "claim_perturbations", 0, "claim_id"), "a claim perturbation is missing 'claim_id'"),
+            (("injections", "claim_perturbations", 0, "delta"), "needs exactly one of delta or factor"),
+        ],
+    )
+    def test_scenario_without_a_required_key_exits_two(self, tmp_path, capsys, path, fragment):
+        doc = json.loads(json.dumps(INJECTED))
+        *parents, key = path
+        node = doc
+        for parent in parents:
+            node = node[parent]
+        del node[key]
+        out = tmp_path / "scen"
+        assert run(["synth", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 2
+        assert_one_line_input_error(capsys, out, "error: bad scenario config: ", fragment)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["injections", *INJECTED["injections"]])
+    def test_scenario_injection_keys_are_optional(self, tmp_path, capsys, key):
+        doc = json.loads(json.dumps(INJECTED))
+        del (doc if key == "injections" else doc["injections"])[key]
+        out = tmp_path / "scen"
+        assert run(["synth", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_scenario_strip_puid_must_be_a_boolean(self, tmp_path, capsys):
         scen = write_scenario(tmp_path, {**SCENARIO, "injections": {"strip_puid": "false"}})

@@ -169,6 +169,29 @@ class TestTaxonomy:
         with pytest.raises(TaxonomyError):
             CategoryTaxonomy(codes=())
 
+    def test_empty_code_rejected(self):
+        with pytest.raises(TaxonomyError, match="codes must be non-empty"):
+            CategoryTaxonomy(codes=("scam", ""))
+
+    @pytest.mark.parametrize(
+        "codes,aliases",
+        [
+            (("Scam", "scam"), {}),
+            (("scam", "fraud"), {"SCAM": "fraud"}),
+            (("scam", "fraud"), {"Fraud": "scam"}),
+            (("scam", "fraud"), {"Tricks": "scam", "TRICKS": "fraud"}),
+        ],
+        ids=["two_codes", "alias_on_other_code", "alias_on_own_code", "two_aliases"],
+    )
+    def test_labels_equal_under_casefold_must_name_one_code(self, codes, aliases):
+        with pytest.raises(TaxonomyError, match="equal under casefold"):
+            CategoryTaxonomy(codes=codes, aliases=aliases)
+
+    def test_labels_equal_under_casefold_that_agree_are_legal(self, taxonomy):
+        assert taxonomy.resolve("Other") == taxonomy.resolve("OTHER") == "other"
+        agreeing = CategoryTaxonomy(codes=("scam",), aliases={"Scam": "scam", "SCAM": "scam", "Fraud": "scam"})
+        assert agreeing.resolve("sCaM") == agreeing.resolve("FRAUD") == "scam"
+
 
 class TestInformativenessProfile:
     def test_two_of_ten_reference_urls(self):
@@ -179,22 +202,20 @@ class TestInformativenessProfile:
             )
             for i in range(10)
         ]
-        report = informativeness_profile(records)
-        stat = report.stats["decision_ground_reference_url"]
-        assert (stat.filled, stat.applicable, stat.rate) == (2, 10, 0.2)
+        profile = informativeness_profile(records)
+        assert profile["decision_ground_reference_url"] == {"filled": 2, "applicable": 10, "rate": 0.2}
 
     def test_empty_stream_has_absent_rates(self):
-        report = informativeness_profile([])
-        assert all(stat.rate is None for stat in report.stats.values())
+        profile = informativeness_profile([])
+        assert profile == {name: {"filled": 0, "applicable": 0, "rate": None} for name in PROFILE_ATTRIBUTES}
 
     def test_explanation_applicability_restricted_to_illegal_ground(self):
         records = [
             make_record(uuid=f"i-{i}", decision_ground=DecisionGround.ILLEGAL_CONTENT)
             for i in range(5)
         ] + [make_record(uuid=f"t-{i}") for i in range(5)]
-        report = informativeness_profile(records)
-        stat = report.stats["illegal_content_explanation"]
-        assert (stat.filled, stat.applicable, stat.rate) == (0, 5, 0.0)
+        profile = informativeness_profile(records)
+        assert profile["illegal_content_explanation"] == {"filled": 0, "applicable": 5, "rate": 0.0}
 
     def test_each_attribute_counts_where_it_applies(self):
         rng = random.Random(17)
@@ -219,12 +240,14 @@ class TestInformativenessProfile:
         for name, test in applies.items():
             applicable = [r for r in records if test(r)]
             expected[name] = (sum(getattr(r, name) is not None for r in applicable), len(applicable))
-        stats = informativeness_profile(records).stats
-        assert {name: (st.filled, st.applicable) for name, st in stats.items()} == expected
+        profile = informativeness_profile(records)
+        assert {name: (st["filled"], st["applicable"]) for name, st in profile.items()} == expected
+        assert all(st["rate"] == st["filled"] / st["applicable"] for st in profile.values())
 
     def test_report_dict_shape(self):
-        d = informativeness_profile([make_record()]).to_dict()
-        assert d["puid"] == {"filled": 0, "applicable": 1, "rate": 0.0}
+        profile = informativeness_profile([make_record()])
+        assert list(profile) == list(PROFILE_ATTRIBUTES)
+        assert profile["puid"] == {"filled": 0, "applicable": 1, "rate": 0.0}
 
 
 def at_depth(frames: int, call):

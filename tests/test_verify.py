@@ -26,7 +26,6 @@ from modaudit.verify import (
     VerificationKind,
     VisibilityStatus,
     _finding_key,
-    classify,
     link,
     link_outcomes,
     marker_token,
@@ -76,30 +75,39 @@ def classifier(taxonomy):
 
 
 class TestClassify:
-    def test_marker_hit_is_fully_confident(self, classifier):
-        verdict = classify(make_event(), classifier)
-        assert verdict == ("hate_speech", 1.0)
+    def test_marker_hit_names_its_category(self, classifier):
+        assert classifier.category(make_event()) == "hate_speech"
 
-    def test_no_marker_yields_other_with_zero_confidence(self, classifier):
-        verdict = classify(make_event(payload="just some text"), classifier)
-        assert verdict == ("other", 0.0)
+    def test_no_marker_names_no_category(self, classifier):
+        assert classifier.category(make_event(payload="just some text")) is None
 
     def test_missing_payload_is_unclassifiable(self, classifier):
-        assert classify(make_event(payload=None), classifier) is None
+        assert classifier.category(make_event(payload=None)) is None
+        assert classifier.category(make_event(payload="")) is None
 
     def test_unsupported_content_type_is_unclassifiable(self, classifier):
-        assert classify(make_event(content_type=ContentType.IMAGE), classifier) is None
+        assert classifier.category(make_event(content_type=ContentType.IMAGE)) is None
 
     def test_rule_order_breaks_ties(self):
         clf = KeywordClassifier({"misinformation": ["viral"], "nudity": ["viral"]})
-        assert clf.classify_payload("going viral") == ("misinformation", 1.0)
+        assert clf.category(make_event(payload="going viral")) == "misinformation"
+
+    def test_tokens_and_payloads_are_casefolded(self):
+        clf = KeywordClassifier({"misinformation": ["Viral"], "nudity": [marker_token("NUDITY")]})
+        assert clf.category(make_event(payload="GOING VIRAL")) == "misinformation"
+        assert clf.category(make_event(payload=f"clip {marker_token('nudity')}")) == "nudity"
 
     def test_payloads_of_one_category_share_one_verdict(self, classifier):
-        first = classifier.classify_payload(f"clip {marker_token('nudity')}")
-        second = classifier.classify_payload(f"{marker_token('nudity')} again, other words")
-        assert first == second == ("nudity", 1.0)
-        assert first is second
-        assert classifier.classify_payload("plain") is classifier.classify_payload("other plain")
+        first = classifier.category(make_event(payload=f"clip {marker_token('nudity')}"))
+        second = classifier.category(make_event(payload=f"{marker_token('nudity')} again, other words"))
+        assert first == second == "nudity"
+
+    def test_an_empty_code_hit_is_taken(self):
+        # The fallback keys on None, not on truthiness.
+        clf = KeywordClassifier({"": ["hit"]})
+        event = make_event(payload="a hit", platform_categories=("nudity",))
+        assert clf.category(event) == ""
+        assert reconstruct([event], clf, WINDOW)[0].category == ""
 
 
 class TestReconstruct:
@@ -157,12 +165,31 @@ class TestReconstruct:
         )
         out = reconstruct([event], classifier, WINDOW)
         assert out[0].category == "misinformation"
-        assert out[0].classifier_verdict == ("misinformation", 1.0)
 
     def test_unclassifiable_falls_back_to_platform_categories(self, classifier):
         event = make_event(content_type=ContentType.IMAGE, payload=None, platform_categories=("nudity",))
         out = reconstruct([event], classifier, WINDOW)
         assert out[0].category == "nudity"
+
+    def test_no_hit_falls_back_to_platform_categories(self, classifier):
+        event = make_event(payload="nothing to see", platform_categories=("nudity", "scam"))
+        out = reconstruct([event], classifier, WINDOW)
+        assert out[0].category == "nudity"
+
+    def test_any_object_with_a_category_method_classifies(self):
+        class ImageModel:
+            """Names a category for IMAGE content, and none for the rest."""
+
+            def category(self, event):
+                return "deepfake" if event.content_type is ContentType.IMAGE else None
+
+        events = [
+            make_event(content_id="c-1", puid="p-1", content_type=ContentType.IMAGE, payload=None),
+            make_event(content_id="c-2", puid="p-2", platform_categories=("nudity",)),
+            make_event(content_id="c-3", puid="p-3", platform_categories=()),
+        ]
+        out = reconstruct(events, ImageModel(), WINDOW)
+        assert [r.category for r in out] == ["deepfake", "nudity", "other"]
 
     def test_no_signal_at_all_defaults_to_other(self, classifier):
         event = make_event(payload="nothing to see", platform_categories=())
@@ -175,8 +202,8 @@ class TestReconstruct:
         assert out[0].content_date == date(2024, 1, 10)
 
 
-# The reference classifier, and one whose rules are out of marker order, share
-# tokens, hold upper-case tokens and take images too.
+# The reference classifier, one whose rules are out of marker order, share
+# tokens and hold upper-case tokens, and one with an empty category.
 CLASSIFIERS = (
     KeywordClassifier.from_taxonomy(CategoryTaxonomy(codes=CODES)),
     KeywordClassifier(
@@ -184,9 +211,10 @@ CLASSIFIERS = (
             "nudity": ["win big", marker_token("NUDITY"), marker_token("hate_speech")],
             "hate_speech": [marker_token("hate_speech")],
             "misinformation": ["Viral", marker_token("misinformation")],
-        },
-        supported_types=(ContentType.TEXT, ContentType.IMAGE),
+        }
     ),
+    # An empty category is a hit, not a fallback.
+    KeywordClassifier({"": ["text"], "scam": ["win big"]}),
 )
 PAYLOAD_WORD = st.sampled_from([*map(marker_token, CODES), "win big", "viral", "text"]).flatmap(
     lambda word: st.sampled_from([word, word.upper(), word.title()])
@@ -442,7 +470,6 @@ def tie_dense_link_inputs(draw):
             content_date=date(2024, 1, 1),
             application_date=applied,
             moderated_at=datetime.combine(applied + timedelta(days=shift), time(hour), tzinfo=UTC),
-            classifier_verdict=None,
         )
         for (cid, _, category, decision, content_type, applied, shift, hour), p in zip(
             rec_draws, unique_puids([d[1] for d in rec_draws])
