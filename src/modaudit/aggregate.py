@@ -128,6 +128,22 @@ _RECORD_DATE = {
 PERIOD_FIELDS = tuple(_RECORD_DATE)
 
 
+def _json_type(value: object) -> str:
+    """The JSON type of a non-string value that json.loads made, as a message
+    names it."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "a boolean"
+    if isinstance(value, (int, float)):
+        return "a number"
+    if isinstance(value, list):
+        return "an array"
+    if isinstance(value, Mapping):
+        return "an object"
+    return type(value).__name__
+
+
 @dataclass(frozen=True)
 class Period:
     """Half-open date window [start, end) over one of the record's dates."""
@@ -144,15 +160,20 @@ class Period:
 
     @classmethod
     def parse(cls, raw: Mapping[str, object]) -> "Period":
+        """A period from its JSON object: `start` and `end` as YYYY-MM-DD
+        strings, and an optional `field` string naming the date it windows."""
+        for key in ("start", "end"):
+            if key not in raw:
+                raise PeriodError(f"period is missing {key!r}")
+        text = {"start": raw["start"], "end": raw["end"], "field": raw.get("field", "application_date")}
+        for key, value in text.items():
+            if not isinstance(value, str):
+                raise PeriodError(f"period {key} must be a string, got {_json_type(value)}")
         try:
-            start = parse_date(str(raw["start"]))
-            end = parse_date(str(raw["end"]))
-        except KeyError as exc:
-            raise PeriodError(f"period is missing {exc.args[0]!r}") from None
+            start, end = parse_date(text["start"]), parse_date(text["end"])  # type: ignore[arg-type]
         except ValueError as exc:
             raise PeriodError(str(exc)) from None
-        field = str(raw.get("field", "application_date"))
-        return cls(start=start, end=end, field=field)
+        return cls(start=start, end=end, field=text["field"])  # type: ignore[arg-type]
 
     def record_date(self, record: SorRecord) -> date:
         return _RECORD_DATE[self.field](record)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import re
 import resource
 import secrets
@@ -159,6 +160,8 @@ def _resolve_config(args: argparse.Namespace) -> AppConfig:
         threshold_text = getattr(args, "severity_threshold", None) or file_data.get("severity_threshold", "warn")
         threshold = parse_severity(str(threshold_text))
         parallel = getattr(args, "parallel", 1)
+        if parallel is None:
+            parallel = _usable_cpus()
         if parallel < 1:
             raise ValueError(f"--parallel must be at least 1, got {parallel}")
     except (ValueError, TypeError) as exc:
@@ -174,6 +177,14 @@ def _resolve_config(args: argparse.Namespace) -> AppConfig:
         parallel=parallel,
         extra_inputs=extra_inputs,
     )
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _config_snapshot(config: AppConfig) -> dict[str, object]:
@@ -497,7 +508,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         text = emit_report(rows, args.format)
     except RecursionError:
         raise InputError(f"findings file {path} nests too deeply to render as {args.format}") from None
-    sys.stdout.write(text)
+    # UTF-8 whatever the locale, like every file modaudit writes
+    sys.stdout.buffer.write(text.encode("utf-8"))
     return 0
 
 
@@ -524,7 +536,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if parallel:
             p.add_argument(
-                "--parallel", type=int, default=1, help="worker processes, one dump file each (default: 1)"
+                "--parallel",
+                type=int,
+                help="processes that read the dump, one run of files each (default: the usable CPUs)",
             )
         if fmt:
             p.add_argument(

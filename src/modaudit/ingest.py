@@ -160,8 +160,8 @@ class CorpusReader(Generic[_T]):
     Each pass parses rows with `parse` and dates the kept records by `key`.
     The manifest is available once a pass has completed, here or in per-file
     parts (`split`, `join`).
-    Quarantined rows go to `on_quarantine` when given, otherwise they collect
-    on `.quarantine`. `open_corpus` and `open_platform_export` build readers
+    Quarantined rows go to the `on_quarantine` sink when it is set, otherwise
+    they collect on `.quarantine`. `open_corpus` and `open_platform_export` build readers
     of the two formats.
     """
 
@@ -175,14 +175,14 @@ class CorpusReader(Generic[_T]):
     ) -> None:
         self.files = list(files)
         self._format = (field_order, parse, key)
-        self._sink = on_quarantine
+        self.on_quarantine = on_quarantine
         self.quarantine: list[QuarantineEntry] = []
         self._manifest: CorpusManifest | None = None
 
     def __iter__(self) -> Iterator[_T]:
         self._manifest = None
         self.quarantine = []
-        sink = self._sink or self.quarantine.append
+        sink = self.on_quarantine or self.quarantine.append
         field_order, parse, key = self._format
         parts: list[CorpusManifest] = []
         for path in self.files:
@@ -195,16 +195,26 @@ class CorpusReader(Generic[_T]):
             raise RuntimeError("manifest is available after a complete pass over the corpus")
         return self._manifest
 
-    def split(self) -> list["CorpusReader[_T]"]:
-        """One reader per file, without a sink, for passes made in other
-        processes; `join` takes their outcome back."""
-        return [type(self)([path], *self._format) for path in self.files]
+    def split(self, count: int) -> list["CorpusReader[_T]"]:
+        """`count` readers over contiguous runs of the files, in order, for
+        passes made apart; `join` takes their outcome back. The first run,
+        which is never longer than the others, passes its quarantine to this
+        reader's sink; the others collect theirs."""
+        bounds = [len(self.files) * i // count for i in range(count + 1)]
+        return [
+            type(self)(self.files[lo:hi], *self._format, self.on_quarantine if lo == 0 else None)
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
 
     def join(self, parts: Sequence["CorpusReader[_T]"]) -> None:
         """Take over the quarantine entries and manifests of split parts that
-        have each made a pass, as if this reader had made the pass itself."""
+        have each made a pass, as if this reader had made the pass itself.
+        The first part's entries went to the sink during its pass, if this
+        reader has one. Each part's `quarantine` is read once, in order, so
+        it may be any iterable of entries, such as entries read back from a
+        file."""
         self.quarantine = []
-        sink = self._sink or self.quarantine.append
+        sink = self.on_quarantine or self.quarantine.append
         for part in parts:
             for entry in part.quarantine:
                 sink(entry)

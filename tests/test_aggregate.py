@@ -107,6 +107,23 @@ class TestPeriod:
         with pytest.raises(PeriodError):
             Period(start=date(2024, 1, 1), end=date(2024, 2, 1), field="filed_date")
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({**JAN.to_json(), "field": None}, "period field must be a string, got null"),
+            ({"start": 20240101, "end": "2024-02-01"}, "period start must be a string, got a number"),
+            ({"start": "2024-01-01", "end": ["2024-02-01"]}, "period end must be a string, got an array"),
+            ({**JAN.to_json(), "field": True}, "period field must be a string, got a boolean"),
+            ({"start": {}, "end": "2024-02-01"}, "period start must be a string, got an object"),
+            ({"end": None}, "period is missing 'start'"),
+        ],
+        ids=["null_field", "number_start", "array_end", "boolean_field", "object_start", "missing_start"],
+    )
+    def test_parse_refuses_a_non_string_naming_its_json_type(self, raw, message):
+        with pytest.raises(PeriodError) as exc:
+            Period.parse(raw)
+        assert str(exc.value) == message
+
     def test_half_open_bounds(self):
         assert JAN.contains_date(date(2024, 1, 1))
         assert JAN.contains_date(date(2024, 1, 31))

@@ -362,14 +362,15 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("value", ["BAD\xffBYTE", "x" * 131073], ids=["byte_ff", "long_field"])
     @pytest.mark.parametrize(
-        "command", ["validate", "crosscheck", "crosscheck-parallel", "verify-dump", "verify-export"]
+        "command",
+        ["validate", "crosscheck", "crosscheck-serial", "crosscheck-parallel", "verify-dump", "verify-export"],
     )
     def test_undecodable_or_oversized_row_exits_three(self, faithful, tmp_path, capsys, command, value):
         first_part = faithful / "dump" / "part-00000.csv"
         if command == "verify-export":
             source = target = faithful / "export.csv"
         else:
-            # a second dump file, so that --parallel reads the damaged row in a worker
+            # a second dump file, so that a forked process reads the damaged row
             source, target = first_part, faithful / "dump" / "part-00001.csv"
             target.write_bytes(first_part.read_bytes().splitlines(keepends=True)[0])
         line = append_copy(source, target, {"uuid": value, "content_id": value})
@@ -378,6 +379,7 @@ class TestInputErrors:
         args = {
             "validate": ["validate", "--corpus", str(faithful / "dump"), "--out", str(out)],
             "crosscheck": crosscheck_args(faithful, out),
+            "crosscheck-serial": crosscheck_args(faithful, out, "--parallel", "1"),
             "crosscheck-parallel": crosscheck_args(faithful, out, "--parallel", "2"),
             "verify-dump": verify_args(faithful, out),
             "verify-export": verify_args(faithful, out),
@@ -519,7 +521,7 @@ class TestRunPersistence:
 
     def test_parallel_output_matches_serial(self, injected, tmp_path):
         out_serial, out_parallel = tmp_path / "s", tmp_path / "p"
-        assert run(crosscheck_args(injected, out_serial)) == 1
+        assert run(crosscheck_args(injected, out_serial, "--parallel", "1")) == 1
         assert run(crosscheck_args(injected, out_parallel, "--parallel", "3")) == 1
         assert (only_run_dir(out_serial) / "findings.json").read_bytes() == (
             only_run_dir(out_parallel) / "findings.json"
@@ -532,7 +534,7 @@ class TestRunPersistence:
         with open(dump / "part-00001.csv", "a", encoding="utf-8") as fh:
             fh.write("not,a,row\n")
         written = {}
-        for mode, extra in (("serial", ()), ("parallel", ("--parallel", "2"))):
+        for mode, extra in (("serial", ("--parallel", "1")), ("parallel", ("--parallel", "2"))):
             out = tmp_path / mode
             run([command, *crosscheck_args(injected, out, *extra)[1:]])
             run_dir = only_run_dir(out)
@@ -707,9 +709,120 @@ class TestRunPersistence:
         assert record["config"]["deadline_days"] == 999999999
 
 
+def no_child_left() -> bool:
+    """Whether this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestForkedScan:
+    """crosscheck and replicate read a multi-file dump in forked processes by
+    default, one contiguous run of files each, this process scanning the first."""
+
+    def damaged_split(self, scen: Path, parts: int) -> None:
+        """Spread the dump over `parts` files and give every other file a
+        row of the wrong shape, so that the quarantine log spans files."""
+        dump = scen / "dump"
+        split_dump(dump, parts)
+        for i in range(0, parts, 2):
+            with open(dump / f"part-{i:05d}.csv", "a", encoding="utf-8") as fh:
+                fh.write(f"not,a,row,{i}\n")
+
+    @pytest.mark.parametrize("parts", [3, 5])
+    def test_default_and_forked_runs_equal_the_serial_run_byte_for_byte(self, injected, tmp_path, parts):
+        self.damaged_split(injected, parts)
+        written = {}
+        # one process per file, more processes than a small host has CPUs
+        modes = (("serial", ("--parallel", "1")), ("default", ()), ("per_file", ("--parallel", str(parts))))
+        for mode, extra in modes:
+            out = tmp_path / mode
+            assert run(crosscheck_args(injected, out, *extra)) == 1
+            run_dir = only_run_dir(out)
+            written[mode] = {
+                name: (run_dir / name).read_bytes() for name in ("findings.json", "manifest.json", "quarantine.log")
+            }
+        assert written["default"] == written["serial"]
+        assert written["per_file"] == written["serial"]
+        log = [json.loads(line)["file"] for line in written["serial"]["quarantine.log"].splitlines()]
+        assert log == [f"part-{i:05d}.csv" for i in range(0, parts, 2)]
+        assert no_child_left()
+
+    def test_a_child_spools_its_quarantine_in_batches(self, injected, tmp_path, monkeypatch):
+        monkeypatch.setattr("modaudit.parallel._SPOOL_BATCH", 2)
+        dump = injected / "dump"
+        split_dump(dump, 2)
+        with open(dump / "part-00001.csv", "a", encoding="utf-8") as fh:
+            fh.writelines(f"not,a,row,{i}\n" for i in range(5))
+        logs = {}
+        for mode, extra in (("serial", ("--parallel", "1")), ("forked", ("--parallel", "2"))):
+            out = tmp_path / mode
+            assert run(crosscheck_args(injected, out, *extra)) == 1
+            logs[mode] = (only_run_dir(out) / "quarantine.log").read_bytes()
+        assert logs["forked"] == logs["serial"]
+        entries = [json.loads(line) for line in logs["serial"].splitlines()]
+        assert [e["file"] for e in entries] == ["part-00001.csv"] * 5
+        rows = [e["row_number"] for e in entries]
+        assert rows == list(range(rows[0], rows[0] + 5))
+
+    @pytest.mark.parametrize("damaged", [0, 1, 2], ids=["own_run", "first_child", "last_child"])
+    def test_bad_byte_in_any_run_exits_three_and_leaves_no_child(self, faithful, tmp_path, capsys, damaged):
+        dump = faithful / "dump"
+        split_dump(dump, 3)
+        target = dump / f"part-{damaged:05d}.csv"
+        line = append_copy(target, target, {"uuid": "BAD\xffBYTE"})
+        target.write_bytes(target.read_bytes().replace(b"BAD\xc3\xbfBYTE", b"BAD\xffBYTE"))
+        out = tmp_path / "runs"
+        assert run(crosscheck_args(faithful, out, "--parallel", "3")) == 3
+        assert_one_line_input_error(capsys, out, f"{target}: line {line}: not valid UTF-8")
+        assert no_child_left()
+
+    def test_child_that_dies_without_an_outcome_exits_three(self, faithful, tmp_path, capsys, monkeypatch):
+        from modaudit.aggregate import CellLayout
+
+        split_dump(faithful / "dump", 2)
+        parent, summarize = os.getpid(), CellLayout.summarize
+
+        def dies_in_child(self, records):
+            if os.getpid() != parent:
+                os._exit(7)
+            return summarize(self, records)
+
+        monkeypatch.setattr(CellLayout, "summarize", dies_in_child)
+        out = tmp_path / "runs"
+        assert run(crosscheck_args(faithful, out, "--parallel", "2")) == 3
+        assert_one_line_input_error(capsys, out, "error: replication process ", "exited with code 7 before")
+        assert no_child_left()
+
+    def test_one_usable_cpu_forks_nothing(self, faithful, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        split_dump(faithful / "dump", 2)
+        monkeypatch.setattr("modaudit.cli._usable_cpus", lambda: 1)
+        monkeypatch.setattr(os, "fork", no_fork)
+        out = tmp_path / "runs"
+        assert run(crosscheck_args(faithful, out)) == 0
+        assert json.loads((only_run_dir(out) / "run.json").read_text())["config"]["parallel"] == 1
+
+    def test_platform_without_fork_reads_in_one_process(self, faithful, tmp_path):
+        split_dump(faithful / "dump", 2)
+        outs = {}
+        for mode in ("serial", "no_fork"):
+            with pytest.MonkeyPatch.context() as mp:
+                if mode == "no_fork":
+                    mp.delattr(os, "fork")
+                out = tmp_path / mode
+                assert run(crosscheck_args(faithful, out, "--parallel", "1" if mode == "serial" else "2")) == 0
+                outs[mode] = (only_run_dir(out) / "findings.json").read_bytes()
+        assert outs["no_fork"] == outs["serial"]
+
+
 class TestStartup:
     def test_cli_import_leaves_multiprocessing_out(self):
-        # only --parallel needs it; every other invocation skips its import cost
+        # the parallel scan forks with os, so no invocation pays its import cost
         code = "import sys, modaudit.cli; print('multiprocessing' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True, text=True, check=True)
         assert out.stdout == "False\n"
@@ -750,6 +863,15 @@ class TestStartup:
         args = ["verify", "--corpus", str(tmp_path / "dump"), "--export", str(tmp_path / "export.csv")]
         args += ["--window-start", "2024-01-01", "--window-end", "2024-02-01", "--out", str(tmp_path / "runs")]
         assert self.loaded(self.RUN, *args) == ["modaudit.verify"]
+
+    def test_forked_crosscheck_leaves_multiprocessing_out(self, faithful, tmp_path):
+        split_dump(faithful / "dump", 2)
+        probe = f"{self.RUN}\nprint('multiprocessing' in sys.modules)"
+        args = crosscheck_args(faithful, tmp_path / "runs", "--parallel", "2")
+        out = subprocess.run(
+            [sys.executable, "-c", probe, *args], env=fresh_env(), capture_output=True, text=True, check=True
+        )
+        assert out.stdout.splitlines()[-1] == "False"
 
     def test_crosscheck_loads_neither_verify_nor_synth(self, faithful, tmp_path):
         loaded = self.loaded(self.RUN, *crosscheck_args(faithful, tmp_path / "runs"))
@@ -884,6 +1006,26 @@ class TestOtherSubcommands:
         assert run(["report", str(findings_path), "--format", "csv"]) == 0
         rendered = capsys.readouterr().out
         assert rendered.splitlines()[0].startswith("severity,kind")
+
+    @pytest.mark.parametrize("fmt", ["json", "markdown", "csv"])
+    def test_report_writes_utf8_under_the_c_locale(self, tmp_path, fmt):
+        from modaudit.report import emit_report
+
+        scen = tmp_path / "scen"
+        doc = {**SCENARIO, "platform": "exämplehub"}
+        assert run(["synth", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(scen)]) == 0
+        out = tmp_path / "runs"
+        assert run(crosscheck_args(scen, out)) == 0
+        findings_path = only_run_dir(out) / "findings.json"
+        rows = json.loads(findings_path.read_text(encoding="utf-8"))
+        assert any(not row["claim_id"].isascii() for row in rows)
+        rendered = subprocess.run(
+            [sys.executable, "-m", "modaudit.cli", "report", str(findings_path), "--format", fmt],
+            env=fresh_env(LC_ALL="C", PYTHONUTF8="0"),
+            capture_output=True,
+        )
+        assert (rendered.returncode, rendered.stderr) == (0, b"")
+        assert rendered.stdout == emit_report(rows, fmt).encode("utf-8")
 
     @pytest.mark.parametrize("doc", [[1], [], {"rows": []}], ids=["numbers", "empty_array", "object"])
     def test_report_refuses_a_document_that_is_not_an_array_of_objects(self, tmp_path, capsys, doc):

@@ -150,7 +150,7 @@ class TestOpenCorpus:
         assert serial.manifest == expected
 
         joined = open_corpus(dump, taxonomy)
-        parts = joined.split()
+        parts = joined.split(3)
         assert [r for part in parts for r in part] == recs
         assert [p.manifest.quarantine_count for p in parts] == [1, 0, 2]
         joined.join(parts)

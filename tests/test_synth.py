@@ -263,6 +263,12 @@ class TestConfigValidation:
         with pytest.raises(ScenarioError):
             config(automation_mix={"ROBOTIC": 1})
 
+    def test_null_window_field_is_named_as_null(self):
+        doc = {**config().to_dict(), "window": {"start": "2024-01-01", "end": "2024-02-01", "field": None}}
+        with pytest.raises(ScenarioError) as exc:
+            ScenarioConfig.from_dict(doc)
+        assert str(exc.value) == "window: period field must be a string, got null"
+
     def test_config_file_round_trip(self, tmp_path):
         cfg = config(injections=InjectionSpec(strip_puid=True, drop_sor_rate=0.1))
         path = tmp_path / "scenario.json"

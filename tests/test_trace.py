@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_trace_crosscheck_workload_reports_replication_layers(tmp_path):
     inputs = tmp_path / "inputs"
     assert run(["synth", "--scenario", str(write_scenario(tmp_path, SCENARIO)), "--out", str(inputs)]) == 0
-    split_dump(inputs / "dump", 2)  # two files, so the parallel layer uses its worker pool
+    split_dump(inputs / "dump", 2)  # two files, so the parallel layer forks a child
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [
