@@ -11,7 +11,7 @@ importing one submodule, as each CLI invocation does, loads no other.
 from importlib import import_module
 
 _EXPORTS = {
-    "aggregate": ("AggregateResult", "CellTally", "Period", "Predicate", "ResultStatus", "replicate_all"),
+    "aggregate": ("AggregateResult", "CellTally", "Predicate", "ResultStatus", "replicate_all"),
     "claims": (
         "Claim",
         "ClaimSet",
@@ -30,6 +30,7 @@ _EXPORTS = {
     "settings": ("LinkConfig", "ToleranceSpec"),
     "sor": (
         "CategoryTaxonomy",
+        "Period",
         "QuarantineEntry",
         "SorRecord",
         "default_taxonomy",

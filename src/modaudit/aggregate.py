@@ -7,21 +7,25 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
-from .sor import (
+# Period lives in sor, so that verify, which windows its audit by it, loads
+# no aggregate; claims and synth import it from here.
+from .sor import (  # noqa: F401
+    _RECORD_DATE,
+    PERIOD_FIELDS,
     AutomatedDecision,
     ContentType,
     DecisionGround,
     DecisionType,
+    Period,
+    PeriodError,
     SorRecord,
     SourceType,
-    parse_date,
     render_cell,
 )
 
@@ -30,10 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class PredicateError(ValueError):
-    pass
-
-
-class PeriodError(ValueError):
     pass
 
 
@@ -68,8 +68,7 @@ def _parse_literal(attr: str, value: object) -> object:
     return value
 
 
-@dataclass(frozen=True)
-class Predicate:
+class Predicate(NamedTuple):
     """Conjunction of membership tests over record attributes.
 
     An empty conjunct list is TRUE. Disjunctions across attributes are out of
@@ -120,93 +119,13 @@ class Predicate:
         return Predicate(conjuncts=tuple(conjuncts))
 
 
-_RECORD_DATE = {
-    "application_date": attrgetter("application_date"),
-    "content_date": attrgetter("content_date"),
-    "created_at": lambda record: record.created_at.date(),
-}
-PERIOD_FIELDS = tuple(_RECORD_DATE)
-
-
-def _json_type(value: object) -> str:
-    """The JSON type of a non-string value that json.loads made, as a message
-    names it."""
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "a boolean"
-    if isinstance(value, (int, float)):
-        return "a number"
-    if isinstance(value, list):
-        return "an array"
-    if isinstance(value, Mapping):
-        return "an object"
-    return type(value).__name__
-
-
-@dataclass(frozen=True)
-class Period:
-    """Half-open date window [start, end) over one of the record's dates."""
-
-    start: date
-    end: date
-    field: str = "application_date"
-
-    def __post_init__(self) -> None:
-        if self.start >= self.end:
-            raise PeriodError(f"period start {self.start} must precede end {self.end}")
-        if self.field not in PERIOD_FIELDS:
-            raise PeriodError(f"unknown period field {self.field!r}")
-
-    @classmethod
-    def parse(cls, raw: Mapping[str, object]) -> "Period":
-        """A period from its JSON object: `start` and `end` as YYYY-MM-DD
-        strings, and an optional `field` string naming the date it windows."""
-        for key in ("start", "end"):
-            if key not in raw:
-                raise PeriodError(f"period is missing {key!r}")
-        text = {"start": raw["start"], "end": raw["end"], "field": raw.get("field", "application_date")}
-        for key, value in text.items():
-            if not isinstance(value, str):
-                raise PeriodError(f"period {key} must be a string, got {_json_type(value)}")
-        try:
-            start, end = parse_date(text["start"]), parse_date(text["end"])  # type: ignore[arg-type]
-        except ValueError as exc:
-            raise PeriodError(str(exc)) from None
-        return cls(start=start, end=end, field=text["field"])  # type: ignore[arg-type]
-
-    def record_date(self, record: SorRecord) -> date:
-        return _RECORD_DATE[self.field](record)
-
-    def contains(self, record: SorRecord) -> bool:
-        d = self.record_date(record)
-        return self.start <= d < self.end
-
-    def contains_date(self, d: date) -> bool:
-        return self.start <= d < self.end
-
-    def meets_coverage(self, lo: date, hi: date) -> bool:
-        """Whether a record with its application date in [lo, hi] can fall in
-        the period. A record is refused unless content_date <= application_date
-        <= created_at, so content dates reach below lo and creation dates above hi."""
-        if self.field == "content_date":
-            return self.start <= hi
-        if self.field == "created_at":
-            return lo < self.end
-        return self.start <= hi and lo < self.end
-
-    def to_json(self) -> dict[str, str]:
-        return {"start": self.start.isoformat(), "end": self.end.isoformat(), "field": self.field}
-
-
 class ResultStatus(str, Enum):
     OK = "ok"
     UNDEFINED = "undefined"
     UNREPLICABLE = "unreplicable"
 
 
-@dataclass(frozen=True)
-class AggregateResult:
+class AggregateResult(NamedTuple):
     """Replicated value for one claim. computed_value is exact: an int for
     counts, a Fraction for shares, None when UNDEFINED or UNREPLICABLE."""
 

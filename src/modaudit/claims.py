@@ -15,11 +15,10 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .aggregate import Period, PeriodError, Predicate, PredicateError
 from .sor import CategoryTaxonomy, json_text, read_json
@@ -38,18 +37,23 @@ class Metric(str, Enum):
     SHARE = "share"
 
 
-@dataclass(frozen=True)
-class Precision:
+class _PrecisionFields(NamedTuple):
     kind: str  # exact | rounded | approximate
     digits: int | None = None
 
-    def __post_init__(self) -> None:
+
+class Precision(_PrecisionFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("exact", "rounded", "approximate"):
             raise NumberFormatError(f"unknown precision kind {self.kind!r}")
         if self.kind == "rounded" and (self.digits is None or self.digits < 1):
             raise NumberFormatError("rounded precision needs at least one significant digit")
         if self.kind != "rounded" and self.digits is not None:
             raise NumberFormatError(f"{self.kind} precision carries no digit count")
+        return self
 
     @classmethod
     def exact(cls) -> "Precision":
@@ -239,8 +243,7 @@ def percent_text(value: Fraction, digits: int = 4) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Claim:
+class _ClaimFields(NamedTuple):
     claim_id: str
     platform_name: str
     metric: Metric
@@ -252,7 +255,12 @@ class Claim:
     source_locator: str
     value_text: str
 
-    def __post_init__(self) -> None:
+
+class Claim(_ClaimFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.claim_id:
             raise ClaimsError("claim_id must be non-empty")
         if not self.source_locator:
@@ -264,19 +272,30 @@ class Claim:
                 )
         elif self.denominator_predicate is not None:
             raise ClaimsError(f"claim {self.claim_id}: only share claims take a denominator")
+        return self
 
 
-@dataclass(frozen=True)
 class ClaimSet:
-    claims: tuple[Claim, ...]
-    exhaustive: bool = False
+    """The claims of one report, iterated in order; claim ids are unique."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ("claims", "exhaustive")
+
+    def __init__(self, claims: tuple[Claim, ...], exhaustive: bool = False) -> None:
         seen: set[str] = set()
-        for claim in self.claims:
+        for claim in claims:
             if claim.claim_id in seen:
                 raise ClaimsError(f"duplicate claim_id {claim.claim_id!r}")
             seen.add(claim.claim_id)
+        self.claims = claims
+        self.exhaustive = exhaustive
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ClaimSet):
+            return NotImplemented
+        return (self.claims, self.exhaustive) == (other.claims, other.exhaustive)
+
+    def __repr__(self) -> str:
+        return f"ClaimSet(claims={self.claims!r}, exhaustive={self.exhaustive!r})"
 
     def __iter__(self):
         return iter(self.claims)
@@ -427,13 +446,16 @@ def resolve_categories(
             unresolvable[claim.claim_id] = min(unknown)
             resolved.append(claim)
             continue
+        # built through Claim, which checks it, rather than _replace, which does not
         resolved.append(
-            replace(
-                claim,
-                predicate=claim.predicate.replace_values("category", taxonomy.resolve),
-                denominator_predicate=None
-                if denominator is None
-                else denominator.replace_values("category", taxonomy.resolve),
+            Claim(
+                **{
+                    **claim._asdict(),
+                    "predicate": claim.predicate.replace_values("category", taxonomy.resolve),
+                    "denominator_predicate": None
+                    if denominator is None
+                    else denominator.replace_values("category", taxonomy.resolve),
+                }
             )
         )
     return ClaimSet(claims=tuple(resolved), exhaustive=claimset.exhaustive), unresolvable
@@ -444,8 +466,7 @@ def resolve_categories(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtractionMapping:
+class ExtractionMapping(NamedTuple):
     """Binding of one report-table layout to claim semantics."""
 
     table_selector: str | int

@@ -19,17 +19,14 @@ import hashlib
 import os
 import re
 import resource
-import secrets
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, NoReturn, Sequence, TextIO
+from typing import Callable, Iterator, Mapping, NamedTuple, NoReturn, Sequence, TextIO
 
-from .aggregate import Period
 from .ingest import CorpusReader, IngestError, open_corpus, open_platform_export
 from .report import (
     REPORT_FORMATS,
@@ -44,6 +41,7 @@ from .settings import DEFAULT_DEADLINE_DAYS, LinkConfig, ToleranceSpec, _integer
 from .sor import (
     CategoryTaxonomy,
     JsonInputError,
+    Period,
     TaxonomyError,
     default_taxonomy,
     informativeness_profile,
@@ -68,8 +66,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-@dataclass
-class AppConfig:
+class AppConfig(NamedTuple):
     taxonomy: CategoryTaxonomy
     taxonomy_path: Path | None
     tolerance: ToleranceSpec
@@ -77,7 +74,7 @@ class AppConfig:
     deadline_days: int
     severity_threshold: Severity
     parallel: int = 1
-    extra_inputs: list[Path] = field(default_factory=list)
+    extra_inputs: Sequence[Path] = ()
 
 
 _CONFIG_KEYS = ("taxonomy", "tolerance", "linkage", "deadline_days", "severity_threshold")
@@ -109,9 +106,10 @@ def _read_value(value: object, default: object, name: str) -> object:
 
 def _read_section(cls, data: Mapping[str, object], section: str):
     """`cls` built from one config section: an absent field keeps its default."""
-    _known_keys(data, (f.name for f in fields(cls)), section)
-    given = [f for f in fields(cls) if f.name in data]
-    return cls(**{f.name: _read_value(data[f.name], f.default, f"{section}.{f.name}") for f in given})
+    _known_keys(data, cls._fields, section)
+    defaults = cls._field_defaults
+    given = [name for name in cls._fields if name in data]
+    return cls(**{name: _read_value(data[name], defaults[name], f"{section}.{name}") for name in given})
 
 
 def _resolve_config(args: argparse.Namespace) -> AppConfig:
@@ -189,7 +187,7 @@ def _usable_cpus() -> int:
 
 def _config_snapshot(config: AppConfig) -> dict[str, object]:
     def block(spec) -> dict[str, object]:
-        return {k: str(v) if isinstance(v, Fraction) else v for k, v in asdict(spec).items()}
+        return {k: str(v) if isinstance(v, Fraction) else v for k, v in spec._asdict().items()}
 
     return {
         "taxonomy": str(config.taxonomy_path) if config.taxonomy_path else "<builtin>",
@@ -218,7 +216,7 @@ class RunDir:
 
     def __init__(self, out_base: str | Path, command: Sequence[str]) -> None:
         stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S")
-        self.run_id = f"{stamp}-{secrets.token_hex(3)}"
+        self.run_id = f"{stamp}-{os.urandom(3).hex()}"
         self.path = Path(out_base) / self.run_id
         self.path.mkdir(parents=True, exist_ok=False)
         self.command = list(command)

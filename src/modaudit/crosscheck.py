@@ -7,11 +7,10 @@ only that the two self-reported sources disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .aggregate import AggregateResult, CellTally, ResultStatus
 from .claims import Claim, ClaimSet, Metric, Precision, floor_log10, resolve_categories, round_to_sig
@@ -76,8 +75,7 @@ class FindingKind(str, Enum):
 _KIND_RANK = {k: i for i, k in enumerate(FindingKind)}
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     kind: FindingKind
     severity: Severity
     claim_id: str | None = None

@@ -10,13 +10,12 @@ identical sequences.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from datetime import date
 from functools import partial
 from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Generator, Generic, Iterable, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Generator, Generic, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .sor import (
     FIELD_ORDER,
@@ -43,8 +42,7 @@ class IngestError(RuntimeError):
     raise; they are quarantined."""
 
 
-@dataclass(frozen=True)
-class CorpusManifest:
+class CorpusManifest(NamedTuple):
     """Totals of a complete pass over CSV files: the rows kept and
     quarantined, and the least and greatest date of the kept records (the
     moderation times, for a platform export)."""

@@ -8,9 +8,8 @@ run.json, loads neither pipeline. Both modules re-export their class.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 # Days after a moderation decision within which its statement is due.
 DEFAULT_DEADLINE_DAYS = 7
@@ -41,8 +40,16 @@ def _number(value: object, name: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class ToleranceSpec:
+# A record that validates is a named tuple of its fields, subclassed by the
+# public class, whose __new__ checks the tuple it builds.
+class _ToleranceFields(NamedTuple):
+    absolute_floor: float = 0.0
+    relative: float = 0.0
+    rounding_aware: bool = True
+    approximate_relative: float = 0.05
+
+
+class ToleranceSpec(_ToleranceFields):
     """How much slack a reported value gets before it counts as a mismatch.
 
     rounding_aware grants ROUNDED(d) values half a unit in their last
@@ -50,35 +57,39 @@ class ToleranceSpec:
     values.
     """
 
-    absolute_floor: float = 0.0
-    relative: float = 0.0
-    rounding_aware: bool = True
-    approximate_relative: float = 0.05
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.absolute_floor < 0 or self.relative < 0 or self.approximate_relative < 0:
             raise ValueError("tolerance fields must be non-negative")
         if self.approximate_relative < self.relative:
             raise ValueError("approximate_relative must be at least relative")
         if not isinstance(self.rounding_aware, bool):
             raise ValueError("rounding_aware must be true or false")
+        return self
 
 
-@dataclass(frozen=True)
-class LinkConfig:
-    """Fuzzy-pairing weights and acceptance threshold, exact rationals."""
-
+class _LinkFields(NamedTuple):
     category_weight: Fraction = Fraction(1, 2)
     decision_weight: Fraction = Fraction(3, 10)
     time_weight: Fraction = Fraction(1, 5)
     threshold: Fraction = Fraction(7, 10)
     max_day_distance: int = 3
 
-    def __post_init__(self) -> None:
+
+class LinkConfig(_LinkFields):
+    """Fuzzy-pairing weights and acceptance threshold, exact rationals."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if min(self.category_weight, self.decision_weight, self.time_weight, self.threshold) < 0:
             raise ValueError("linkage weights and threshold must be non-negative")
         if self.max_day_distance < 1:
             raise ValueError("max_day_distance must be at least 1")
+        return self
 
     def score(self, category_equal: bool, decision_equal: bool, day_distance: int) -> Fraction:
         """Score of a rebuilt/filed pair from its feature comparison; the day

@@ -1,4 +1,5 @@
-"""Statement of Reasons (SoR) records: schema, row validation, fill-rate profiling.
+"""Statement of Reasons (SoR) records: schema, row validation, fill-rate
+profiling, and the date window (Period) that both pipelines audit over.
 
 A SoR travels on disk as one CSV row. parse_dump_row turns the row, a list of
 strings in FIELD_ORDER, into either a typed SorRecord or the reason and field
@@ -12,11 +13,10 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
 from datetime import date, datetime
 from enum import Enum
 from functools import lru_cache
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -139,8 +139,7 @@ _required_values = itemgetter(*_REQUIRED_INDICES)
 _row_values = itemgetter(*FIELD_ORDER)
 
 
-@dataclass(frozen=True)
-class QuarantineEntry:
+class QuarantineEntry(NamedTuple):
     """A rejected input row plus why it was rejected.
 
     file and row_number are set by the reader that hit the row; a bare
@@ -221,40 +220,52 @@ def read_json(path: str | Path, what: str) -> object:
         raise JsonInputError(f"{what} {path} holds an integer too long to read") from None
 
 
-@dataclass(frozen=True)
 class CategoryTaxonomy:
     """Configurable violation-category vocabulary with report-label aliases."""
 
-    codes: tuple[str, ...]
-    labels: Mapping[str, str] = field(default_factory=dict)
-    aliases: Mapping[str, str] = field(default_factory=dict)
+    __slots__ = ("codes", "labels", "aliases", "_code_set", "_folded")
 
-    def __post_init__(self) -> None:
-        if not self.codes:
+    def __init__(
+        self, codes: tuple[str, ...], labels: Mapping[str, str] | None = None, aliases: Mapping[str, str] | None = None
+    ) -> None:
+        labels = {} if labels is None else labels
+        aliases = {} if aliases is None else aliases
+        if not codes:
             raise TaxonomyError("taxonomy must declare at least one category code")
-        if len(set(self.codes)) != len(self.codes):
+        if len(set(codes)) != len(codes):
             raise TaxonomyError("duplicate category codes in taxonomy")
-        if "" in self.codes:
+        if "" in codes:
             raise TaxonomyError("taxonomy category codes must be non-empty")
-        code_set = set(self.codes)
-        for alias, target in self.aliases.items():
+        code_set = set(codes)
+        for alias, target in aliases.items():
             if target not in code_set:
                 raise TaxonomyError(f"alias {alias!r} points at unknown code {target!r}")
         # Labels equal under casefold must name one code, or resolve would
         # keep whichever came last.
         folded: dict[str, tuple[str, str]] = {}
-        for label, target in (*zip(self.codes, self.codes), *self.aliases.items()):
+        for label, target in (*zip(codes, codes), *aliases.items()):
             first, first_target = folded.setdefault(label.casefold(), (label, target))
             if first_target != target:
                 raise TaxonomyError(
                     f"labels {first!r} and {label!r} are equal under casefold but name codes "
                     f"{first_target!r} and {target!r}"
                 )
-        object.__setattr__(self, "_code_set", code_set)
-        object.__setattr__(self, "_folded", {key: target for key, (_, target) in folded.items()})
+        self.codes = codes
+        self.labels = labels
+        self.aliases = aliases
+        self._code_set = code_set
+        self._folded = {key: target for key, (_, target) in folded.items()}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CategoryTaxonomy):
+            return NotImplemented
+        return (self.codes, self.labels, self.aliases) == (other.codes, other.labels, other.aliases)
+
+    def __repr__(self) -> str:
+        return f"CategoryTaxonomy(codes={self.codes!r}, labels={self.labels!r}, aliases={self.aliases!r})"
 
     def __contains__(self, code: str) -> bool:
-        return code in self._code_set  # type: ignore[attr-defined]
+        return code in self._code_set
 
     def resolve(self, label: str) -> str | None:
         """Map a category code, declared alias, or case-variant thereof to a code.
@@ -262,12 +273,12 @@ class CategoryTaxonomy:
         Returns None for labels the taxonomy does not know; callers decide
         whether that is an error or a finding.
         """
-        if label in self._code_set:  # type: ignore[attr-defined]
+        if label in self._code_set:
             return label
         target = self.aliases.get(label)
         if target is not None:
             return target
-        return self._folded.get(label.casefold())  # type: ignore[attr-defined]
+        return self._folded.get(label.casefold())
 
     @classmethod
     def from_dict(cls, data: object) -> "CategoryTaxonomy":
@@ -380,6 +391,94 @@ def render_cell(value: object) -> str:
     if isinstance(value, tuple):
         return ";".join(value)
     return str(value)
+
+
+class PeriodError(ValueError):
+    pass
+
+
+_RECORD_DATE = {
+    "application_date": attrgetter("application_date"),
+    "content_date": attrgetter("content_date"),
+    "created_at": lambda record: record.created_at.date(),
+}
+PERIOD_FIELDS = tuple(_RECORD_DATE)
+
+
+def _json_type(value: object) -> str:
+    """The JSON type of a non-string value that json.loads made, as a message
+    names it."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "a boolean"
+    if isinstance(value, (int, float)):
+        return "a number"
+    if isinstance(value, list):
+        return "an array"
+    if isinstance(value, Mapping):
+        return "an object"
+    return type(value).__name__
+
+
+class _PeriodFields(NamedTuple):
+    start: date
+    end: date
+    field: str = "application_date"
+
+
+class Period(_PeriodFields):
+    """Half-open date window [start, end) over one of the record's dates."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.start >= self.end:
+            raise PeriodError(f"period start {self.start} must precede end {self.end}")
+        if self.field not in PERIOD_FIELDS:
+            raise PeriodError(f"unknown period field {self.field!r}")
+        return self
+
+    @classmethod
+    def parse(cls, raw: Mapping[str, object]) -> "Period":
+        """A period from its JSON object: `start` and `end` as YYYY-MM-DD
+        strings, and an optional `field` string naming the date it windows."""
+        for key in ("start", "end"):
+            if key not in raw:
+                raise PeriodError(f"period is missing {key!r}")
+        text = {"start": raw["start"], "end": raw["end"], "field": raw.get("field", "application_date")}
+        for key, value in text.items():
+            if not isinstance(value, str):
+                raise PeriodError(f"period {key} must be a string, got {_json_type(value)}")
+        try:
+            start, end = parse_date(text["start"]), parse_date(text["end"])  # type: ignore[arg-type]
+        except ValueError as exc:
+            raise PeriodError(str(exc)) from None
+        return cls(start=start, end=end, field=text["field"])  # type: ignore[arg-type]
+
+    def record_date(self, record: SorRecord) -> date:
+        return _RECORD_DATE[self.field](record)
+
+    def contains(self, record: SorRecord) -> bool:
+        d = self.record_date(record)
+        return self.start <= d < self.end
+
+    def contains_date(self, d: date) -> bool:
+        return self.start <= d < self.end
+
+    def meets_coverage(self, lo: date, hi: date) -> bool:
+        """Whether a record with its application date in [lo, hi] can fall in
+        the period. A record is refused unless content_date <= application_date
+        <= created_at, so content dates reach below lo and creation dates above hi."""
+        if self.field == "content_date":
+            return self.start <= hi
+        if self.field == "created_at":
+            return lo < self.end
+        return self.start <= hi and lo < self.end
+
+    def to_json(self) -> dict[str, str]:
+        return {"start": self.start.isoformat(), "end": self.end.isoformat(), "field": self.field}
 
 
 def _first_empty(row: Sequence[str], field_order: tuple[str, ...], indices: tuple[int, ...]) -> Fault:

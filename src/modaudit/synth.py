@@ -13,6 +13,7 @@ perturbations do.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime, time, timedelta, timezone
 from fractions import Fraction
@@ -139,8 +140,18 @@ def _check_mix(mix: Mapping[str, float], name: str) -> None:
         _number(weight, f"a {name} weight")
     if any(w < 0 for w in mix.values()):
         raise ScenarioError(f"{name} weights must be non-negative")
-    if sum(mix.values()) <= 0:
+    total = sum(mix.values())
+    if total <= 0:
         raise ScenarioError(f"{name} weights must sum to a positive value")
+    # each weight is finite, but random.choices refuses a sum that overflows
+    if total > sys.float_info.max:
+        raise ScenarioError(f"{name} weights must sum to a finite value")
+
+
+# Content ids are "c-" and seven digits, over the events and the tenth of the
+# volume more that the export holds unmoderated: the largest volume whose ids
+# all keep seven digits.
+MAX_VOLUME = 9_090_909
 
 
 @dataclass(frozen=True)
@@ -156,6 +167,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.volume < 0:
             raise ScenarioError("volume must be non-negative")
+        if self.volume > MAX_VOLUME:
+            raise ScenarioError(f"volume must be at most {MAX_VOLUME}, got {self.volume}")
         if not isinstance(self.platform, str) or not self.platform:
             raise ScenarioError(f"platform must be a non-empty string, got {self.platform!r}")
         _check_mix(self.category_mix, "category_mix")

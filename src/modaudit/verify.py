@@ -11,7 +11,6 @@ never fuzzy-paired: their identities are known to differ.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
 from fractions import Fraction
@@ -19,7 +18,6 @@ from functools import lru_cache
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .aggregate import Period
 from .report import SEVERITY_ORDER, SEVERITY_RANK, Severity
 from .settings import DEFAULT_DEADLINE_DAYS, LinkConfig
 from .sor import (
@@ -33,6 +31,7 @@ from .sor import (
     DecisionGround,
     DecisionType,
     Fault,
+    Period,
     QuarantineReason,
     SorRecord,
     _first_empty,
@@ -316,11 +315,20 @@ class LinkageError(ValueError):
 Outcome = tuple[ReconstructedSor | None, SorRecord | None]
 
 
-@dataclass
 class Linkage:
-    pairs: list[tuple[ReconstructedSor, SorRecord]]
-    unmatched_reconstructed: list[ReconstructedSor]
-    unmatched_filed: list[SorRecord]
+    """The outcomes of a linkage, collected: the pairs and the unmatched items of each side."""
+
+    __slots__ = ("pairs", "unmatched_reconstructed", "unmatched_filed")
+
+    def __init__(
+        self,
+        pairs: list[tuple[ReconstructedSor, SorRecord]],
+        unmatched_reconstructed: list[ReconstructedSor],
+        unmatched_filed: list[SorRecord],
+    ) -> None:
+        self.pairs = pairs
+        self.unmatched_reconstructed = unmatched_reconstructed
+        self.unmatched_filed = unmatched_filed
 
     def __iter__(self) -> Iterator[Outcome]:
         """The outcomes in link_outcomes order."""

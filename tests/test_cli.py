@@ -827,15 +827,21 @@ class TestStartup:
         out = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True, text=True, check=True)
         assert out.stdout == "False\n"
 
-    # Modules that one subcommand runs and another should never load.
+    # Modules that one subcommand runs and another should never load, and
+    # stdlib modules that no audit needs: the dataclasses machinery and
+    # secrets (the run id's hex digits come from os.urandom).
     WATCHED = (
+        "dataclasses",
         "html.parser",
+        "inspect",
+        "modaudit.aggregate",
         "modaudit.claims",
         "modaudit.crosscheck",
         "modaudit.htmltable",
         "modaudit.parallel",
         "modaudit.synth",
         "modaudit.verify",
+        "secrets",
     )
 
     # Runs the CLI on the probe's arguments and requires exit code 0.
@@ -873,9 +879,20 @@ class TestStartup:
         )
         assert out.stdout.splitlines()[-1] == "False"
 
+    CLAIMS_PIPELINE = ["modaudit.aggregate", "modaudit.claims", "modaudit.crosscheck", "modaudit.parallel"]
+
     def test_crosscheck_loads_neither_verify_nor_synth(self, faithful, tmp_path):
         loaded = self.loaded(self.RUN, *crosscheck_args(faithful, tmp_path / "runs"))
-        assert loaded == ["modaudit.claims", "modaudit.crosscheck", "modaudit.parallel"]
+        assert loaded == self.CLAIMS_PIPELINE
+
+    def test_replicate_loads_what_crosscheck_loads(self, faithful, tmp_path):
+        _, *args = crosscheck_args(faithful, tmp_path / "runs")
+        assert self.loaded(self.RUN, "replicate", *args) == self.CLAIMS_PIPELINE
+
+    @pytest.mark.parametrize("command", ["validate", "profile"])
+    def test_corpus_passes_load_no_watched_module(self, faithful, tmp_path, command):
+        args = [command, "--corpus", str(faithful / "dump"), "--taxonomy", str(faithful / "taxonomy.json")]
+        assert self.loaded(self.RUN, *args, "--out", str(tmp_path / "runs")) == []
 
     def test_package_names_are_their_submodules_objects(self):
         assert len(modaudit.__all__) == 48

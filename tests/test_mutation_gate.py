@@ -7,6 +7,10 @@ line; a completed run (0 or 1) has its run.json, an exit code that its
 finding counts call for, row counts that add up to the rows of its CSV inputs,
 and, for verify, linkage pairs that add up with the omitted and phantom
 statements.
+
+`report` and `synth` take JSON documents, so their gates mutate nodes of one:
+the findings of both pipelines over that scenario, rendered in every format,
+and the scenario config itself. Each of their runs exits 0, 2 or 3.
 """
 
 from __future__ import annotations
@@ -242,11 +246,19 @@ def mutate(case: Case, rng: random.Random) -> tuple[tuple[str, ...], str]:
     return (("replicate", "crosscheck") if target == "claims" else SUBCOMMANDS), f"{target}: {description}"
 
 
-def check_run(command: str, case: Case, out: Path, code: int, err: str, label: str) -> None:
+def check_refusal(code: int, err: str, label: str) -> bool:
+    """Whether a run that exited `code` with `err` on stderr refused its
+    input, one `error: ` line with exit 2 or 3; no run leaves a traceback."""
     assert code in (0, 1, 2, 3), label
     assert "Traceback" not in err, f"{label}: {err}"
     if code in (2, 3):
         assert len(err.splitlines()) == 1 and err.startswith("error: "), f"{label}: {err!r}"
+        return True
+    return False
+
+
+def check_run(command: str, case: Case, out: Path, code: int, err: str, label: str) -> None:
+    if check_refusal(code, err, label):
         return
     assert err == "", f"{label}: {err!r}"
     (run_dir,) = out.iterdir()
@@ -299,3 +311,67 @@ def test_mutated_inputs_end_cleanly(scenario, tmp_path, capsys):
     reached = {code for _, code in codes}
     assert reached == {0, 1, 2, 3}, codes
     assert all(codes[command, 0] + codes[command, 1] for command in SUBCOMMANDS), codes
+
+
+def mutated_document(doc, rng: random.Random) -> tuple[object, str]:
+    """`doc` after one to three mutate_json mutations, and their description."""
+    descriptions = []
+    for _ in range(rng.randint(1, 3)):
+        doc, description = mutate_json(doc, rng)
+        descriptions.append(description)
+    return doc, "; ".join(descriptions)
+
+
+@pytest.fixture(scope="module")
+def findings(scenario, tmp_path_factory) -> dict[str, list]:
+    """The findings.json document of a cross-check and of a verify over the scenario."""
+    base = tmp_path_factory.mktemp("findings")
+    docs = {}
+    for command in ("crosscheck", "verify"):
+        out = base / command
+        assert run(Case(scenario).args(command, out, windowed=True)) == 1
+        (run_dir,) = out.iterdir()
+        docs[command] = json.loads((run_dir / "findings.json").read_text(encoding="utf-8"))
+    return docs
+
+
+def test_report_on_mutated_findings_ends_cleanly(findings, tmp_path, capsysbinary):
+    rng = random.Random(20261022)
+    codes: Counter[int] = Counter()
+    path = tmp_path / "findings.json"
+    for number in range(CASES):
+        pipeline = rng.choice(sorted(findings))
+        doc, description = mutated_document(findings[pipeline], rng)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for fmt in ("json", "csv", "markdown"):
+            label = f"case {number} ({pipeline}: {description}) report --format {fmt}"
+            try:
+                code = run(["report", str(path), "--format", fmt])
+            except Exception as exc:  # nothing may escape cli.run
+                pytest.fail(f"{label}: {type(exc).__name__}: {exc}")
+            out, err = capsysbinary.readouterr()
+            if not check_refusal(code, err.decode("utf-8"), label):
+                assert code == 0 and out, f"{label}: exit {code}"
+            codes[code] += 1
+    assert set(codes) == {0, 3}, codes
+
+
+def test_synth_on_mutated_scenarios_ends_cleanly(tmp_path, capsys):
+    rng = random.Random(20261023)
+    codes: Counter[int] = Counter()
+    path = tmp_path / "scenario.json"
+    for number in range(CASES):
+        doc, description = mutated_document(INJECTED, rng)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / f"scen-{number}"
+        label = f"case {number} ({description}) synth"
+        try:
+            code = run(["synth", "--scenario", str(path), "--out", str(out)])
+        except Exception as exc:  # nothing may escape cli.run
+            pytest.fail(f"{label}: {type(exc).__name__}: {exc}")
+        if not check_refusal(code, capsys.readouterr().err, label):
+            assert code == 0, f"{label}: exit {code}"
+            assert {"claims.json", "dump", "export.csv", "ground_truth.json"} <= {p.name for p in out.iterdir()}, label
+        codes[code] += 1
+        shutil.rmtree(out, ignore_errors=True)
+    assert set(codes) == {0, 2}, codes

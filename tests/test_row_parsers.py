@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import random
 import tempfile
-from dataclasses import replace
 from datetime import date, datetime, timezone
 from functools import partial
 from itertools import zip_longest
@@ -161,7 +160,7 @@ def expected(rows: list[list[str]], field_order: tuple[str, ...], oracle, file: 
         else:
             result = QuarantineEntry(QuarantineReason.MISSING_FIELD, "row_shape", raw)
         if isinstance(result, QuarantineEntry):
-            entries.append(replace(result, file=file, row_number=line))
+            entries.append(result._replace(file=file, row_number=line))
         else:
             items.append(result)
     return items, entries

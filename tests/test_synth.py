@@ -14,6 +14,7 @@ from modaudit.crosscheck import FindingKind, run_crosscheck
 from modaudit.ingest import open_corpus, open_platform_export
 from modaudit.sor import CategoryTaxonomy
 from modaudit.synth import (
+    MAX_VOLUME,
     ClaimPerturbation,
     GroundTruth,
     InjectionSpec,
@@ -262,6 +263,27 @@ class TestConfigValidation:
             config(automation_mix={"FULLY": -1})
         with pytest.raises(ScenarioError):
             config(automation_mix={"ROBOTIC": 1})
+
+    def test_volume_past_seven_digit_content_ids_rejected(self):
+        assert config(volume=MAX_VOLUME).volume == MAX_VOLUME
+        for volume in (MAX_VOLUME + 1, 10**30):
+            with pytest.raises(ScenarioError) as exc:
+                config(volume=volume)
+            assert str(exc.value) == f"volume must be at most 9090909, got {volume}"
+
+    @pytest.mark.parametrize("name", ["category_mix", "automation_mix"])
+    def test_mix_weights_that_sum_past_the_float_range_rejected(self, name):
+        keys = ("hate_speech", "nudity") if name == "category_mix" else ("FULLY", "PARTIALLY")
+        with pytest.raises(ScenarioError) as exc:
+            config(**{name: dict.fromkeys(keys, 1e308)})
+        assert str(exc.value) == f"{name} weights must sum to a finite value"
+
+    def test_cli_refuses_a_scenario_it_could_not_generate(self, tmp_path, capsys):
+        doc = {**SCENARIO, "volume": 10**30}
+        code = run(["synth", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: bad scenario config: volume must be at most 9090909, got {10**30}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_null_window_field_is_named_as_null(self):
         doc = {**config().to_dict(), "window": {"start": "2024-01-01", "end": "2024-02-01", "field": None}}
