@@ -308,10 +308,7 @@ def replicate_all(
 
     The records are counted by cell in a single pass (see CellLayout), then
     each claim, and the optional coverage tally, is evaluated once over the
-    cells; results come back ordered by claim_id. With no claims and no tally
-    the stream is not read.
+    cells; results come back ordered by claim_id.
     """
     layout = CellLayout(claims, cell_tally)
-    if not claims and cell_tally is None:
-        return []
     return layout.evaluate(layout.summarize(records))

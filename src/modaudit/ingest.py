@@ -157,10 +157,9 @@ class CorpusReader(Generic[_T]):
 
     Each pass parses rows with `parse` and dates the kept records by `key`.
     The manifest is available once a pass has completed, here or in per-file
-    parts (`split`, `join`).
-    Quarantined rows go to the `on_quarantine` sink when it is set, otherwise
-    they collect on `.quarantine`. `open_corpus` and `open_platform_export` build readers
-    of the two formats.
+    parts (`split`, `join`). Quarantined rows go to the `on_quarantine` sink,
+    which defaults to appending them to `.quarantine`. `open_corpus` and
+    `open_platform_export` build readers of the two formats.
     """
 
     def __init__(
@@ -173,18 +172,17 @@ class CorpusReader(Generic[_T]):
     ) -> None:
         self.files = list(files)
         self._format = (field_order, parse, key)
-        self.on_quarantine = on_quarantine
         self.quarantine: list[QuarantineEntry] = []
+        self.on_quarantine = self.quarantine.append if on_quarantine is None else on_quarantine
         self._manifest: CorpusManifest | None = None
 
     def __iter__(self) -> Iterator[_T]:
         self._manifest = None
-        self.quarantine = []
-        sink = self.on_quarantine or self.quarantine.append
+        self.quarantine.clear()
         field_order, parse, key = self._format
         parts: list[CorpusManifest] = []
         for path in self.files:
-            parts.append((yield from _stream_rows(path, field_order, parse, key, sink)))
+            parts.append((yield from _stream_rows(path, field_order, parse, key, self.on_quarantine)))
         self._manifest = CorpusManifest.merge(parts)
 
     @property
@@ -194,29 +192,21 @@ class CorpusReader(Generic[_T]):
         return self._manifest
 
     def split(self, count: int) -> list["CorpusReader[_T]"]:
-        """`count` readers over contiguous runs of the files, in order, for
-        passes made apart; `join` takes their outcome back. The first run,
-        which is never longer than the others, passes its quarantine to this
-        reader's sink; the others collect theirs."""
+        """Start a pass made apart: `count` readers over contiguous runs of
+        the files, in order, each passing its quarantine to this reader's
+        sink; `join` takes their manifests back. The first run is never
+        longer than the others."""
+        self._manifest = None
+        self.quarantine.clear()
         bounds = [len(self.files) * i // count for i in range(count + 1)]
         return [
-            type(self)(self.files[lo:hi], *self._format, self.on_quarantine if lo == 0 else None)
-            for lo, hi in zip(bounds, bounds[1:])
+            type(self)(self.files[lo:hi], *self._format, self.on_quarantine) for lo, hi in zip(bounds, bounds[1:])
         ]
 
-    def join(self, parts: Sequence["CorpusReader[_T]"]) -> None:
-        """Take over the quarantine entries and manifests of split parts that
-        have each made a pass, as if this reader had made the pass itself.
-        The first part's entries went to the sink during its pass, if this
-        reader has one. Each part's `quarantine` is read once, in order, so
-        it may be any iterable of entries, such as entries read back from a
-        file."""
-        self.quarantine = []
-        sink = self.on_quarantine or self.quarantine.append
-        for part in parts:
-            for entry in part.quarantine:
-                sink(entry)
-        self._manifest = CorpusManifest.merge([part.manifest for part in parts])
+    def join(self, manifests: Sequence[CorpusManifest]) -> None:
+        """End a pass made apart: this reader's manifest is that of the
+        split parts' manifests, in order."""
+        self._manifest = CorpusManifest.merge(manifests)
 
 
 def open_corpus(

@@ -3,13 +3,15 @@
 The files of a multi-file corpus are split into contiguous runs, one per
 process. This process counts the first run into a summary of cells
 (CellLayout), passing that run's quarantine straight to the reader's sink.
-Meanwhile each forked child counts one of the other runs, writes the rows it
-quarantines to an unnamed temporary file as it goes, and pipes back the
-pickled summary and its part of the reader, or the exception it raised.
-Summaries add, so any process count produces exactly the serial results; the
-corpus reader then takes over the parts' manifests and quarantine entries, in
-file order, reading each child's entries back a batch at a time, so that no
-process holds more than a batch of a run's quarantine in memory.
+Meanwhile each forked child counts one of the other runs. Its one channel
+back is an unnamed temporary file: it pickles the rows it quarantines there
+in batches as it goes, then its summary and manifest, or the exception it
+raised. Summaries add, so any process count produces exactly the serial
+results. This process reaps the children in file order and reads each one's
+file back a batch at a time, passing the rows to the reader's sink before it
+takes the outcome, so the sink gets the rows of a serial pass, in order, up
+to any failure, and no process holds more than a batch of a run's quarantine
+in memory.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from __future__ import annotations
 import os
 from collections import Counter
 from contextlib import ExitStack
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Sequence
 
-from .aggregate import AggregateResult, CellLayout, CellTally
+from .aggregate import AggregateResult, CellLayout, CellTally, replicate_all
 from .claims import Claim
-from .ingest import CorpusReader
+from .ingest import CorpusManifest, CorpusReader
 from .sor import QuarantineEntry, SorRecord
 
 # A child pickles the rows it quarantines to its spool this many at a time:
@@ -29,22 +31,19 @@ from .sor import QuarantineEntry, SorRecord
 _SPOOL_BATCH = 256
 
 
-def _fork_summarize(layout: CellLayout, part: CorpusReader, spool: BinaryIO) -> tuple[int, int]:
+def _fork_summarize(layout: CellLayout, part: CorpusReader, spool: BinaryIO) -> int:
     """Fork a child that summarizes `part`, pickling the rows it quarantines
-    into `spool` in batches, and then pickles `(summary, part)`, or the
-    exception it raised, into a pipe; returns the child's pid and the pipe's
-    read end. The child leaves through os._exit, so it runs no cleanup of the
-    parent's: no atexit hook, no flush of an inherited buffer."""
+    into `spool` in batches (lists of entries) and then `(summary, manifest)`,
+    or the exception it raised; returns the child's pid. The child leaves
+    through os._exit, so it runs no cleanup of the parent's: no atexit hook,
+    no flush of an inherited buffer."""
     import pickle  # here and below, so that a read in one process loads neither pickle nor signal
 
-    read_end, write_end = os.pipe()
     pid = os.fork()
     if pid:
-        os.close(write_end)
-        return pid, read_end
+        return pid
     status = 1
     try:
-        os.close(read_end)
         batch: list[QuarantineEntry] = []
 
         def spool_batch() -> None:
@@ -58,51 +57,36 @@ def _fork_summarize(layout: CellLayout, part: CorpusReader, spool: BinaryIO) -> 
 
         part.on_quarantine = quarantine
         try:
-            outcome: object = (layout.summarize(part), part)
-            part.on_quarantine = None  # a closure does not pickle; the parent holds the spool
-            spool_batch()
-            spool.flush()
+            outcome: object = (layout.summarize(part), part.manifest)
         except BaseException as exc:  # handed to the parent, which raises it
             outcome = exc
-        with os.fdopen(write_end, "wb") as fh:
-            pickle.dump(outcome, fh, pickle.HIGHEST_PROTOCOL)
+        spool_batch()
+        pickle.dump(outcome, spool, pickle.HIGHEST_PROTOCOL)
+        spool.flush()
         status = 0
     finally:
         os._exit(status)
 
 
-def _collect(pid: int, read_end: int) -> tuple[Counter, CorpusReader]:
-    """Read a child's outcome to the end of its pipe and reap the child;
-    raise the child's exception, if it raised one."""
+def _collect(
+    pid: int, spool: BinaryIO, sink: Callable[[QuarantineEntry], None]
+) -> tuple[Counter, CorpusManifest]:
+    """Reap a child, then pass the entries in its spool to `sink` and return
+    its outcome; raise the child's exception, if it raised one."""
     import pickle
 
-    try:
-        with os.fdopen(read_end, "rb") as fh:
-            try:
-                outcome = pickle.load(fh)
-            except (EOFError, pickle.UnpicklingError):  # cut short: the exit status says why
-                outcome = None
-    finally:
-        _, status = os.waitpid(pid, 0)
+    _, status = os.waitpid(pid, 0)
     code = os.waitstatus_to_exitcode(status)
     if code:
         how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
         raise ChildProcessError(f"replication process {pid} {how} before handing back its counts")
-    if isinstance(outcome, BaseException):
-        raise outcome
-    return outcome
-
-
-def _read_back(spool: BinaryIO) -> Iterator[QuarantineEntry]:
-    """The entries a child pickled into `spool`, in order, one batch at a time."""
-    import pickle
-
     spool.seek(0)
-    while True:
-        try:
-            yield from pickle.load(spool)
-        except EOFError:
-            return
+    while (item := pickle.load(spool)).__class__ is list:
+        for entry in item:
+            sink(entry)
+    if isinstance(item, BaseException):
+        raise item
+    return item
 
 
 def parallel_replicate(
@@ -115,39 +99,36 @@ def parallel_replicate(
     corpus files each, this process included.
 
     A CorpusReader over several files is split across the processes; any
-    other stream, workers <= 1, or a platform without os.fork, is read in
-    this process. Either way the stream is read once, so a reader's manifest
-    and quarantine are complete on return, and the results equal
-    replicate_all's. Every child is reaped before this returns or raises.
+    other stream, workers <= 1, or a platform without os.fork, is read by
+    replicate_all in this process. Either way the stream is read once, so a
+    reader's manifest and quarantine are complete on return, and the results
+    equal replicate_all's. Every child is reaped before this returns or raises.
     """
-    layout = CellLayout(claims, cell_tally)
     one_process = workers <= 1 or not hasattr(os, "fork")
     if one_process or not isinstance(records, CorpusReader) or len(records.files) <= 1:
-        return layout.evaluate(layout.summarize(records))
+        return replicate_all(claims, records, cell_tally)
     from tempfile import TemporaryFile  # like pickle, loaded only to fork
 
+    layout = CellLayout(claims, cell_tally)
     own, *others = records.split(min(workers, len(records.files)))
-    children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
+    children: list[int] = []  # pids of the children not yet reaped, in file order
     with ExitStack() as stack:
         spools = [stack.enter_context(TemporaryFile()) for _ in others]
         try:
             for part, spool in zip(others, spools):
-                pid, read_end = _fork_summarize(layout, part, spool)
-                children[pid] = read_end
+                children.append(_fork_summarize(layout, part, spool))
             summary = layout.summarize(own)
-            done = [own]
-            for pid, spool in zip(list(children), spools):
-                part_summary, part = _collect(pid, children.pop(pid))
-                part.quarantine = _read_back(spool)
+            manifests = [own.manifest]
+            for spool in spools:
+                part_summary, manifest = _collect(children.pop(0), spool, records.on_quarantine)
                 summary.update(part_summary)
-                done.append(part)
+                manifests.append(manifest)
         finally:
             if children:  # an exception cut the run short: stop and reap the rest
                 import signal
 
-                for pid, read_end in children.items():
-                    os.close(read_end)
+                for pid in children:
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
-        records.join(done)
+        records.join(manifests)
     return layout.evaluate(summary)

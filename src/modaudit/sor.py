@@ -457,13 +457,6 @@ class Period(_PeriodFields):
             raise PeriodError(str(exc)) from None
         return cls(start=start, end=end, field=text["field"])  # type: ignore[arg-type]
 
-    def record_date(self, record: SorRecord) -> date:
-        return _RECORD_DATE[self.field](record)
-
-    def contains(self, record: SorRecord) -> bool:
-        d = self.record_date(record)
-        return self.start <= d < self.end
-
     def contains_date(self, d: date) -> bool:
         return self.start <= d < self.end
 

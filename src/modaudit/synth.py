@@ -171,6 +171,8 @@ class ScenarioConfig:
             raise ScenarioError(f"volume must be at most {MAX_VOLUME}, got {self.volume}")
         if not isinstance(self.platform, str) or not self.platform:
             raise ScenarioError(f"platform must be a non-empty string, got {self.platform!r}")
+        if self.window.field != "application_date":
+            raise ScenarioError(f"window field must be 'application_date', got {self.window.field!r}")
         _check_mix(self.category_mix, "category_mix")
         try:
             scenario_taxonomy(self)
@@ -507,7 +509,7 @@ def generate(config: ScenarioConfig, out_dir: str | Path) -> ScenarioArtifacts:
     fully = 0
     cat_counts = {c: 0 for c in categories}
     for record in published:
-        if window.contains(record):
+        if window.contains_date(record.application_date):
             total += 1
             if record.automated_decision is AutomatedDecision.FULLY:
                 fully += 1

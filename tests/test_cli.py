@@ -771,12 +771,25 @@ class TestForkedScan:
     def test_bad_byte_in_any_run_exits_three_and_leaves_no_child(self, faithful, tmp_path, capsys, damaged):
         dump = faithful / "dump"
         split_dump(dump, 3)
+        for i in range(3):
+            # right below the header: text decodes in blocks of 8 KiB, and a
+            # bad byte stops the scan before any row of its own block
+            part = dump / f"part-{i:05d}.csv"
+            header, rows = part.read_text(encoding="utf-8").split("\n", 1)
+            part.write_text(f"{header}\nnot,a,row,{i},0\nnot,a,row,{i},1\n{rows}", encoding="utf-8")
         target = dump / f"part-{damaged:05d}.csv"
         line = append_copy(target, target, {"uuid": "BAD\xffBYTE"})
         target.write_bytes(target.read_bytes().replace(b"BAD\xc3\xbfBYTE", b"BAD\xffBYTE"))
-        out = tmp_path / "runs"
-        assert run(crosscheck_args(faithful, out, "--parallel", "3")) == 3
-        assert_one_line_input_error(capsys, out, f"{target}: line {line}: not valid UTF-8")
+        logs = {}
+        for workers in ("1", "3"):
+            out = tmp_path / workers
+            assert run(crosscheck_args(faithful, out, "--parallel", workers)) == 3
+            assert_one_line_input_error(capsys, out, f"{target}: line {line}: not valid UTF-8")
+            logs[workers] = (only_run_dir(out) / "quarantine.log").read_bytes()
+        # the rows of every file up to the bad byte, as a serial pass logs them
+        assert logs["3"] == logs["1"]
+        files = [json.loads(entry)["file"] for entry in logs["1"].splitlines()]
+        assert files == [f"part-{i:05d}.csv" for i in range(damaged + 1) for _ in range(2)]
         assert no_child_left()
 
     def test_child_that_dies_without_an_outcome_exits_three(self, faithful, tmp_path, capsys, monkeypatch):
@@ -1394,6 +1407,15 @@ class TestSettingTypes:
         out = tmp_path / "scen"
         assert run(["synth", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 2
         assert_one_line_input_error(capsys, out, "error: bad scenario config: ", fragment)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["content_date", "created_at"])
+    def test_scenario_window_on_another_date_exits_two(self, tmp_path, capsys, field):
+        doc = json.loads(json.dumps(INJECTED))
+        doc["window"]["field"] = field
+        out = tmp_path / "scen"
+        assert run(["synth", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 2
+        assert_one_line_input_error(capsys, out, "error: bad scenario config: ", f"got {field!r}")
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["injections", *INJECTED["injections"]])

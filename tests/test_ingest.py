@@ -153,7 +153,7 @@ class TestOpenCorpus:
         parts = joined.split(3)
         assert [r for part in parts for r in part] == recs
         assert [p.manifest.quarantine_count for p in parts] == [1, 0, 2]
-        joined.join(parts)
+        joined.join([p.manifest for p in parts])
         assert joined.manifest == expected
         assert joined.quarantine == serial.quarantine
 

@@ -222,6 +222,12 @@ class TestConfigValidation:
         assert all(f.kind is FindingKind.MATCH for f in findings)
         assert list(vfindings) == []
 
+    def test_window_must_be_on_the_application_date(self):
+        # claim periods carry no field, so they window the application date
+        window = Period(WINDOW.start, WINDOW.end, "content_date")
+        with pytest.raises(ScenarioError, match="window field must be 'application_date', got 'content_date'"):
+            config(window=window)
+
     def test_rates_must_fit_the_volume(self, tmp_path):
         inj = InjectionSpec(drop_sor_rate=0.6, flip_automation_rate=0.6)
         with pytest.raises(ScenarioError, match="more records"):
